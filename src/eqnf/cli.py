@@ -23,7 +23,7 @@ from .linalg import jordan_chevalley, su_decomposition
 from .normalform import nilpotent_nf, semisimple_nf
 from .polymap import AffineMapFamily, MapFamily, TruncatedMap
 from .reduction import (build_lift, find_periodic, ghat_vstar_identity_check,
-                        make_reduced, reduced_map, solve_vstar, xstar)
+                        reduced_map, solve_vstar)
 
 DEFAULT_TOL = 1e-9
 

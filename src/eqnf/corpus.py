@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .groups import (GroupData, extended_group, invariant_inner_product,
                      is_chi_equivariant_map, project_map, tilde_character)
-from .linalg import AdaptedInnerProduct
+from .linalg import AdaptedInnerProduct, nullspace
 from .normalform import _column_space, _intersect, hk_projection
 from .polymap import (MapFamily, TruncatedMap, adk_operator, exp_vf, hk_dim,
                       num_monomials)
@@ -198,7 +198,7 @@ def nf_form_family(inst: Instance, k: int, rng, amp: float = 0.25,
     if with_tail:
         dim = hk_dim(n, k + 1)
         K = adk_operator(inst.S0, k + 1) - np.eye(dim)
-        res_b = _intersect([_nullspace_of(K),
+        res_b = _intersect([nullspace(K),
                             _column_space(hk_projection(inst.gd, k + 1, "chi"))],
                            dim)
         if res_b.shape[1]:
@@ -231,11 +231,6 @@ def nf_form_family(inst: Instance, k: int, rng, amp: float = 0.25,
         return field(lam, k)
 
     return fam, nf_field_fn
-
-
-def _nullspace_of(M):
-    from .linalg import nullspace
-    return nullspace(M)
 
 
 # ---------------------------------------------------------------------------

@@ -79,22 +79,35 @@ def _flat_layout(n: int, order: int):
     return offs, pos
 
 
-def _flat_mul(n: int, order: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Product of two flat coefficient vectors, truncated past `order`."""
-    offs, size = _flat_layout(n, order)
-    out = np.zeros(size)
-    for d1 in range(1, order):
-        o1, M1 = offs[d1], num_monomials(n, d1)
-        pb = p[o1:o1 + M1]
-        if not pb.any():
-            continue
-        for d2 in range(1, order - d1 + 1):
-            o2, M2 = offs[d2], num_monomials(n, d2)
-            qb = q[o2:o2 + M2]
-            if not qb.any():
-                continue
-            np.add.at(out, offs[d1 + d2] + _prod_table(n, d1, d2), np.outer(pb, qb))
-    return out
+@lru_cache(maxsize=None)
+def _mul_pairs(n: int, order: int, dmin: int):
+    """Flat (a, b, target) index triples of a product p * q, truncated past
+    `order`, over the positions b of q with degree at least `dmin`."""
+    offs, _ = _flat_layout(n, order)
+    a_idx, b_idx, t_idx = [], [], []
+    for d1 in range(1, order - dmin + 1):
+        for d2 in range(dmin, order - d1 + 1):
+            T = offs[d1 + d2] + _prod_table(n, d1, d2)
+            a, b = np.indices(T.shape)
+            a_idx.append(offs[d1] + a.ravel())
+            b_idx.append(offs[d2] + b.ravel())
+            t_idx.append(T.ravel())
+    return np.concatenate(a_idx), np.concatenate(b_idx), np.concatenate(t_idx)
+
+
+@lru_cache(maxsize=None)
+def _power_steps(n: int, d: int):
+    """For each degree-d monomial alpha: its first variable i0 with a
+    nonzero exponent, and the index of alpha - e_i0 among degree d - 1."""
+    idx_prev = monomial_index(n, d - 1)
+    first, prev = [], []
+    for al in monomials(n, d):
+        i0 = next(i for i, e in enumerate(al) if e)
+        al2 = list(al)
+        al2[i0] -= 1
+        first.append(i0)
+        prev.append(idx_prev[tuple(al2)])
+    return np.array(first, dtype=np.intp), np.array(prev, dtype=np.intp)
 
 
 def _mono_values(x: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -299,20 +312,24 @@ class TruncatedMap:
 # composition and inversion
 
 def _power_matrix(G: TruncatedMap) -> np.ndarray:
-    """Row per monomial (graded order): flat coefficients of G^alpha."""
+    """Row per monomial (graded order): flat coefficients of G^alpha.
+
+    The rows of degree d are G_i0 * G^(alpha - e_i0), formed for all alpha of
+    that degree at once by one scatter over the product's index triples."""
     n, order = G.n, G.order
     offs, size = _flat_layout(n, order)
     PW = np.zeros((size, size))
     Gf = G.flat()
     PW[offs[1]:offs[1] + n] = Gf
     for d in range(2, order + 1):
-        idx_prev = monomial_index(n, d - 1)
-        for j, al in enumerate(monomials(n, d)):
-            i0 = next(i for i, e in enumerate(al) if e)
-            al2 = list(al)
-            al2[i0] -= 1
-            prev = PW[offs[d - 1] + idx_prev[tuple(al2)]]
-            PW[offs[d] + j] = _flat_mul(n, order, Gf[i0], prev)
+        first, prev = _power_steps(n, d)
+        # G^(alpha - e_i0) has no terms below degree d - 1
+        a, b, t = _mul_pairs(n, order, d - 1)
+        rows = len(first)
+        vals = Gf[first][:, a] * PW[offs[d - 1] + prev][:, b]
+        bins = (np.arange(rows)[:, None] * size + t).ravel()
+        PW[offs[d]:offs[d] + rows] = np.bincount(
+            bins, weights=vals.ravel(), minlength=rows * size).reshape(rows, size)
     return PW
 
 
@@ -354,14 +371,10 @@ def substitution_matrix(T, k: int) -> np.ndarray:
         raise ValueError("degree must be at least 1")
     S = T.copy()
     for d in range(2, k + 1):
-        idx_prev = monomial_index(n, d - 1)
         Tab = _prod_table(n, 1, d - 1)
         Snew = np.zeros((num_monomials(n, d), num_monomials(n, d)))
-        for r, al in enumerate(monomials(n, d)):
-            i0 = next(i for i, e in enumerate(al) if e)
-            al2 = list(al)
-            al2[i0] -= 1
-            np.add.at(Snew[r], Tab, np.outer(T[i0], S[idx_prev[tuple(al2)]]))
+        for r, (i0, p) in enumerate(zip(*_power_steps(n, d))):
+            np.add.at(Snew[r], Tab, np.outer(T[i0], S[p]))
         S = Snew
     return S
 
@@ -427,11 +440,15 @@ def ck_operator(X1, k: int) -> np.ndarray:
     return scipy.linalg.expm(B)[:m, m:]
 
 
-def ck_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _check_ck(C: np.ndarray) -> None:
     s = np.linalg.svd(C, compute_uv=False)
     if s[-1] <= 1e-12 * s[0]:
         raise CkSingular(
             f"composition operator is numerically singular (smin/smax = {s[-1] / s[0]:.2e})")
+
+
+def ck_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    _check_ck(C)
     return np.linalg.solve(C, rhs)
 
 
@@ -455,39 +472,50 @@ def ch_compose(X: TruncatedMap, Yk, k: int, side: str = "right") -> TruncatedMap
 # ---------------------------------------------------------------------------
 # exponentials and logarithms of vector fields (time-one flows)
 
-def _mult_column(n: int, order: int, q: np.ndarray, d2: int, b: int) -> np.ndarray:
-    """Flat coefficients of q(x) * x^beta, beta the b-th degree-d2 monomial."""
-    offs, size = _flat_layout(n, order)
-    out = np.zeros(size)
-    for d1 in range(1, order - d2 + 1):
-        o1, M1 = offs[d1], num_monomials(n, d1)
-        qb = q[o1:o1 + M1]
-        if not qb.any():
-            continue
-        out[offs[d1 + d2] + _prod_table(n, d1, d2)[:, b]] += qb
-    return out
+@lru_cache(maxsize=None)
+def _transport_triples(n: int, order: int):
+    """Index triples of p -> Dp . X on flat coefficients.
 
-
-def _transport_operator(X: TruncatedMap) -> np.ndarray:
-    """Matrix of p -> Dp . X on flat scalar coefficient vectors."""
-    n, order = X.n, X.order
+    D(x^alpha) . X = sum_j alpha_j x^(alpha - e_j) X_j, so the entry at
+    (target, source) gets alpha_j * X_j[gamma] from each flat position gamma
+    of X_j with x^(alpha - e_j) x^gamma the target monomial.  Returned as flat
+    bins target * size + source, the variable j, the position gamma and the
+    factor alpha_j, ordered by source, then j, then gamma, so that each entry
+    sums its terms in increasing j."""
     offs, size = _flat_layout(n, order)
-    Xf = X.flat()
-    L = np.zeros((size, size))
+    bins, var, pos, coef = [], [], [], []
     for i in range(n):
-        L[:, offs[1] + i] += Xf[i]
+        bins.append(np.arange(size) * size + offs[1] + i)
+        var.append(np.full(size, i))
+        pos.append(np.arange(size))
+        coef.append(np.ones(size))
     for d in range(2, order + 1):
         idx_prev = monomial_index(n, d - 1)
         for c, al in enumerate(monomials(n, d)):
-            col = offs[d] + c
             for j in range(n):
                 if al[j] == 0:
                     continue
                 be = list(al)
                 be[j] -= 1
-                L[:, col] += al[j] * _mult_column(n, order, Xf[j],
-                                                  d - 1, idx_prev[tuple(be)])
-    return L
+                b = idx_prev[tuple(be)]
+                for d1 in range(1, order - d + 2):
+                    M1 = num_monomials(n, d1)
+                    target = offs[d1 + d - 1] + _prod_table(n, d1, d - 1)[:, b]
+                    bins.append(target * size + offs[d] + c)
+                    var.append(np.full(M1, j))
+                    pos.append(offs[d1] + np.arange(M1))
+                    coef.append(np.full(M1, float(al[j])))
+    return (np.concatenate(bins), np.concatenate(var), np.concatenate(pos),
+            np.concatenate(coef))
+
+
+def _transport_operator(X: TruncatedMap) -> np.ndarray:
+    """Matrix of p -> Dp . X on flat scalar coefficient vectors."""
+    n, order = X.n, X.order
+    _, size = _flat_layout(n, order)
+    bins, var, pos, coef = _transport_triples(n, order)
+    L = np.bincount(bins, weights=coef * X.flat()[var, pos], minlength=size * size)
+    return L.reshape(size, size)
 
 
 def exp_vf(X: TruncatedMap, k: int | None = None) -> TruncatedMap:
@@ -503,21 +531,57 @@ def exp_vf(X: TruncatedMap, k: int | None = None) -> TruncatedMap:
     return TruncatedMap.from_flat(X.n, X.order, E[:, offs[1]:offs[1] + X.n].T)
 
 
+class _LinearPartData:
+    """What log_map derives from a linear part A alone: real_log(A), inv(A)
+    and, per degree d, the LU factors of C_d(real_log(A))."""
+
+    __slots__ = ("X1", "Ainv", "ck_lu")
+
+    def __init__(self, A: np.ndarray):
+        self.X1 = real_log(A)
+        self.Ainv = np.linalg.inv(A)
+        self.ck_lu = {}
+
+    def ck_factor(self, d: int):
+        lu = self.ck_lu.get(d)
+        if lu is None:
+            C = ck_operator(self.X1, d)
+            _check_ck(C)
+            lu = self.ck_lu[d] = scipy.linalg.lu_factor(C)
+        return lu
+
+
+# One entry, keyed on the shape and bytes of the last linear part seen; it is
+# only ever mutated in place.
+_LINEAR_PART_MEMO: dict = {}
+
+
+def _linear_part_data(A: np.ndarray) -> _LinearPartData:
+    key = (A.shape, A.tobytes())
+    data = _LINEAR_PART_MEMO.get(key)
+    if data is None:
+        data = _LinearPartData(A)
+        _LINEAR_PART_MEMO.clear()
+        _LINEAR_PART_MEMO[key] = data
+    return data
+
+
 def log_map(F: TruncatedMap, k: int | None = None, tol: float = 1e-9) -> TruncatedMap:
     """Inverse of exp_vf: the field X with exp_vf(X) = F, degree by degree.
 
-    The linear part of F must admit a real logarithm.
+    The linear part of F must admit a real logarithm.  real_log, the inverse
+    and the factorisations of C_d depend on the linear part alone; they are
+    kept for the most recent linear part and reused while it repeats.
     """
     if k is not None:
         F = F.truncated(k)
-    A = F.linear()
-    X = TruncatedMap.from_linear(real_log(A), F.order)
-    Ainv = np.linalg.inv(A)
+    data = _linear_part_data(F.linear())
+    X = TruncatedMap.from_linear(data.X1, F.order)
     scale = max(1.0, F.max_abs())
     for _ in range(8):
         for d in range(2, F.order + 1):
             r = (F - exp_vf(X)).layer(d)
-            w = ck_solve(ck_operator(X.linear(), d), (Ainv @ r).reshape(-1))
+            w = scipy.linalg.lu_solve(data.ck_factor(d), (data.Ainv @ r).reshape(-1))
             X.layers[d - 1] += w.reshape(r.shape)
         if (F - exp_vf(X)).max_abs() <= tol * scale or F.order == 1:
             break

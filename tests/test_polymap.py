@@ -1,14 +1,20 @@
 """Truncated polynomial maps: composition, graded operators, flows."""
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
+from hypothesis import given, settings
 
-from eqnf.errors import DimensionMismatch, NonInvertibleLinearPart
+from eqnf import polymap
+from eqnf.errors import CkSingular, DimensionMismatch, NonInvertibleLinearPart
 from eqnf.polymap import (AffineMapFamily, MapFamily, TruncatedMap,
-                          ad_conjugate, adk_field, adk_operator, ch_compose,
-                          ck_operator, compose, conjugate_linear, exp_vf,
-                          fischer_gram, hk_dim, inverse_truncated, log_map,
-                          monomials, num_monomials, substitution_matrix)
+                          _power_matrix, _transport_operator, ad_conjugate,
+                          adk_field, adk_operator, ch_compose, ck_operator,
+                          compose, conjugate_linear, exp_vf, fischer_gram,
+                          hk_dim, inverse_truncated, log_map, monomials,
+                          num_monomials, substitution_matrix)
 
 
 def _mono_eval(x, al):
@@ -295,3 +301,193 @@ def test_map_family_shapes(rand_map):
         fam.at([0.1, 0.2])
     with pytest.raises(DimensionMismatch):
         AffineMapFamily(base, [rand_map(rng, 2, 2)])
+
+
+# ---------------------------------------------------------------------------
+# term-by-term references for the table-driven kernels
+
+KERNEL_SIZES = [(1, 5), (2, 3), (3, 4), (4, 4), (6, 4)]
+
+
+def _flat_positions(n, order):
+    """Exponent tuple -> flat position, in the graded layout of TruncatedMap."""
+    pos = {}
+    for d in range(1, order + 1):
+        for al in monomials(n, d):
+            pos[al] = len(pos)
+    return pos
+
+
+def _naive_mul(p, q, order):
+    """Product of {exponent: coefficient} polynomials, truncated past order."""
+    by_degree = {}
+    for b, cb in q.items():
+        by_degree.setdefault(sum(b), []).append((b, cb))
+    out = {}
+    for a, ca in p.items():
+        for db in range(order - sum(a) + 1):
+            for b, cb in by_degree.get(db, ()):
+                c = tuple(x + y for x, y in zip(a, b))
+                out[c] = out.get(c, 0.0) + ca * cb
+    return out
+
+
+def _naive_powers(G):
+    """{alpha: G^alpha as a polynomial}, each built from alpha minus its last
+    variable, over all monomials of degree 1..order."""
+    n, order = G.n, G.order
+    pos = _flat_positions(n, order)
+    Gf = G.flat()
+    comps = [{al: Gf[i, p] for al, p in pos.items()} for i in range(n)]
+    powers = {(0,) * n: {(0,) * n: 1.0}}
+    for d in range(1, order + 1):
+        for al in monomials(n, d):
+            i = max(j for j, e in enumerate(al) if e)
+            prev = tuple(e - (j == i) for j, e in enumerate(al))
+            powers[al] = _naive_mul(powers[prev], comps[i], order)
+    return powers
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("n,order", KERNEL_SIZES)
+def test_power_matrix_and_compose_term_oracle(rand_map, n, order):
+    rng = np.random.default_rng(40 + 10 * n + order)
+    F = rand_map(rng, n, order)
+    G = rand_map(rng, n, order)
+    pos = _flat_positions(n, order)
+    powers = _naive_powers(G)
+    size = len(pos)
+    PW = np.zeros((size, size))
+    for al, row in pos.items():
+        for be, c in powers[al].items():
+            PW[row, pos[be]] = c
+    assert _rel_err(_power_matrix(G), PW) <= 1e-14
+    Ff = F.flat()
+    H = np.zeros((n, size))
+    for i in range(n):
+        acc = {}
+        for al, row in pos.items():
+            for be, c in powers[al].items():
+                acc[be] = acc.get(be, 0.0) + Ff[i, row] * c
+        for be, c in acc.items():
+            H[i, pos[be]] = c
+    assert _rel_err(compose(F, G).flat(), H) <= 1e-14
+
+
+@pytest.mark.parametrize("n,order", KERNEL_SIZES)
+def test_transport_operator_term_oracle(rand_map, n, order):
+    rng = np.random.default_rng(50 + 10 * n + order)
+    X = rand_map(rng, n, order)
+    pos = _flat_positions(n, order)
+    Xf = X.flat()
+    L = np.zeros((len(pos), len(pos)))
+    # D(x^alpha) . X = sum_j alpha_j x^(alpha - e_j) X_j
+    for al, src in pos.items():
+        for j in range(n):
+            if al[j] == 0:
+                continue
+            base = tuple(e - (m == j) for m, e in enumerate(al))
+            for ga, g in pos.items():
+                tgt = tuple(x + y for x, y in zip(base, ga))
+                if sum(tgt) <= order:
+                    L[pos[tgt], src] += al[j] * Xf[j, g]
+    assert np.array_equal(_transport_operator(X), L)
+
+
+# ---------------------------------------------------------------------------
+# log_map: singular C_d and reuse of the linear-part data
+
+def _rotation_map(theta, order, quad):
+    F = TruncatedMap.zero(2, order)
+    c, s = np.cos(theta), np.sin(theta)
+    F.layers[0] = np.array([[c, -s], [s, c]])
+    F.layers[1] = np.asarray(quad, dtype=float)
+    return F
+
+
+def test_log_map_singular_ck_raises_every_call():
+    # X1 = (2 pi / 3) J; ad_2 X1 has the eigenvalue 3 i theta = 2 pi i, where
+    # phi1 vanishes, so C_2 is singular
+    F = _rotation_map(2 * np.pi / 3, 2, [[0.1, 0.0, 0.2], [0.0, -0.3, 0.0]])
+    for _ in range(2):
+        with pytest.raises(CkSingular, match="numerically singular"):
+            log_map(F)
+
+
+def test_log_map_no_stale_reuse():
+    F = _rotation_map(0.4, 4, [[0.1, 0.0, 0.2], [0.0, -0.3, 0.05]])
+    F.layers[2] = 0.1 * np.ones((2, 4))
+    G = _rotation_map(-0.7, 4, [[0.0, 0.2, 0.0], [0.1, 0.0, -0.2]])
+    first = log_map(F)
+    assert exp_vf(log_map(G, tol=1e-14)).allclose(G, 1e-12)
+    again = log_map(F)
+    assert all(np.array_equal(a, b) for a, b in zip(first.layers, again.layers))
+
+
+def test_log_map_reuses_ck_factors(monkeypatch, rand_map):
+    rng = np.random.default_rng(60)
+    F = rand_map(rng, 2, 4, amp=0.2)
+    F.layers[0] = scipy.linalg.expm(0.3 * rng.standard_normal((2, 2)))
+    log_map(F)
+    built = []
+
+    def counting_ck_operator(X1, k):
+        built.append(k)
+        return ck_operator(X1, k)
+
+    monkeypatch.setattr(polymap, "ck_operator", counting_ck_operator)
+    # same linear part, other higher layers: nothing is rebuilt
+    G = F + rand_map(rng, 2, 4, amp=0.1, with_linear=False)
+    assert exp_vf(log_map(G, tol=1e-14)).allclose(G, 1e-12)
+    assert built == []
+    # a new linear part builds C_d once per degree
+    H = G.with_layer(1, scipy.linalg.expm(0.3 * rng.standard_normal((2, 2))))
+    log_map(H)
+    assert sorted(built) == [2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# property tests on random near-identity maps
+
+@st.composite
+def _near_identity_maps(draw, count):
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 4))
+    size = sum(num_monomials(n, d) for d in range(1, order + 1))
+    maps = []
+    for _ in range(count):
+        flat = draw(hnp.arrays(np.float64, (n, size),
+                               elements=st.floats(-0.5, 0.5, width=64)))
+        flat[:, :n] = np.eye(n) + 0.2 * flat[:, :n] / n
+        maps.append(TruncatedMap.from_flat(n, order, flat))
+    return maps
+
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
+                             database=None)
+
+
+@PROPERTY_SETTINGS
+@given(_near_identity_maps(1))
+def test_property_compose_with_inverse_is_identity(maps):
+    (F,) = maps
+    assert compose(F, inverse_truncated(F)).is_identity(1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(_near_identity_maps(3))
+def test_property_compose_is_associative(maps):
+    F, G, H = maps
+    lhs = compose(compose(F, G), H)
+    rhs = compose(F, compose(G, H))
+    assert lhs.allclose(rhs, 1e-12 * max(1.0, lhs.max_abs()))
+
+
+@PROPERTY_SETTINGS
+@given(_near_identity_maps(1))
+def test_property_exp_vf_inverts_log_map(maps):
+    (F,) = maps
+    assert exp_vf(log_map(F, tol=1e-14)).allclose(F, 1e-11)
