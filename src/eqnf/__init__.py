@@ -11,11 +11,10 @@ from .groups import (ExtendedGroupData, GroupData, extended_group,
                      is_chi_equivariant_map, project, project_map,
                      tilde_character, validate_group)
 from .linalg import (AdaptedInnerProduct, JCDecomposition, SUDecomposition,
-                     adjoint_wrt, image_basis, jordan_chevalley, kernel_basis,
-                     matrix_exp, matrix_log_unipotent, nullspace, real_log,
+                     image_basis, jordan_chevalley, kernel_basis,
+                     matrix_log_unipotent, nullspace, real_log,
                      su_decomposition)
-from .normalform import (NormalFormResult, SplitSubspaces,
-                         admissible_exponent_basis, build_splitting,
+from .normalform import (NormalFormResult, admissible_exponent_basis,
                          hk_projection, linear_nf, linear_nilpotent_nf,
                          nilpotent_nf, semisimple_nf)
 from .polymap import (AffineMapFamily, MapFamily, TruncatedMap, ad_conjugate,

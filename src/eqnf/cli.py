@@ -19,7 +19,7 @@ from .errors import (EqnfError, InvariantViolation, NotEquivariant)
 from .groups import (GroupData, invariant_inner_product,
                      is_chi_equivariant_linear, is_chi_equivariant_map,
                      validate_group)
-from .linalg import jordan_chevalley, su_decomposition
+from .linalg import fd_jacobian, jordan_chevalley, su_decomposition
 from .normalform import nilpotent_nf, semisimple_nf
 from .polymap import AffineMapFamily, MapFamily, TruncatedMap
 from .reduction import (build_lift, find_periodic, ghat_vstar_identity_check,
@@ -307,13 +307,9 @@ def cmd_reduce(problem: Problem, args) -> int:
     m = ctx.dim_u
     v0 = solve_vstar(problem.family, ctx, np.zeros(ctx.n), lam0)
     pr0 = reduced_map(problem.family, ctx, np.zeros(ctx.n), lam0)
-    h = 1e-6
     Ub = ctx.U_basis
-    J = np.zeros((m, m))
-    for i in range(m):
-        e = Ub[:, i] * h
-        J[:, i] = Ub.T @ (reduced_map(problem.family, ctx, e, lam0)
-                          - reduced_map(problem.family, ctx, -e, lam0)) / (2 * h)
+    J = fd_jacobian(lambda c: Ub.T @ reduced_map(problem.family, ctx, Ub @ c, lam0),
+                    np.zeros(m))
     AU = Ub.T @ ctx.A0 @ Ub
     doc = {
         "command": "reduce",

@@ -16,8 +16,8 @@ import scipy.linalg
 
 from .groups import (GroupData, extended_group, invariant_inner_product,
                      is_chi_equivariant_map, project_map, tilde_character)
-from .linalg import AdaptedInnerProduct, nullspace
-from .normalform import _column_space, _intersect, hk_projection
+from .linalg import AdaptedInnerProduct, image_basis, nullspace
+from .normalform import _intersect, hk_projection
 from .polymap import (MapFamily, TruncatedMap, adk_operator, exp_vf, hk_dim,
                       num_monomials)
 
@@ -199,7 +199,7 @@ def nf_form_family(inst: Instance, k: int, rng, amp: float = 0.25,
         dim = hk_dim(n, k + 1)
         K = adk_operator(inst.S0, k + 1) - np.eye(dim)
         res_b = _intersect([nullspace(K),
-                            _column_space(hk_projection(inst.gd, k + 1, "chi"))],
+                            image_basis(hk_projection(inst.gd, k + 1, "chi"))],
                            dim)
         if res_b.shape[1]:
             T = (res_b @ (tail_amp * rng.standard_normal(res_b.shape[1]))
@@ -255,6 +255,22 @@ def _z_terms(order: int, lin: float, alpha: float, beta: float,
     return F.linear_left(rot)
 
 
+def _z_branch_points(lam, alpha: float, beta: float) -> np.ndarray:
+    """Nontrivial solutions of lam + r^2 (alpha +- beta) = 0 at angles
+    k pi / 4: the '+' branch on the axes, the '-' branch on the diagonals."""
+    lam = float(np.atleast_1d(lam)[0])
+    pts = []
+    for sgn, theta0 in ((1.0, 0.0), (-1.0, math.pi / 4)):
+        s = alpha + sgn * beta
+        if s == 0 or -lam / s <= 0:
+            continue
+        r = math.sqrt(-lam / s)
+        for kk in range(4):
+            th = theta0 + kk * math.pi / 2
+            pts.append([r * math.cos(th), r * math.sin(th)])
+    return np.array(pts) if pts else np.zeros((0, 2))
+
+
 @dataclass
 class PlantedFamily:
     """A family with hand-solvable q-periodic branches."""
@@ -276,21 +292,8 @@ def planted_q4(alpha: float = 1.0, beta: float = 0.5) -> PlantedFamily:
         return _z_terms(3, 1.0 + float(lam[0]), alpha, beta, J)
 
     fam = MapFamily(fn, 2, 3, nparams=1)
-
-    def predict(lam):
-        lam = float(np.atleast_1d(lam)[0])
-        pts = []
-        for sgn, theta0 in ((1.0, 0.0), (-1.0, math.pi / 4)):
-            s = alpha + sgn * beta
-            if s == 0 or -lam / s <= 0:
-                continue
-            r = math.sqrt(-lam / s)
-            for kk in range(4):
-                th = theta0 + kk * math.pi / 2
-                pts.append([r * math.cos(th), r * math.sin(th)])
-        return np.array(pts) if pts else np.zeros((0, 2))
-
-    return PlantedFamily(family=fam, inst=inst, q=4, predict_points=predict)
+    return PlantedFamily(family=fam, inst=inst, q=4,
+                         predict_points=lambda lam: _z_branch_points(lam, alpha, beta))
 
 
 def planted_q2(alpha: float = 1.0, beta: float = 0.4) -> PlantedFamily:
@@ -305,21 +308,8 @@ def planted_q2(alpha: float = 1.0, beta: float = 0.4) -> PlantedFamily:
         return _z_terms(3, 1.0 + float(lam[0]), alpha, beta, -np.eye(2))
 
     fam = MapFamily(fn, 2, 3, nparams=1)
-
-    def predict(lam):
-        lam = float(np.atleast_1d(lam)[0])
-        pts = []
-        for sgn, theta0 in ((1.0, 0.0), (-1.0, math.pi / 4)):
-            s = alpha + sgn * beta
-            if s == 0 or -lam / s <= 0:
-                continue
-            r = math.sqrt(-lam / s)
-            for kk in range(4):
-                th = theta0 + kk * math.pi / 2
-                pts.append([r * math.cos(th), r * math.sin(th)])
-        return np.array(pts) if pts else np.zeros((0, 2))
-
-    return PlantedFamily(family=fam, inst=inst, q=2, predict_points=predict)
+    return PlantedFamily(family=fam, inst=inst, q=2,
+                         predict_points=lambda lam: _z_branch_points(lam, alpha, beta))
 
 
 def planted_q1(gamma: float = 0.3) -> PlantedFamily:

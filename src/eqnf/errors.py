@@ -57,7 +57,7 @@ class NotInU(EqnfError):
     """A vector expected in the reduced subspace U = ker(S0^q - I) is not in it."""
 
 
-class InverseNewtonFailed(EqnfError):
+class InverseNewtonFailed(NoConvergence):
     """Newton inversion of the reduced map did not converge."""
 
 

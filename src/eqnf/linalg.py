@@ -4,7 +4,9 @@ Everything here works on plain numpy arrays.  The two decompositions are the
 additive one (A = S + N with S semisimple, N nilpotent, SN = NS) and the
 multiplicative one (A = S * exp(L) with L = log(I + S^-1 N) nilpotent); both
 are unique, commute with conjugation, and are computed by a Newton iteration
-on the squarefree part of the characteristic polynomial.
+on the squarefree part of the characteristic polynomial.  The damped Newton
+kernel and the central-difference Jacobian at the end serve every solver
+stage of the normal form and the reduction.
 """
 from __future__ import annotations
 
@@ -57,12 +59,16 @@ def kernel_basis(L, tol: float | None = None) -> np.ndarray:
     return vh[rank:].T.copy()
 
 
-def image_basis(L, tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of square L, by SVD."""
-    L = as_square(L, "operator")
-    u, s, _ = np.linalg.svd(L)
+def image_basis(M, tol: float | None = None) -> np.ndarray:
+    """Orthonormal basis (columns) of the column space of M, by SVD."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if not np.all(np.isfinite(M)):
+        raise ValueError("operator has non-finite entries")
+    if M.shape[1] == 0:
+        return np.zeros((M.shape[0], 0))
+    u, s, _ = np.linalg.svd(M)
     if tol is None:
-        tol = rank_tolerance(s, L.shape[0])
+        tol = rank_tolerance(s, max(M.shape))
     rank = int(np.sum(s > tol))
     return u[:, :rank].copy()
 
@@ -77,11 +83,6 @@ def nullspace(M, tol: float | None = None) -> np.ndarray:
         tol = rank_tolerance(s, max(M.shape))
     rank = int(np.sum(s > tol))
     return vh[rank:].T.copy()
-
-
-def matrix_exp(A) -> np.ndarray:
-    """Matrix exponential (scaling and squaring)."""
-    return scipy.linalg.expm(as_square(A))
 
 
 def matrix_log_unipotent(U, tol: float = 1e-9) -> np.ndarray:
@@ -295,5 +296,54 @@ class AdaptedInnerProduct:
         return self.gram_inv @ as_square(A).T @ self.gram
 
 
-def adjoint_wrt(ip: AdaptedInnerProduct, A) -> np.ndarray:
-    return ip.adjoint(A)
+# ---------------------------------------------------------------------------
+# damped Newton
+
+NEWTON_MIN_STEP = 1.0 / 256
+SUFFICIENT_DECREASE = 1e-4
+
+
+def newton(evaluate, solve, x0, tol: float, max_iter: int, what: str):
+    """Damped Newton iteration on a residual, with backtracking.
+
+    evaluate(x) returns (r, aux) and solve(x, r) the Newton step at x.  Each
+    step tries t = 1, 1/2, ..., NEWTON_MIN_STEP and takes the first x - t*dx
+    whose residual meets tol or shows sufficient decrease (Dennis & Schnabel,
+    Numerical Methods for Unconstrained Optimization and Nonlinear
+    Equations, 1983, section 6.3).  Returns (x, r, aux) of the accepted
+    iterate once max|r| <= tol; raises NoConvergence, naming `what`, when no
+    step is accepted or the residual is still above tol after max_iter steps.
+    """
+    x = x0
+    r, aux = evaluate(x)
+    r_max = np.max(np.abs(r), initial=0.0)
+    for _ in range(max_iter):
+        if r_max <= tol:
+            return x, r, aux
+        dx = solve(x, r)
+        t = 1.0
+        while True:
+            cand = x - t * dx
+            r_c, aux_c = evaluate(cand)
+            r_c_max = np.max(np.abs(r_c), initial=0.0)
+            if r_c_max <= tol or r_c_max < r_max * (1 - SUFFICIENT_DECREASE * t):
+                break
+            if t <= NEWTON_MIN_STEP:
+                raise NoConvergence(f"{what}: Newton stalled at residual {r_max:.3e}")
+            t /= 2
+        x, r, aux, r_max = cand, r_c, aux_c, r_c_max
+    if r_max <= tol:
+        return x, r, aux
+    raise NoConvergence(f"{what}: residual {r_max:.3e} after {max_iter} iterations")
+
+
+def fd_jacobian(f, x) -> np.ndarray:
+    """Central-difference Jacobian of f at x with step 1e-6 * max(1, |x|)."""
+    x = np.asarray(x, dtype=float)
+    h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
+    cols = []
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h
+        cols.append((f(x + e) - f(x - e)) / (2 * h))
+    return np.column_stack(cols) if cols else np.zeros((0, 0))

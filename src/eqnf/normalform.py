@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NoConvergence, NotEquivariant, SplitFailure
+from .errors import NotEquivariant, SplitFailure
 from .groups import (GroupData, _resolve_char, extended_group,
                      is_chi_equivariant_linear, tilde_character)
-from .linalg import (AdaptedInnerProduct, nullspace, rank_tolerance,
+from .linalg import (AdaptedInnerProduct, image_basis, newton, nullspace,
                      real_log, require_invertible, su_decomposition)
 from .polymap import (TruncatedMap, ad_conjugate, adk_field, adk_operator,
                       ck_operator, compose, conjugate_linear, exp_vf, hk_dim,
@@ -31,18 +31,6 @@ NEWTON_MAX_ITER = 50
 # ---------------------------------------------------------------------------
 # subspace machinery
 
-def _column_space(M, tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis for the column space of a rectangular matrix."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[1] == 0:
-        return np.zeros((M.shape[0], 0))
-    u, s, _ = np.linalg.svd(M)
-    if tol is None:
-        tol = rank_tolerance(s, max(M.shape))
-    r = int(np.sum(s > tol))
-    return u[:, :r].copy()
-
-
 def _intersect(bases, dim: int) -> np.ndarray:
     """Orthonormal basis of the intersection of column spans."""
     rows = []
@@ -53,64 +41,6 @@ def _intersect(bases, dim: int) -> np.ndarray:
     if not rows:
         return np.eye(dim)
     return nullspace(np.vstack(rows))
-
-
-def _constraint_space(kind: str, M, dim: int) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if kind == "im":
-        return _column_space(M)
-    if kind == "ker":
-        return nullspace(M)
-    raise ValueError(f"unknown constraint kind {kind!r} (use 'im' or 'ker')")
-
-
-@dataclass
-class SplitSubspaces:
-    """A constrained subspace split into two complementary parts.
-
-    part_a/part_b hold orthonormal bases as columns; the projectors act on
-    the ambient coefficient space and sum to the identity on part_a + part_b.
-    """
-
-    ambient: str
-    part_a: np.ndarray
-    part_b: np.ndarray
-    projector_a: np.ndarray
-    projector_b: np.ndarray
-
-    def coords(self, x) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        M = np.hstack([self.part_a, self.part_b])
-        c, *_ = np.linalg.lstsq(M, x, rcond=None)
-        ra = self.part_a.shape[1]
-        return c[:ra], c[ra:]
-
-
-def build_splitting(constraints, split_a, split_b, dim: int,
-                    ambient: str = "") -> SplitSubspaces:
-    """Split the subspace cut out by `constraints` along two conditions.
-
-    Each constraint and each split condition is a pair ("im"|"ker", matrix).
-    The two split parts must decompose the constrained subspace exactly;
-    otherwise SplitFailure is raised.
-    """
-    spaces = [_constraint_space(kind, M, dim) for kind, M in constraints]
-    V = _intersect(spaces, dim)
-    A = _intersect([V, _constraint_space(*split_a, dim)], dim)
-    B = _intersect([V, _constraint_space(*split_b, dim)], dim)
-    if A.shape[1] + B.shape[1] != V.shape[1]:
-        raise SplitFailure(
-            f"split dimensions {A.shape[1]} + {B.shape[1]} != {V.shape[1]} "
-            f"in {ambient or 'ambient space'}")
-    M = np.hstack([A, B])
-    if M.shape[1]:
-        s = np.linalg.svd(M, compute_uv=False)
-        if s[-1] <= 1e-10 * max(1.0, s[0]):
-            raise SplitFailure(f"split parts nearly dependent (smin={s[-1]:.2e})")
-    pinv = np.linalg.pinv(M)
-    ra = A.shape[1]
-    return SplitSubspaces(ambient=ambient, part_a=A, part_b=B,
-                          projector_a=A @ pinv[:ra], projector_b=B @ pinv[ra:])
 
 
 def hk_projection(gd: GroupData, k: int, char="chi") -> np.ndarray:
@@ -140,11 +70,11 @@ def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
     if mode == "nilpotent":
         Nstar = ip.adjoint(N0)
         pieces.append(nullspace(adk_field(Nstar, j)))
-        pieces.append(_column_space(hk_projection(gd, j, "chi")))
+        pieces.append(image_basis(hk_projection(gd, j, "chi")))
     elif mode == "semisimple":
         ext = extended_group(gd, A0)
         tchi = tilde_character(gd, A0, "chi", ext)
-        pieces.append(_column_space(hk_projection(ext, j, tchi)))
+        pieces.append(image_basis(hk_projection(ext, j, tchi)))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return _intersect(pieces, dim)
@@ -169,6 +99,10 @@ class _DegreeData:
         c = scipy.linalg.lu_solve(self.blend_lu, vec)
         return c[:self.n_im + self.n_kerim]
 
+    def lstsq_step(self, u, r) -> np.ndarray:
+        """Newton step: least squares on the Jacobian frozen at A0."""
+        return np.linalg.lstsq(self.Jmat, r, rcond=None)[0]
+
 
 def _frozen_operator(S0, N0, A0, j: int, mode: str) -> np.ndarray:
     """Exact derivative at (A0, phi=0) of the degree-j exponent layer with
@@ -186,24 +120,24 @@ def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str) -> _Degree
     dim = hk_dim(n, j)
     K = adk_operator(S0, j) - np.eye(dim)
     ker_b = nullspace(K)
-    im_b = _column_space(K)
+    im_b = image_basis(K)
     if im_b.shape[1] + ker_b.shape[1] != dim:
         raise SplitFailure(
             f"degree {j}: ker/im of Ad(S0)-I do not decompose H_{j}")
 
-    T_full = _column_space(hk_projection(gd, j, "trivial"))
+    T_full = image_basis(hk_projection(gd, j, "trivial"))
     T_im = _intersect([T_full, im_b], dim)
 
     if mode == "nilpotent":
         adN = adk_field(N0, j)
         adNs = adk_field(Nstar, j)
-        kerim_b = _column_space(adN @ ker_b)
+        kerim_b = image_basis(adN @ ker_b)
         adm_b = ker_b @ nullspace(adNs @ ker_b)
         if kerim_b.shape[1] + adm_b.shape[1] != ker_b.shape[1]:
             raise SplitFailure(
                 f"degree {j}: ad(N0)/ad(N0*) split of the resonant space failed")
         blend = np.hstack([im_b, kerim_b, adm_b])
-        T_ker = _intersect([T_full, _column_space(adNs @ ker_b)], dim)
+        T_ker = _intersect([T_full, image_basis(adNs @ ker_b)], dim)
         unknown = np.hstack([T_im, T_ker])
         n_kerim = kerim_b.shape[1]
     else:
@@ -238,7 +172,7 @@ def _gl_stage_data(S0, N0, Nstar, A0, gd: GroupData, mode: str):
 
 
 def _linear_newton(A, A0, S0, target_shift, data: _DegreeData, base,
-                   tol: float, max_iter: int):
+                   tol: float, max_iter: int, what: str):
     """Shared Newton for the linear normal forms.
 
     Drives the unwanted components of W(phi) = log(base^-1 e^phi A e^-phi)
@@ -252,33 +186,11 @@ def _linear_newton(A, A0, S0, target_shift, data: _DegreeData, base,
         phi = (data.unknown @ u).reshape(n, n) if data.unknown.shape[1] else np.zeros((n, n))
         E = scipy.linalg.expm(phi)
         W = real_log(base_inv @ E @ A @ np.linalg.inv(E))
-        r = data.unwanted((W - target_shift).reshape(-1))
-        return phi, W, r
+        return data.unwanted((W - target_shift).reshape(-1)), (phi, W)
 
-    u = np.zeros(data.unknown.shape[1])
-    phi, W, r = eval_at(u)
-    for _ in range(max_iter):
-        if not r.size or np.max(np.abs(r)) <= tol * scale:
-            return phi, W, r
-        du, *_ = np.linalg.lstsq(data.Jmat, r, rcond=None)
-        step, accepted = 1.0, False
-        while step >= 1.0 / 1024:
-            cand = u - step * du
-            phi_c, W_c, r_c = eval_at(cand)
-            r_c_max = np.max(np.abs(r_c)) if r_c.size else 0.0
-            if r_c_max <= tol * scale or r_c_max < np.max(np.abs(r)) * (1 - 1e-4 * step):
-                u, phi, W, r = cand, phi_c, W_c, r_c
-                accepted = True
-                break
-            step /= 2
-        if not accepted:
-            raise NoConvergence(
-                f"linear stage stalled at residual {np.max(np.abs(r)):.3e}; "
-                "input may be outside the Newton basin of A0")
-    if r.size and np.max(np.abs(r)) > tol * scale:
-        raise NoConvergence(
-            f"linear stage: residual {np.max(np.abs(r)):.3e} after {max_iter} iterations")
-    return phi, W, r
+    _, _, (phi, W) = newton(eval_at, data.lstsq_step, np.zeros(data.unknown.shape[1]),
+                            tol * scale, max_iter, what)
+    return phi, W
 
 
 def linear_nf(A, A0, gd: GroupData, ip: AdaptedInnerProduct,
@@ -296,8 +208,8 @@ def linear_nf(A, A0, gd: GroupData, ip: AdaptedInnerProduct,
     S0, N0 = su.S, su.nil_log
     Nstar = ip.adjoint(N0)
     data = _gl_stage_data(S0, N0, Nstar, A0, gd, "semisimple")
-    phi, W, _ = _linear_newton(A, A0, S0, np.zeros_like(A), data, A0, tol, max_iter)
-    return phi, W
+    return _linear_newton(A, A0, S0, np.zeros_like(A), data, A0, tol, max_iter,
+                          "linear stage")
 
 
 def linear_nilpotent_nf(A, A0, gd: GroupData, ip: AdaptedInnerProduct,
@@ -315,7 +227,7 @@ def linear_nilpotent_nf(A, A0, gd: GroupData, ip: AdaptedInnerProduct,
     S0, N0 = su.S, su.nil_log
     Nstar = ip.adjoint(N0)
     data = _gl_stage_data(S0, N0, Nstar, A0, gd, "nilpotent")
-    phi, W, _ = _linear_newton(A, A0, S0, N0, data, S0, tol, max_iter)
+    phi, W = _linear_newton(A, A0, S0, N0, data, S0, tol, max_iter, "linear stage")
     return phi, W - N0
 
 
@@ -363,30 +275,11 @@ def _newton_degree(psi: TruncatedMap, j: int, data: _DegreeData, base_inv,
             Phi = TruncatedMap.identity(n, k)
             psi_try = psi
         W = log_map(psi_try.linear_left(base_inv), tol=1e-14)
-        r = data.unwanted(W.layer(j).reshape(-1))
-        return Phi, psi_try, r
+        return data.unwanted(W.layer(j).reshape(-1)), (Phi, psi_try)
 
-    u = np.zeros(data.unknown.shape[1])
-    Phi, cur, r = eval_at(u)
-    for _ in range(max_iter):
-        if not r.size or np.max(np.abs(r)) <= tol * scale:
-            return cur, Phi, float(np.max(np.abs(r))) if r.size else 0.0
-        du, *_ = np.linalg.lstsq(data.Jmat, r, rcond=None)
-        step, accepted = 1.0, False
-        while step >= 1.0 / 1024:
-            cand = u - step * du
-            Phi_c, psi_c, r_c = eval_at(cand)
-            r_c_max = np.max(np.abs(r_c)) if r_c.size else 0.0
-            if r_c_max <= tol * scale or r_c_max < np.max(np.abs(r)) * (1 - 1e-4 * step):
-                u, Phi, cur, r = cand, Phi_c, psi_c, r_c
-                accepted = True
-                break
-            step /= 2
-        if not accepted:
-            raise NoConvergence(
-                f"degree {j}: Newton stalled at residual {np.max(np.abs(r)):.3e}")
-    raise NoConvergence(
-        f"degree {j}: residual {np.max(np.abs(r)):.3e} after {max_iter} iterations")
+    _, r, (Phi, cur) = newton(eval_at, data.lstsq_step, np.zeros(data.unknown.shape[1]),
+                              tol * scale, max_iter, f"degree {j}")
+    return cur, Phi, float(np.max(np.abs(r), initial=0.0))
 
 
 def _projection_space_gap(gd, ext, tchi, k: int) -> float:
@@ -452,11 +345,8 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
         psi = family.at(lam).truncated(k)
         A_lam = psi.linear()
         shift = np.zeros((n, n)) if mode == "semisimple" else N0
-        try:
-            phi_lin, _, _ = _linear_newton(A_lam, A0, S0, shift, gl_data,
-                                           base, tol, max_iter)
-        except NoConvergence as exc:
-            raise NoConvergence(f"linear stage at sample {idx}: {exc}") from exc
+        phi_lin, _ = _linear_newton(A_lam, A0, S0, shift, gl_data, base, tol,
+                                    max_iter, f"linear stage at sample {idx}")
         T1 = scipy.linalg.expm(phi_lin)
         psi = conjugate_linear(T1, psi)
         transform = TruncatedMap.from_linear(T1, k)

@@ -16,7 +16,7 @@ import scipy.linalg
 from .errors import (InvariantViolation, InverseNewtonFailed, NoConvergence,
                      NotInU, SlopeTestFailed)
 from .groups import GroupData
-from .linalg import kernel_basis, require_invertible
+from .linalg import fd_jacobian, kernel_basis, newton, require_invertible
 from .polymap import TruncatedMap, exp_vf
 
 VSTAR_TOL = 1e-12
@@ -179,33 +179,12 @@ def _vstar_core(psi: TruncatedMap, ctx: LiftContext, u, tol: float,
         v = Cb @ c if nc else np.zeros(ctx.q * ctx.n)
         img = lifted_apply(psi, ctx, xi_u + v)
         coords = scipy.linalg.lu_solve(ctx.blend_lu, img - ctx.sigma @ v)
-        return coords[:m], coords[m:], v
+        return coords[m:], (coords[:m], v)
 
-    c = np.zeros(nc)
-    a, r, v = split(c)
-    if nc == 0:
-        return v, ctx.U_basis @ a
-    scale = max(1.0, unorm)
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) <= tol * scale:
-            return v, ctx.U_basis @ a
-        dc = scipy.linalg.lu_solve(ctx.J0_lu, r)
-        step, accepted = 1.0, False
-        while step >= 1.0 / 1024:
-            cand = c - step * dc
-            a_c, r_c, v_c = split(cand)
-            if (np.max(np.abs(r_c)) <= tol * scale
-                    or np.max(np.abs(r_c)) < np.max(np.abs(r)) * (1 - 1e-4 * step)):
-                c, a, r, v = cand, a_c, r_c, v_c
-                accepted = True
-                break
-            step /= 2
-        if not accepted:
-            raise NoConvergence(
-                f"v* Newton stalled at residual {np.max(np.abs(r)):.3e}; "
-                f"reduce |u| (currently {unorm:.3e}) or shrink the radius")
-    raise NoConvergence(
-        f"v* Newton: residual {np.max(np.abs(r)):.3e} after {max_iter} iterations")
+    _, _, (a, v) = newton(split, lambda c, r: scipy.linalg.lu_solve(ctx.J0_lu, r),
+                          np.zeros(nc), tol * max(1.0, unorm), max_iter,
+                          f"v* at |u| = {unorm:.3e}")
+    return v, ctx.U_basis @ a
 
 
 def solve_vstar(family, ctx: LiftContext, u, lam, tol: float = VSTAR_TOL,
@@ -249,42 +228,25 @@ def reduced_inverse(ctx: LiftContext, reduced, u, lam, tol: float = 1e-11,
     """Solve reduced(w, lam) = u for w in U by Newton with an FD Jacobian."""
     u = np.asarray(u, dtype=float).reshape(-1)
     Ub = ctx.U_basis
-    m = Ub.shape[1]
     AU = Ub.T @ ctx.A0 @ Ub
-    c = np.linalg.solve(AU, Ub.T @ u)
+    c0 = np.linalg.solve(AU, Ub.T @ u)
 
     def res(cv):
         return Ub.T @ reduced(Ub @ cv, lam) - Ub.T @ u
 
-    r = res(c)
-    scale = max(1.0, float(np.linalg.norm(u)))
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) <= tol * scale:
-            return Ub @ c
-        h = 1e-6 * max(1.0, float(np.linalg.norm(c)))
-        J = np.zeros((m, m))
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = h
-            J[:, i] = (res(c + e) - res(c - e)) / (2 * h)
+    def step(cv, r):
         try:
-            dc = np.linalg.solve(J, r)
+            return np.linalg.solve(fd_jacobian(res, cv), r)
         except np.linalg.LinAlgError as exc:
-            raise InverseNewtonFailed(f"singular reduced Jacobian: {exc}") from exc
-        step, accepted = 1.0, False
-        while step >= 1.0 / 256:
-            cand = c - step * dc
-            r_c = res(cand)
-            if np.max(np.abs(r_c)) < np.max(np.abs(r)) or np.max(np.abs(r_c)) <= tol * scale:
-                c, r = cand, r_c
-                accepted = True
-                break
-            step /= 2
-        if not accepted:
-            raise InverseNewtonFailed(
-                f"inverse Newton stalled at residual {np.max(np.abs(r)):.3e}")
-    raise InverseNewtonFailed(
-        f"inverse Newton: residual {np.max(np.abs(r)):.3e} after {max_iter} iterations")
+            raise NoConvergence(f"singular reduced Jacobian: {exc}") from exc
+
+    try:
+        c, _, _ = newton(lambda cv: (res(cv), None), step, c0,
+                         tol * max(1.0, float(np.linalg.norm(u))), max_iter,
+                         "reduced inverse")
+    except NoConvergence as exc:
+        raise InverseNewtonFailed(str(exc)) from exc
+    return Ub @ c
 
 
 def bifurcation_fn(ctx: LiftContext, reduced, u, lam) -> np.ndarray:
@@ -347,43 +309,21 @@ def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
                                 max_iter=VSTAR_MAX_ITER, radius=radius)
             return Ub.T @ pr - SU @ c
 
+        def det_step(c, r):
+            return np.linalg.lstsq(fd_jacobian(det_eq, c), r, rcond=None)[0]
+
         axes = [np.linspace(-b, b, seeds_per_axis) for b in box]
         seeds = (np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
                  if m else np.zeros((1, 0)))
         keys = set()
         accepted = []
         for seed in seeds:
-            c = seed.copy()
             try:
-                r = det_eq(c)
-                ok = False
-                for _ in range(max_iter):
-                    if np.max(np.abs(r), initial=0.0) <= tol:
-                        ok = True
-                        break
-                    h = 1e-6 * max(1.0, float(np.linalg.norm(c)))
-                    J = np.zeros((m, m))
-                    for i in range(m):
-                        e = np.zeros(m)
-                        e[i] = h
-                        J[:, i] = (det_eq(c + e) - det_eq(c - e)) / (2 * h)
-                    dc, *_ = np.linalg.lstsq(J, r, rcond=None)
-                    step, moved = 1.0, False
-                    while step >= 1.0 / 256:
-                        cand = c - step * dc
-                        r_c = det_eq(cand)
-                        if (np.max(np.abs(r_c), initial=0.0)
-                                < np.max(np.abs(r), initial=0.0)) or \
-                                np.max(np.abs(r_c), initial=0.0) <= tol:
-                            c, r = cand, r_c
-                            moved = True
-                            break
-                        step /= 2
-                    if not moved:
-                        break
-                if not ok or np.any(np.abs(c) > 1.5 * box + 1e-12):
-                    continue
+                c, r, _ = newton(lambda c: (det_eq(c), None), det_step, seed, tol,
+                                 max_iter, "periodic seed")
             except NoConvergence:
+                continue
+            if np.any(np.abs(c) > 1.5 * box + 1e-12):
                 continue
 
             u = Ub @ c
@@ -395,13 +335,8 @@ def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
                 continue
             keys.add(key)
 
-            h = 1e-6 * max(1.0, float(np.linalg.norm(c)))
-            J = np.zeros((m, m))
-            for i in range(m):
-                e = np.zeros(m)
-                e[i] = h
-                J[:, i] = (det_eq(c + e) - det_eq(c - e)) / (2 * h)
-            s = np.linalg.svd(J, compute_uv=False) if m else np.array([1.0])
+            s = (np.linalg.svd(fd_jacobian(det_eq, c), compute_uv=False) if m
+                 else np.array([1.0]))
             smin = float(s[-1]) if s.size else 1.0
             isolated = smin > isolation_tol * max(1.0, float(s[0]) if s.size else 1.0)
 
@@ -496,13 +431,11 @@ def nf_reduction_consistency(result, ctx: LiftContext, k: int, family=None,
                     f"reduced map deviates from the normal form with slope "
                     f"{slope:.3f} < {min_slope:.3f} at sample {idx}")
 
-        h = 1e-6
-        Jr = np.zeros((m, m))
-        for i in range(m):
-            e = Ub[:, i] * h
-            _, p_plus = _vstar_core(psi, ctx, e, VSTAR_TOL, VSTAR_MAX_ITER, ctx.radius)
-            _, p_minus = _vstar_core(psi, ctx, -e, VSTAR_TOL, VSTAR_MAX_ITER, ctx.radius)
-            Jr[:, i] = Ub.T @ (p_plus - p_minus) / (2 * h)
+        def reduced_coords(c):
+            _, pr = _vstar_core(psi, ctx, Ub @ c, VSTAR_TOL, VSTAR_MAX_ITER, ctx.radius)
+            return Ub.T @ pr
+
+        Jr = fd_jacobian(reduced_coords, np.zeros(m))
         eig_r = np.sort_complex(np.linalg.eigvals(Jr))
         eig_a = np.linalg.eigvals(psi.linear())
         near_unit = eig_a[np.abs(eig_a ** ctx.q - 1.0) <= 0.2]

@@ -3,11 +3,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from eqnf.errors import NoRealLogarithm, NotSemisimple, NotUnipotent, SingularInput
-from eqnf.linalg import (AdaptedInnerProduct, adjoint_wrt, image_basis,
-                         jordan_chevalley, kernel_basis, matrix_exp,
-                         matrix_log_unipotent, nullspace, rank_tolerance,
-                         real_log, require_invertible, su_decomposition)
+from eqnf.errors import (NoConvergence, NoRealLogarithm, NotSemisimple,
+                         NotUnipotent, SingularInput)
+from eqnf.linalg import (AdaptedInnerProduct, fd_jacobian, image_basis,
+                         jordan_chevalley, kernel_basis, matrix_log_unipotent,
+                         newton, nullspace, rank_tolerance, real_log,
+                         require_invertible, su_decomposition)
 
 
 def _is_semisimple(S, tol=1e-8):
@@ -80,7 +81,7 @@ def test_su_decomposition_reconstructs():
     for _ in range(8):
         A, S_true, _ = _random_with_known_parts(rng, 4, 1)
         su = su_decomposition(A)
-        assert np.max(np.abs(su.S @ matrix_exp(su.nil_log) - A)) < 1e-8
+        assert np.max(np.abs(su.S @ scipy.linalg.expm(su.nil_log) - A)) < 1e-8
         assert np.max(np.abs(su.S - S_true)) < 1e-7
         assert np.max(np.abs(np.linalg.matrix_power(su.nil_log, 4))) < 1e-8
         assert np.max(np.abs(su.S @ su.nil_log - su.nil_log @ su.S)) < 1e-7
@@ -159,8 +160,8 @@ def test_real_log_roundtrip():
     rng = np.random.default_rng(5)
     for _ in range(10):
         X = 0.4 * rng.standard_normal((4, 4))
-        L = real_log(matrix_exp(X))
-        assert np.max(np.abs(matrix_exp(L) - matrix_exp(X))) < 1e-10
+        L = real_log(scipy.linalg.expm(X))
+        assert np.max(np.abs(scipy.linalg.expm(L) - scipy.linalg.expm(X))) < 1e-10
 
 
 def test_real_log_rotation():
@@ -193,7 +194,7 @@ def test_adapted_inner_product_adjoint():
         x = rng.standard_normal(4)
         y = rng.standard_normal(4)
         assert abs(ip.inner(A @ x, y) - ip.inner(x, Astar @ y)) < 1e-10
-    assert np.max(np.abs(adjoint_wrt(ip, A) - Astar)) < 1e-14
+    assert np.max(np.abs(ip.adjoint(A) - Astar)) < 1e-14
     std = AdaptedInnerProduct.standard(4)
     assert np.max(np.abs(std.adjoint(A) - A.T)) < 1e-14
 
@@ -203,3 +204,76 @@ def test_adapted_inner_product_rejects_bad_gram():
         AdaptedInnerProduct(np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
     with pytest.raises(ValueError):
         AdaptedInnerProduct(np.diag([1.0, -1.0]))  # not positive definite
+
+
+class _Counted:
+    """Residual x -> f(x) with the evaluated point as aux, counting calls."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x), x.copy()
+
+
+def test_newton_converges_with_aux_of_accepted_iterate():
+    evaluate = _Counted(lambda x: x ** 2 - np.array([2.0, 9.0]))
+    x, r, aux = newton(evaluate, lambda x, r: r / (2 * x), np.array([1.0, 1.0]),
+                       1e-12, 20, "toy")
+    assert np.max(np.abs(x - np.array([np.sqrt(2.0), 3.0]))) < 1e-12
+    assert np.max(np.abs(r)) <= 1e-12
+    assert np.array_equal(aux, x)
+    assert np.array_equal(r, x ** 2 - np.array([2.0, 9.0]))
+
+
+def test_newton_checks_the_residual_after_the_last_step():
+    # an exact linear step converges in one iteration, and max_iter = 1
+    # allows exactly that one
+    x, r, _ = newton(_Counted(lambda x: x - 3.0), lambda x, r: r,
+                     np.array([0.0]), 1e-14, 1, "toy")
+    assert x[0] == 3.0 and r[0] == 0.0
+
+
+def test_newton_stall_raises_naming_the_stage():
+    # no step lowers a constant residual: t = 1, 1/2, ..., 1/256 are tried
+    evaluate = _Counted(lambda x: np.ones(2))
+    with pytest.raises(NoConvergence, match="toy stage: Newton stalled at residual 1.000e"):
+        newton(evaluate, lambda x, r: r, np.zeros(2), 1e-10, 5, "toy stage")
+    assert evaluate.calls == 1 + 9
+    # a decrease short of the sufficient-decrease margin 1e-4 * t stalls too
+    with pytest.raises(NoConvergence, match="Newton stalled"):
+        newton(_Counted(lambda x: x), lambda x, r: 1e-6 * r, np.array([1.0]),
+               1e-10, 5, "toy")
+
+
+def test_newton_exhausted_iterations_raise():
+    # half steps keep the sufficient decrease but never reach the tolerance
+    evaluate = _Counted(lambda x: x)
+    with pytest.raises(NoConvergence,
+                       match="toy: residual 1.250e-01 after 3 iterations"):
+        newton(evaluate, lambda x, r: 0.5 * r, np.array([1.0]), 1e-10, 3, "toy")
+    assert evaluate.calls == 1 + 3
+
+
+def test_newton_empty_residual_returns_at_once():
+    def solve(x, r):
+        raise AssertionError("no step is needed for an empty residual")
+
+    evaluate = _Counted(lambda x: np.zeros(0))
+    for max_iter in (0, 5):
+        x, r, aux = newton(evaluate, solve, np.zeros(0), 0.0, max_iter, "toy")
+        assert x.shape == (0,) and r.shape == (0,) and aux.shape == (0,)
+    assert evaluate.calls == 2
+
+
+def test_fd_jacobian_matches_polynomial_jacobian(rand_map):
+    rng = np.random.default_rng(7)
+    F = rand_map(rng, 3, 3)
+    for scale in (0.3, 2.5):  # |x| < 1 and |x| > 1
+        x = rng.standard_normal(3)
+        x *= scale / np.linalg.norm(x)
+        J = fd_jacobian(F.evaluate, x)
+        assert J.shape == (3, 3)
+        assert np.max(np.abs(J - F.jacobian(x))) < 1e-8 * max(1.0, np.max(np.abs(J)))

@@ -5,36 +5,16 @@ import scipy.linalg
 
 from eqnf.corpus import (instance_nilpotent_kron, instance_rot_reflect,
                          instance_swap2, nf_form_family, rotation)
-from eqnf.errors import NotEquivariant, SplitFailure
+from eqnf.errors import NotEquivariant
 from eqnf.groups import GroupData, invariant_inner_product, project_map
-from eqnf.normalform import (admissible_exponent_basis, build_splitting,
-                             hk_projection, linear_nf, linear_nilpotent_nf,
-                             nilpotent_nf, semisimple_nf)
+from eqnf.normalform import (admissible_exponent_basis, hk_projection,
+                             linear_nf, linear_nilpotent_nf, nilpotent_nf,
+                             semisimple_nf)
 from eqnf.polymap import (MapFamily, TruncatedMap, ad_conjugate, adk_field,
                           adk_operator, ck_operator, compose, exp_vf, hk_dim,
                           log_map, num_monomials)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def test_build_splitting_direct_sum():
-    e1 = np.array([[1.0], [0.0], [0.0]])
-    e2 = np.array([[0.0], [1.0], [0.0]])
-    sp = build_splitting([("ker", np.array([[0.0, 0.0, 1.0]]))],
-                         ("im", e1), ("im", e2), dim=3)
-    assert sp.part_a.shape == (3, 1) and sp.part_b.shape == (3, 1)
-    x = np.array([2.0, 3.0, 0.0])
-    ca, cb = sp.coords(x)
-    assert np.max(np.abs(sp.part_a @ ca - np.array([2.0, 0.0, 0.0]))) < 1e-12
-    assert np.max(np.abs(sp.projector_a @ x - np.array([2.0, 0.0, 0.0]))) < 1e-12
-    assert np.max(np.abs(sp.projector_b @ x - np.array([0.0, 3.0, 0.0]))) < 1e-12
-
-
-def test_build_splitting_rejects_bad_split():
-    e1 = np.array([[1.0], [0.0], [0.0]])
-    with pytest.raises(SplitFailure):
-        build_splitting([("ker", np.array([[0.0, 0.0, 1.0]]))],
-                        ("im", e1), ("im", e1), dim=3)
 
 
 def test_hk_projection_matches_project_map(rand_map):

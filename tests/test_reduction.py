@@ -6,8 +6,8 @@ from eqnf.corpus import (binomial_shear_family, binomial_shear_group,
                          binomial_shear_matrix, equivariant_family,
                          instance_rot_reflect, instance_swap2, nf_form_family,
                          planted_q1, planted_q2, planted_q4)
-from eqnf.errors import (InvariantViolation, NoConvergence, NotInU,
-                         SlopeTestFailed)
+from eqnf.errors import (InvariantViolation, InverseNewtonFailed, NoConvergence,
+                         NotInU, SlopeTestFailed)
 from eqnf.groups import GroupData
 from eqnf.normalform import nilpotent_nf, semisimple_nf
 from eqnf.polymap import MapFamily
@@ -155,6 +155,43 @@ def test_reduced_inverse_roundtrip():
     u = np.array([0.05, 0.02])
     w = reduced_inverse(ctx, red, u, lam)
     assert np.max(np.abs(red(w, lam) - u)) < 1e-9
+
+
+def _planted_q4_inverse_setup():
+    p = planted_q4()
+    ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q, radius=0.6)
+    return ctx, make_reduced(p.family, ctx, radius=0.6)
+
+
+def test_reduced_inverse_accepts_its_last_iterate():
+    # two Newton steps reach the tolerance here; the residual after the
+    # last allowed step counts, so max_iter = 2 is enough
+    ctx, red = _planted_q4_inverse_setup()
+    lam = [-0.03]
+    u = np.array([0.05, 0.02])
+    w = reduced_inverse(ctx, red, u, lam, max_iter=2)
+    assert np.max(np.abs(red(w, lam) - u)) < 1e-9
+    with pytest.raises(InverseNewtonFailed,
+                       match=r"reduced inverse: residual .* after 1 iterations"):
+        reduced_inverse(ctx, red, u, lam, max_iter=1)
+
+
+def test_inverse_newton_failed_is_caught_as_no_convergence():
+    ctx, red = _planted_q4_inverse_setup()
+    try:
+        reduced_inverse(ctx, red, np.array([0.05, 0.02]), [-0.03], max_iter=1)
+    except NoConvergence as exc:
+        assert isinstance(exc, InverseNewtonFailed)
+    else:
+        raise AssertionError("one iteration cannot reach the tolerance")
+
+
+def test_vstar_failure_names_the_stage():
+    p = planted_q1()
+    ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, 1, radius=0.3)
+    with pytest.raises(NoConvergence,
+                       match=r"v\* at \|u\| = 1\.000e-01: residual .* after 0 iterations"):
+        solve_vstar(p.family, ctx, np.array([0.1, 0.0]), [0.02], max_iter=0)
 
 
 def test_radius_guard_message():
