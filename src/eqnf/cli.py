@@ -21,7 +21,7 @@ from .groups import (GroupData, invariant_inner_product,
                      validate_group)
 from .linalg import fd_jacobian, jordan_chevalley, su_decomposition
 from .normalform import nilpotent_nf, semisimple_nf
-from .polymap import AffineMapFamily, MapFamily, TruncatedMap
+from .polymap import AffineMapFamily, TruncatedMap
 from .reduction import (build_lift, find_periodic, ghat_vstar_identity_check,
                         reduced_map, solve_vstar)
 

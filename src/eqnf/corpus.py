@@ -17,7 +17,7 @@ import scipy.linalg
 from .groups import (GroupData, extended_group, invariant_inner_product,
                      is_chi_equivariant_map, project_map, tilde_character)
 from .linalg import AdaptedInnerProduct, image_basis, nullspace
-from .normalform import _intersect, hk_projection
+from .normalform import _intersect, admissible_exponent_basis, hk_projection
 from .polymap import (MapFamily, TruncatedMap, adk_operator, exp_vf, hk_dim,
                       num_monomials)
 
@@ -176,8 +176,6 @@ def nf_form_family(inst: Instance, k: int, rng, amp: float = 0.25,
     reduction slope test must detect.  Returns (family, nf_field_fn) where
     nf_field_fn(lam) is the exact exponent truncated to order k.
     """
-    from .normalform import admissible_exponent_basis
-
     n = inst.A0.shape[0]
     order = k + 1 if with_tail else k
     bases = {j: admissible_exponent_basis(inst.A0, inst.gd, inst.ip, j,

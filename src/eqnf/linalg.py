@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import NoConvergence, NotSemisimple, NotUnipotent, SingularInput
+from .errors import NoConvergence, NotUnipotent, SingularInput
 
 # Singular values below max(n,1)*eps*max(smax,1)*RANK_TOL_FACTOR count as
 # zero.  The absolute floor of 1 keeps numerically-zero differences of
@@ -51,12 +51,7 @@ def require_invertible(A, name: str = "matrix") -> np.ndarray:
 
 def kernel_basis(L, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of ker L for square L, by SVD."""
-    L = as_square(L, "operator")
-    _, s, vh = np.linalg.svd(L)
-    if tol is None:
-        tol = rank_tolerance(s, L.shape[0])
-    rank = int(np.sum(s > tol))
-    return vh[rank:].T.copy()
+    return nullspace(as_square(L, "operator"), tol)
 
 
 def image_basis(M, tol: float | None = None) -> np.ndarray:

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .errors import NotEquivariant, SplitFailure
 from .groups import (GroupData, _resolve_char, extended_group,
-                     is_chi_equivariant_linear, tilde_character)
+                     is_chi_equivariant_linear, project_map, tilde_character)
 from .linalg import (AdaptedInnerProduct, image_basis, newton, nullspace,
                      real_log, require_invertible, su_decomposition)
 from .polymap import (TruncatedMap, ad_conjugate, adk_field, adk_operator,
@@ -53,6 +53,20 @@ def hk_projection(gd: GroupData, k: int, char="chi") -> np.ndarray:
     return P / gd.order
 
 
+def _admissible_basis(ker_b, j: int, mode: str, gd: GroupData, Nstar,
+                      ext, tchi) -> np.ndarray:
+    """Intersect ker_b = ker(Ad_j(S0)-I) with the graded part of the mode."""
+    pieces = [ker_b]
+    if mode == "nilpotent":
+        pieces.append(nullspace(adk_field(Nstar, j)))
+        pieces.append(image_basis(hk_projection(gd, j, "chi")))
+    elif mode == "semisimple":
+        pieces.append(image_basis(hk_projection(ext, j, tchi)))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _intersect(pieces, ker_b.shape[0])
+
+
 def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
                               j: int, mode: str = "nilpotent") -> np.ndarray:
     """Basis of the degree-j exponent space that the normal form cannot remove.
@@ -63,21 +77,13 @@ def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
     """
     A0 = require_invertible(A0, "A0")
     su = su_decomposition(A0)
-    S0, N0 = su.S, su.nil_log
-    dim = hk_dim(A0.shape[0], j)
-    K = adk_operator(S0, j) - np.eye(dim)
-    pieces = [nullspace(K)]
-    if mode == "nilpotent":
-        Nstar = ip.adjoint(N0)
-        pieces.append(nullspace(adk_field(Nstar, j)))
-        pieces.append(image_basis(hk_projection(gd, j, "chi")))
-    elif mode == "semisimple":
+    ker_b = nullspace(adk_operator(su.S, j) - np.eye(hk_dim(A0.shape[0], j)))
+    if mode == "semisimple":
         ext = extended_group(gd, A0)
-        tchi = tilde_character(gd, A0, "chi", ext)
-        pieces.append(image_basis(hk_projection(ext, j, tchi)))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _intersect(pieces, dim)
+        return _admissible_basis(ker_b, j, mode, gd, None, ext,
+                                 tilde_character(gd, A0, "chi", ext))
+    return _admissible_basis(ker_b, j, mode, gd, ip.adjoint(su.nil_log),
+                             None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +93,7 @@ def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
 class _DegreeData:
     j: int
     dim: int
+    ker: np.ndarray
     n_im: int
     n_kerim: int
     blend_lu: tuple
@@ -159,17 +166,13 @@ def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str) -> _Degree
     else:
         Jmat = np.zeros((n_res, 0))
         smin = smax = 0.0
-    return _DegreeData(j=j, dim=dim, n_im=im_b.shape[1], n_kerim=n_kerim,
+    return _DegreeData(j=j, dim=dim, ker=ker_b, n_im=im_b.shape[1], n_kerim=n_kerim,
                        blend_lu=blend_lu, unknown=unknown, Jmat=Jmat,
                        jac_smin=smin, jac_smax=smax)
 
 
 # ---------------------------------------------------------------------------
 # linear stage
-
-def _gl_stage_data(S0, N0, Nstar, A0, gd: GroupData, mode: str):
-    return _degree_data(1, S0, N0, Nstar, A0, gd, mode)
-
 
 def _linear_newton(A, A0, S0, target_shift, data: _DegreeData, base,
                    tol: float, max_iter: int, what: str):
@@ -207,7 +210,7 @@ def linear_nf(A, A0, gd: GroupData, ip: AdaptedInnerProduct,
     su = su_decomposition(A0)
     S0, N0 = su.S, su.nil_log
     Nstar = ip.adjoint(N0)
-    data = _gl_stage_data(S0, N0, Nstar, A0, gd, "semisimple")
+    data = _degree_data(1, S0, N0, Nstar, A0, gd, "semisimple")
     return _linear_newton(A, A0, S0, np.zeros_like(A), data, A0, tol, max_iter,
                           "linear stage")
 
@@ -226,7 +229,7 @@ def linear_nilpotent_nf(A, A0, gd: GroupData, ip: AdaptedInnerProduct,
     su = su_decomposition(A0)
     S0, N0 = su.S, su.nil_log
     Nstar = ip.adjoint(N0)
-    data = _gl_stage_data(S0, N0, Nstar, A0, gd, "nilpotent")
+    data = _degree_data(1, S0, N0, Nstar, A0, gd, "nilpotent")
     phi, W = _linear_newton(A, A0, S0, N0, data, S0, tol, max_iter, "linear stage")
     return phi, W - N0
 
@@ -282,64 +285,29 @@ def _newton_degree(psi: TruncatedMap, j: int, data: _DegreeData, base_inv,
     return cur, Phi, float(np.max(np.abs(r), initial=0.0))
 
 
-def _projection_space_gap(gd, ext, tchi, k: int) -> float:
-    """Spectral-norm gap between the chi projection over the group and the
-    tilde-chi projection over the extended group on degree-k layers."""
-    P_chi = hk_projection(gd, k, "chi")
-    P_til = hk_projection(ext, k, tchi)
-    return float(np.linalg.norm(P_til - P_chi, 2))
-
-
-def _fk_operator_gaps(psi: TruncatedMap, A0, k: int):
-    """Compare the actual degree-2 conjugation derivative with two closed
-    forms: the derived one and the transcription with the first C-factor
-    left uninverted."""
-    n = psi.n
-    j = 2
-    dim = hk_dim(n, j)
-    if k < 2 or dim > 80:
-        return None
-    A0_inv = np.linalg.inv(A0)
-    W1 = real_log(A0_inv @ psi.linear())
-    Mj = num_monomials(n, j)
-
-    base = log_map(psi.linear_left(A0_inv), tol=1e-14).layer(j).reshape(-1)
-    T_true = np.zeros((dim, dim))
-    for i in range(dim):
-        layer = np.zeros(dim)
-        layer[i] = 1.0
-        Phi = exp_vf(TruncatedMap.zero(n, k).with_layer(j, layer.reshape(n, Mj)))
-        W = log_map(ad_conjugate(Phi, psi, k).linear_left(A0_inv), tol=1e-14)
-        T_true[:, i] = W.layer(j).reshape(-1) - base
-
-    Cm = ck_operator(-W1, j)
-    Cp = ck_operator(W1, j)
-    AdA = adk_operator(A0_inv, j)
-    L_derived = np.linalg.solve(Cm, AdA) - np.linalg.inv(Cp)
-    L_uninverted = Cm @ AdA - np.linalg.inv(Cp)
-    return {
-        "derived": float(np.max(np.abs(L_derived - T_true))),
-        "uninverted_variant": float(np.max(np.abs(L_uninverted - T_true))),
-    }
-
-
 def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
                lambdas, mode: str, tol: float, max_iter: int) -> NormalFormResult:
     A0 = require_invertible(A0, "A0")
     su = su_decomposition(A0)
     S0, N0 = su.S, su.nil_log
     Nstar = ip.adjoint(N0)
+    try:
+        ext = extended_group(gd, A0)
+        tchi = tilde_character(gd, A0, "chi", ext)
+    except NotEquivariant:
+        if mode == "semisimple":
+            raise
+        ext = tchi = None
     n = A0.shape[0]
     base = A0 if mode == "semisimple" else S0
     base_inv = np.linalg.inv(base)
 
     degree_data = {j: _degree_data(j, S0, N0, Nstar, A0, gd, mode)
                    for j in range(2, k + 1)}
-    gl_data = _gl_stage_data(S0, N0, Nstar, A0, gd, mode)
+    gl_data = _degree_data(1, S0, N0, Nstar, A0, gd, mode)
 
     lambdas = [np.atleast_1d(np.asarray(lam, dtype=float)) for lam in lambdas]
     transforms, exponents, residuals = [], [], []
-    fk_gaps = None
 
     for idx, lam in enumerate(lambdas):
         psi = family.at(lam).truncated(k)
@@ -352,8 +320,6 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
         transform = TruncatedMap.from_linear(T1, k)
 
         per_deg = [0.0]
-        if idx == 0 and mode == "semisimple":
-            fk_gaps = _fk_operator_gaps(psi, A0, k)
         for j in range(2, k + 1):
             psi, Phi_j, rj = _newton_degree(psi, j, degree_data[j], base_inv,
                                             k, tol, max_iter)
@@ -367,12 +333,11 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
         exponents.append(W)
         residuals.append(float(residual))
 
-    admissible = {j: admissible_exponent_basis(A0, gd, ip, j, mode)
+    admissible = {j: _admissible_basis(degree_data[j].ker, j, mode, gd, Nstar,
+                                       ext, tchi)
                   for j in range(2, k + 1)}
-    diagnostics = _nf_diagnostics(mode, S0, N0, Nstar, A0, gd, k, lambdas,
+    diagnostics = _nf_diagnostics(mode, S0, N0, Nstar, gd, ext, tchi, k,
                                   transforms, exponents)
-    if fk_gaps is not None:
-        diagnostics["fk_operator_gap"] = fk_gaps
     diagnostics["homological_smin"] = {j: degree_data[j].jac_smin
                                        for j in range(2, k + 1)}
     diagnostics["homological_smax"] = {j: degree_data[j].jac_smax
@@ -383,10 +348,10 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
                             diagnostics=diagnostics)
 
 
-def _nf_diagnostics(mode, S0, N0, Nstar, A0, gd, k, lambdas, transforms,
+def _nf_diagnostics(mode, S0, N0, Nstar, gd, ext, tchi, k, transforms,
                     exponents) -> dict:
-    from .groups import project_map
-
+    """Defects of the result; ext and tchi are None when A0 is not in GL^chi,
+    and the tilde-chi defect is then left out."""
     n = S0.shape[0]
     d: dict = {}
 
@@ -396,41 +361,36 @@ def _nf_diagnostics(mode, S0, N0, Nstar, A0, gd, k, lambdas, transforms,
             equiv = max(equiv, (conjugate_linear(g, Phi) - Phi).max_abs())
     d["transform_equivariance_defect"] = equiv
 
-    kernel_defect = 0.0
-    ad_defect = 0.0
-    chi_defect = 0.0
+    resonant = []
     for W in exponents:
         X = W.copy()
         if mode == "nilpotent":
             X.layers[0] = X.layers[0] - N0
-        for j in range(1, k + 1):
+        resonant.append(X)
+
+    kernel_defect = 0.0
+    ad_defect = 0.0
+    for j in range(1, k + 1):
+        K = adk_operator(S0, j) - np.eye(hk_dim(n, j))
+        adNs = adk_field(Nstar, j) if mode == "nilpotent" and j >= 2 else None
+        for X in resonant:
             vec = X.layer(j).reshape(-1)
-            K = adk_operator(S0, j) - np.eye(hk_dim(n, j))
             kernel_defect = max(kernel_defect, float(np.max(np.abs(K @ vec))))
-            if mode == "nilpotent" and j >= 2:
-                ad_defect = max(ad_defect,
-                                float(np.max(np.abs(adk_field(Nstar, j) @ vec))))
+            if adNs is not None:
+                ad_defect = max(ad_defect, float(np.max(np.abs(adNs @ vec))))
+    chi_defect = 0.0
+    for W in exponents:
         chi_defect = max(chi_defect, (W - project_map(W, gd, "chi")).max_abs())
     d["exponent_kernel_defect"] = kernel_defect
     if mode == "nilpotent":
         d["exponent_ad_defect"] = ad_defect
     d["exponent_chi_defect"] = chi_defect
 
-    try:
-        ext = extended_group(gd, A0)
-        tchi = tilde_character(gd, A0, "chi", ext)
-        d["projection_space_gap"] = {
-            j: _projection_space_gap(gd, ext, tchi, j) for j in range(1, k + 1)}
+    if ext is not None:
         til_defect = 0.0
-        for W in exponents:
-            XW = W.copy()
-            if mode == "nilpotent":
-                XW.layers[0] = XW.layers[0] - N0
-            til_defect = max(til_defect,
-                             (XW - project_map(XW, ext, tchi)).max_abs())
+        for X in resonant:
+            til_defect = max(til_defect, (X - project_map(X, ext, tchi)).max_abs())
         d["exponent_chitilde_defect"] = til_defect
-    except NotEquivariant:
-        d["projection_space_gap"] = None
     return d
 
 
