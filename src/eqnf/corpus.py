@@ -16,8 +16,8 @@ import scipy.linalg
 
 from .groups import (GroupData, extended_group, invariant_inner_product,
                      is_chi_equivariant_map, project_map, tilde_character)
-from .linalg import AdaptedInnerProduct, image_basis, nullspace
-from .normalform import _intersect, admissible_exponent_basis, hk_projection
+from .linalg import AdaptedInnerProduct, nullspace
+from .normalform import _restrict, admissible_exponent_basis, hk_projection
 from .polymap import (MapFamily, TruncatedMap, adk_operator, exp_vf, hk_dim,
                       num_monomials)
 
@@ -196,9 +196,7 @@ def nf_form_family(inst: Instance, k: int, rng, amp: float = 0.25,
     if with_tail:
         dim = hk_dim(n, k + 1)
         K = adk_operator(inst.S0, k + 1) - np.eye(dim)
-        res_b = _intersect([nullspace(K),
-                            image_basis(hk_projection(inst.gd, k + 1, "chi"))],
-                           dim)
+        res_b = _restrict(nullspace(K), hk_projection(inst.gd, k + 1, "chi"))
         if res_b.shape[1]:
             T = (res_b @ (tail_amp * rng.standard_normal(res_b.shape[1]))
                  ).reshape(n, num_monomials(n, k + 1))

@@ -19,7 +19,8 @@ from .errors import NotEquivariant, SplitFailure
 from .groups import (GroupData, _resolve_char, extended_group,
                      is_chi_equivariant_linear, project_map, tilde_character)
 from .linalg import (AdaptedInnerProduct, image_basis, newton, nullspace,
-                     real_log, require_invertible, su_decomposition)
+                     rank_tolerance, real_log, require_invertible,
+                     su_decomposition)
 from .polymap import (TruncatedMap, ad_conjugate, adk_field, adk_operator,
                       ck_operator, compose, conjugate_linear, exp_vf, hk_dim,
                       log_map, num_monomials)
@@ -31,16 +32,11 @@ NEWTON_MAX_ITER = 50
 # ---------------------------------------------------------------------------
 # subspace machinery
 
-def _intersect(bases, dim: int) -> np.ndarray:
-    """Orthonormal basis of the intersection of column spans."""
-    rows = []
-    for B in bases:
-        if B.shape[1] == 0:
-            return np.zeros((dim, 0))
-        rows.append(np.eye(dim) - B @ B.T)
-    if not rows:
-        return np.eye(dim)
-    return nullspace(np.vstack(rows))
+def _restrict(B: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the intersection of span(B) and range(P), for
+    orthonormal columns B and an idempotent P: B c lies in range(P) exactly
+    when (I - P) B c = 0."""
+    return B @ nullspace(B - P @ B)
 
 
 def hk_projection(gd: GroupData, k: int, char="chi") -> np.ndarray:
@@ -53,18 +49,18 @@ def hk_projection(gd: GroupData, k: int, char="chi") -> np.ndarray:
     return P / gd.order
 
 
-def _admissible_basis(ker_b, j: int, mode: str, gd: GroupData, Nstar,
-                      ext, tchi) -> np.ndarray:
-    """Intersect ker_b = ker(Ad_j(S0)-I) with the graded part of the mode."""
-    pieces = [ker_b]
+def _admissible_basis(res_b, j: int, mode: str, gd: GroupData, ext,
+                      tchi) -> np.ndarray:
+    """Restrict the resonant basis res_b to the graded part of the mode.
+
+    res_b spans ker(Ad_j(S0)-I) in semisimple mode, and its intersection
+    with ker(ad_j(N0*)) in nilpotent mode.
+    """
     if mode == "nilpotent":
-        pieces.append(nullspace(adk_field(Nstar, j)))
-        pieces.append(image_basis(hk_projection(gd, j, "chi")))
-    elif mode == "semisimple":
-        pieces.append(image_basis(hk_projection(ext, j, tchi)))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _intersect(pieces, ker_b.shape[0])
+        return _restrict(res_b, hk_projection(gd, j, "chi"))
+    if mode == "semisimple":
+        return _restrict(res_b, hk_projection(ext, j, tchi))
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
@@ -80,9 +76,10 @@ def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
     ker_b = nullspace(adk_operator(su.S, j) - np.eye(hk_dim(A0.shape[0], j)))
     if mode == "semisimple":
         ext = extended_group(gd, A0)
-        return _admissible_basis(ker_b, j, mode, gd, None, ext,
+        return _admissible_basis(ker_b, j, mode, gd, ext,
                                  tilde_character(gd, A0, "chi", ext))
-    return _admissible_basis(ker_b, j, mode, gd, ip.adjoint(su.nil_log),
+    adNs = adk_field(ip.adjoint(su.nil_log), j)
+    return _admissible_basis(ker_b @ nullspace(adNs @ ker_b), j, mode, gd,
                              None, None)
 
 
@@ -93,7 +90,7 @@ def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
 class _DegreeData:
     j: int
     dim: int
-    ker: np.ndarray
+    resonant: np.ndarray
     n_im: int
     n_kerim: int
     blend_lu: tuple
@@ -125,39 +122,33 @@ def _frozen_operator(S0, N0, A0, j: int, mode: str) -> np.ndarray:
 def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str) -> _DegreeData:
     n = S0.shape[0]
     dim = hk_dim(n, j)
-    K = adk_operator(S0, j) - np.eye(dim)
-    ker_b = nullspace(K)
-    im_b = image_basis(K)
-    if im_b.shape[1] + ker_b.shape[1] != dim:
-        raise SplitFailure(
-            f"degree {j}: ker/im of Ad(S0)-I do not decompose H_{j}")
+    u, s, vh = np.linalg.svd(adk_operator(S0, j) - np.eye(dim))
+    rank = int(np.sum(s > rank_tolerance(s, dim)))
+    im_b, ker_b = u[:, :rank], vh[rank:].T
 
-    T_full = image_basis(hk_projection(gd, j, "trivial"))
-    T_im = _intersect([T_full, im_b], dim)
+    P_triv = hk_projection(gd, j, "trivial")
+    T_im = _restrict(im_b, P_triv)
 
     if mode == "nilpotent":
-        adN = adk_field(N0, j)
-        adNs = adk_field(Nstar, j)
-        kerim_b = image_basis(adN @ ker_b)
-        adm_b = ker_b @ nullspace(adNs @ ker_b)
-        if kerim_b.shape[1] + adm_b.shape[1] != ker_b.shape[1]:
+        adNs_ker = adk_field(Nstar, j) @ ker_b
+        kerim_b = image_basis(adk_field(N0, j) @ ker_b)
+        res_b = ker_b @ nullspace(adNs_ker)
+        if kerim_b.shape[1] + res_b.shape[1] != ker_b.shape[1]:
             raise SplitFailure(
                 f"degree {j}: ad(N0)/ad(N0*) split of the resonant space failed")
-        blend = np.hstack([im_b, kerim_b, adm_b])
-        T_ker = _intersect([T_full, image_basis(adNs @ ker_b)], dim)
+        blend = np.hstack([im_b, kerim_b, res_b])
+        T_ker = _restrict(image_basis(adNs_ker), P_triv)
         unknown = np.hstack([T_im, T_ker])
         n_kerim = kerim_b.shape[1]
     else:
+        res_b = ker_b
         blend = np.hstack([im_b, ker_b])
         unknown = T_im
         n_kerim = 0
-
-    if blend.shape[1] != dim:
-        raise SplitFailure(f"degree {j}: blended basis is not square")
     blend_lu = scipy.linalg.lu_factor(blend)
 
     M = _frozen_operator(S0, N0, A0, j, mode)
-    n_res = im_b.shape[1] + n_kerim
+    n_res = rank + n_kerim
     if unknown.shape[1]:
         coords = scipy.linalg.lu_solve(blend_lu, M @ unknown)
         Jmat = coords[:n_res]
@@ -166,7 +157,7 @@ def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str) -> _Degree
     else:
         Jmat = np.zeros((n_res, 0))
         smin = smax = 0.0
-    return _DegreeData(j=j, dim=dim, ker=ker_b, n_im=im_b.shape[1], n_kerim=n_kerim,
+    return _DegreeData(j=j, dim=dim, resonant=res_b, n_im=rank, n_kerim=n_kerim,
                        blend_lu=blend_lu, unknown=unknown, Jmat=Jmat,
                        jac_smin=smin, jac_smax=smax)
 
@@ -291,13 +282,10 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
     su = su_decomposition(A0)
     S0, N0 = su.S, su.nil_log
     Nstar = ip.adjoint(N0)
-    try:
+    ext = tchi = None
+    if mode == "semisimple":
         ext = extended_group(gd, A0)
         tchi = tilde_character(gd, A0, "chi", ext)
-    except NotEquivariant:
-        if mode == "semisimple":
-            raise
-        ext = tchi = None
     n = A0.shape[0]
     base = A0 if mode == "semisimple" else S0
     base_inv = np.linalg.inv(base)
@@ -333,7 +321,7 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
         exponents.append(W)
         residuals.append(float(residual))
 
-    admissible = {j: _admissible_basis(degree_data[j].ker, j, mode, gd, Nstar,
+    admissible = {j: _admissible_basis(degree_data[j].resonant, j, mode, gd,
                                        ext, tchi)
                   for j in range(2, k + 1)}
     diagnostics = _nf_diagnostics(mode, S0, N0, Nstar, gd, ext, tchi, k,
@@ -350,8 +338,8 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
 
 def _nf_diagnostics(mode, S0, N0, Nstar, gd, ext, tchi, k, transforms,
                     exponents) -> dict:
-    """Defects of the result; ext and tchi are None when A0 is not in GL^chi,
-    and the tilde-chi defect is then left out."""
+    """Defects of the result; ext and tchi are None in nilpotent mode, which
+    leaves out the tilde-chi defect."""
     n = S0.shape[0]
     d: dict = {}
 

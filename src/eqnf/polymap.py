@@ -607,7 +607,7 @@ def fischer_gram(n: int, k: int, gram=None) -> np.ndarray:
     Q = V @ np.diag(np.sqrt(w)) @ V.T
     fact = np.array([math.prod(math.factorial(e) for e in al)
                      for al in monomials(n, k)], dtype=float)
-    Ad = np.kron(Q, substitution_matrix(np.linalg.inv(Q), k).T)
+    Ad = adk_operator(Q, k)
     return Ad.T @ np.kron(np.eye(n), np.diag(fact)) @ Ad
 
 

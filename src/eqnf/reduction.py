@@ -16,7 +16,8 @@ import scipy.linalg
 from .errors import (InvariantViolation, InverseNewtonFailed, NoConvergence,
                      NotInU, SlopeTestFailed)
 from .groups import GroupData
-from .linalg import fd_jacobian, kernel_basis, newton, require_invertible
+from .linalg import (fd_jacobian, image_basis, kernel_basis, newton,
+                     require_invertible)
 from .polymap import TruncatedMap, exp_vf
 
 VSTAR_TOL = 1e-12
@@ -103,10 +104,8 @@ def build_lift(A0, S0, gd: GroupData, q: int,
     xi_matrix = np.vstack([np.linalg.matrix_power(S0, i) for i in range(q)])
     m = U_basis.shape[1]
 
-    K = S0_hat - sigma
-    u_svd, s, _ = np.linalg.svd(K)
-    rank = int(np.sum(s > max(s) * 1e-12)) if s.size else 0
-    complement_basis = u_svd[:, :rank].copy()
+    complement_basis = image_basis(S0_hat - sigma)
+    rank = complement_basis.shape[1]
     if m + rank != q * n:
         raise InvariantViolation(
             f"xi(U) + Im(S0_hat - sigma) does not fill Y_q: {m} + {rank} != {q * n}")
@@ -145,11 +144,12 @@ def build_lift(A0, S0, gd: GroupData, q: int,
 def xi(u, ctx: LiftContext) -> np.ndarray:
     """The lift u -> (S0^i u)_i; u must lie in U = ker(S0^q - I)."""
     u = np.asarray(u, dtype=float).reshape(-1)
-    defect = np.linalg.norm(
-        np.linalg.matrix_power(ctx.S0, ctx.q) @ u - u)
+    w = ctx.xi_matrix @ u
+    # the last block is S0^(q-1) u, so S0 times it is S0^q u
+    defect = np.linalg.norm(ctx.S0 @ w[-ctx.n:] - u)
     if defect > 1e-9 * max(1.0, float(np.linalg.norm(u))):
         raise NotInU(f"u is not in ker(S0^q - I): defect {defect:.3e}")
-    return ctx.xi_matrix @ u
+    return w
 
 
 def lifted_apply(psi: TruncatedMap, ctx: LiftContext, w) -> np.ndarray:

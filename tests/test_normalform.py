@@ -1,12 +1,18 @@
 """Normal forms: splittings, admissible spaces, linear and map stages."""
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
 
-from eqnf.corpus import (instance_nilpotent_kron, instance_rot_reflect,
-                         instance_swap2, nf_form_family, rotation)
+from eqnf.corpus import (instance_block_swap, instance_nilpotent_kron,
+                         instance_rot_reflect, instance_sign_z2,
+                         instance_swap2, nf_form_family, planted_q2,
+                         planted_q4, random_semisimple_instance, rotation)
 from eqnf.errors import NotEquivariant
-from eqnf.groups import GroupData, invariant_inner_product, project_map
+from eqnf.groups import (GroupData, extended_group, invariant_inner_product,
+                         project_map, tilde_character)
+from eqnf.linalg import image_basis, nullspace, su_decomposition
 from eqnf.normalform import (_frozen_operator, admissible_exponent_basis,
                              hk_projection, linear_nf, linear_nilpotent_nf,
                              nilpotent_nf, semisimple_nf)
@@ -38,6 +44,73 @@ def test_admissible_basis_shear_quadratic():
     v = np.array([1.0, 2.0, 1.0, -1.0, -2.0, -1.0])
     v /= np.linalg.norm(v)
     assert abs(abs(float(B[:, 0] @ v)) - 1.0) < 1e-10
+
+
+def _intersect(bases, dim: int) -> np.ndarray:
+    """Reference oracle: orthonormal basis of the intersection of column
+    spans, as the null space of the stacked complements I - B B^T."""
+    rows = []
+    for B in bases:
+        if B.shape[1] == 0:
+            return np.zeros((dim, 0))
+        rows.append(np.eye(dim) - B @ B.T)
+    return nullspace(np.vstack(rows))
+
+
+def _admissible_oracle(A0, gd, ip, j, mode):
+    """The admissible space as the intersection of its defining spaces, and
+    the projection whose range grades it."""
+    su = su_decomposition(A0)
+    dim = hk_dim(A0.shape[0], j)
+    pieces = [nullspace(adk_operator(su.S, j) - np.eye(dim))]
+    if mode == "nilpotent":
+        pieces.append(nullspace(adk_field(ip.adjoint(su.nil_log), j)))
+        P = hk_projection(gd, j, "chi")
+    else:
+        ext = extended_group(gd, A0)
+        P = hk_projection(ext, j, tilde_character(gd, A0, "chi", ext))
+    pieces.append(image_basis(P))
+    return _intersect(pieces, dim), P
+
+
+def _check_admissible_against_oracle(A0, gd, ip, j, mode):
+    B = admissible_exponent_basis(A0, gd, ip, j, mode)
+    ref, P = _admissible_oracle(A0, gd, ip, j, mode)
+    assert B.shape == ref.shape
+    assert np.max(np.abs(B @ B.T - ref @ ref.T), initial=0.0) <= 1e-12
+    assert np.max(np.abs(B.T @ B - np.eye(B.shape[1])), initial=0.0) <= 1e-12
+    K = adk_operator(su_decomposition(A0).S, j) - np.eye(B.shape[0])
+    assert np.max(np.abs(K @ B), initial=0.0) <= 1e-10
+    assert np.max(np.abs(P @ B - B), initial=0.0) <= 1e-10
+    return B.shape[1]
+
+
+ORACLE_SKELETONS = {
+    "swap2": instance_swap2, "rot_reflect3": lambda: instance_rot_reflect(3),
+    "rot_reflect4": lambda: instance_rot_reflect(4),
+    "sign_z2": lambda: instance_sign_z2(3),
+    "block_swap3": lambda: instance_block_swap(3),
+    "nilpotent_kron4": lambda: instance_nilpotent_kron(4),
+    "planted_q4": lambda: planted_q4().inst, "planted_q2": lambda: planted_q2().inst,
+}
+
+
+@pytest.mark.parametrize("mode", ["nilpotent", "semisimple"])
+@pytest.mark.parametrize("name", sorted(ORACLE_SKELETONS))
+def test_admissible_basis_matches_intersection_oracle(name, mode):
+    inst = ORACLE_SKELETONS[name]()
+    dims = [_check_admissible_against_oracle(inst.A0, inst.gd, inst.ip, j, mode)
+            for j in range(1, 5)]
+    assert any(dims)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.sampled_from(["nilpotent", "semisimple"]))
+def test_property_admissible_basis_random_skeletons(seed, j, mode):
+    S0, gd = random_semisimple_instance(np.random.default_rng(seed))
+    ip = invariant_inner_product(S0, gd)
+    _check_admissible_against_oracle(S0, gd, ip, j, mode)
 
 
 def test_linear_nf_planted_recovery():
@@ -200,6 +273,12 @@ def test_nf_diagnostics_contents():
     assert d["transform_equivariance_defect"] < 1e-9
     assert d["exponent_kernel_defect"] < 1e-9
     assert d["exponent_chi_defect"] < 1e-9
+    assert d["exponent_chitilde_defect"] < 1e-9
     assert set(d["homological_smin"]) == {2}
     assert d["homological_smin"][2] > 1e-6
     assert 2 in res.admissible
+    # the tilde-chi grading is a semisimple-mode property
+    inst = instance_swap2()
+    fam, _ = nf_form_family(inst, k, rng, with_tail=False)
+    res = nilpotent_nf(fam, inst.A0, inst.gd, inst.ip, k, lambdas=[[0.4]])
+    assert "exponent_chitilde_defect" not in res.diagnostics

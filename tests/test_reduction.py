@@ -1,11 +1,12 @@
 """q-fold lifts, the reduced map, and the determining equation."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eqnf.corpus import (binomial_shear_family, binomial_shear_group,
                          binomial_shear_matrix, equivariant_family,
                          instance_rot_reflect, instance_swap2, nf_form_family,
-                         planted_q1, planted_q2, planted_q4)
+                         planted_q1, planted_q2, planted_q4, rotation)
 from eqnf.errors import (InvariantViolation, InverseNewtonFailed, NoConvergence,
                          NotInU, SlopeTestFailed)
 from eqnf.groups import GroupData
@@ -40,11 +41,18 @@ def test_build_lift_rejects_inconsistent_skeleton():
 
 def test_xi_rejects_vectors_outside_u():
     p = planted_q1()
-    ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, 1)
-    assert ctx.dim_u == 1
-    xi(np.array([0.4, 0.0]), ctx)
-    with pytest.raises(NotInU):
-        xi(np.array([0.0, 0.4]), ctx)
+    q1 = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, 1)
+    # U = ker(S0^3 - I) is the plane of the 2 pi/3 rotation, not all of R^4
+    S0 = scipy.linalg.block_diag(rotation(2 * np.pi / 3), rotation(2.0))
+    gd = GroupData.from_generators([np.diag([1.0, -1.0, 1.0, -1.0])], [-1.0])
+    q3 = build_lift(S0, S0, gd, 3)
+    for ctx, dim_u, inside, outside in (
+            (q1, 1, [0.4, 0.0], [0.0, 0.4]),
+            (q3, 2, [0.4, -0.1, 0.0, 0.0], [0.4, -0.1, 0.0, 0.4])):
+        assert ctx.dim_u == dim_u
+        xi(np.array(inside), ctx)
+        with pytest.raises(NotInU):
+            xi(np.array(outside), ctx)
 
 
 def test_vstar_solves_complement_equation():
