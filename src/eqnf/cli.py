@@ -19,11 +19,11 @@ from .errors import (EqnfError, InvariantViolation, NotEquivariant)
 from .groups import (GroupData, invariant_inner_product,
                      is_chi_equivariant_linear, is_chi_equivariant_map,
                      validate_group)
-from .linalg import fd_jacobian, jordan_chevalley, su_decomposition
+from .linalg import jordan_chevalley, su_decomposition
 from .normalform import nilpotent_nf, semisimple_nf
 from .polymap import AffineMapFamily, TruncatedMap
-from .reduction import (build_lift, find_periodic, ghat_vstar_identity_check,
-                        reduced_map, solve_vstar)
+from .reduction import (_reduced_jacobian, build_lift, find_periodic,
+                        ghat_vstar_identity_check, reduced_map, solve_vstar)
 
 DEFAULT_TOL = 1e-9
 
@@ -308,8 +308,7 @@ def cmd_reduce(problem: Problem, args) -> int:
     v0 = solve_vstar(problem.family, ctx, np.zeros(ctx.n), lam0)
     pr0 = reduced_map(problem.family, ctx, np.zeros(ctx.n), lam0)
     Ub = ctx.U_basis
-    J = fd_jacobian(lambda c: Ub.T @ reduced_map(problem.family, ctx, Ub @ c, lam0),
-                    np.zeros(m))
+    J = _reduced_jacobian(problem.family.at(lam0), ctx, np.zeros(ctx.n), v0)
     AU = Ub.T @ ctx.A0 @ Ub
     doc = {
         "command": "reduce",

@@ -301,7 +301,8 @@ SUFFICIENT_DECREASE = 1e-4
 def newton(evaluate, solve, x0, tol: float, max_iter: int, what: str):
     """Damped Newton iteration on a residual, with backtracking.
 
-    evaluate(x) returns (r, aux) and solve(x, r) the Newton step at x.  Each
+    evaluate(x) returns (r, aux) and solve(x, r, aux) the Newton step at x,
+    given the aux that evaluate returned there.  Each
     step tries t = 1, 1/2, ..., NEWTON_MIN_STEP and takes the first x - t*dx
     whose residual meets tol or shows sufficient decrease (Dennis & Schnabel,
     Numerical Methods for Unconstrained Optimization and Nonlinear
@@ -315,7 +316,7 @@ def newton(evaluate, solve, x0, tol: float, max_iter: int, what: str):
     for _ in range(max_iter):
         if r_max <= tol:
             return x, r, aux
-        dx = solve(x, r)
+        dx = solve(x, r, aux)
         t = 1.0
         while True:
             cand = x - t * dx

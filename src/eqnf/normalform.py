@@ -103,7 +103,7 @@ class _DegreeData:
         c = scipy.linalg.lu_solve(self.blend_lu, vec)
         return c[:self.n_im + self.n_kerim]
 
-    def lstsq_step(self, u, r) -> np.ndarray:
+    def lstsq_step(self, u, r, aux) -> np.ndarray:
         """Newton step: least squares on the Jacobian frozen at A0."""
         return np.linalg.lstsq(self.Jmat, r, rcond=None)[0]
 

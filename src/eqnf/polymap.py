@@ -53,11 +53,6 @@ def hk_dim(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _exponent_matrix(n: int, d: int) -> np.ndarray:
-    return np.array(monomials(n, d), dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
 def _prod_table(n: int, d1: int, d2: int) -> np.ndarray:
     """T[i, j] = index of monomial i (degree d1) times monomial j (degree d2)."""
     idx = monomial_index(n, d1 + d2)
@@ -110,12 +105,35 @@ def _power_steps(n: int, d: int):
     return np.array(first, dtype=np.intp), np.array(prev, dtype=np.intp)
 
 
-def _mono_values(x: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Monomial values at x; x is (n,) or (m, n), result (M_d,) or (m, M_d)."""
-    E = _exponent_matrix(n, d)
-    if x.ndim == 1:
-        return np.prod(x[None, :] ** E, axis=1)
-    return np.prod(x[:, None, :] ** E[None, :, :], axis=2)
+@lru_cache(maxsize=None)
+def _derivative_table(n: int, d: int):
+    """Entries of d(x^alpha)/dx_j = alpha_j x^(alpha - e_j) over degree-d
+    monomials: the row alpha, the column j, the factor alpha_j and the
+    index of alpha - e_j among degree d - 1, for every alpha_j > 0."""
+    idx_prev = monomial_index(n, d - 1)
+    rows, cols, coef, prev = [], [], [], []
+    for r, al in enumerate(monomials(n, d)):
+        for j, e in enumerate(al):
+            if e:
+                be = list(al)
+                be[j] -= 1
+                rows.append(r)
+                cols.append(j)
+                coef.append(float(e))
+                prev.append(idx_prev[tuple(be)])
+    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(coef), np.array(prev, dtype=np.intp))
+
+
+def _mono_values(x: np.ndarray, n: int, order: int) -> list[np.ndarray]:
+    """Monomial values of degrees 1..order at x, as running products
+    x^alpha = x_i0 * x^(alpha - e_i0); x is (n,) or (m, n), entry d - 1
+    is (M_d,) or (m, M_d)."""
+    vals = [x] if order >= 1 else []
+    for d in range(2, order + 1):
+        first, prev = _power_steps(n, d)
+        vals.append(x[..., first] * vals[-1][..., prev])
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -265,28 +283,24 @@ class TruncatedMap:
 
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = None
-        for d in range(1, self.order + 1):
-            vals = _mono_values(x, self.n, d)
-            term = vals @ self.layers[d - 1].T
-            out = term if out is None else out + term
+        vals = _mono_values(x, self.n, self.order)
+        out = vals[0] @ self.layers[0].T
+        for v, L in zip(vals[1:], self.layers[1:]):
+            out += v @ L.T
         return out
 
     __call__ = evaluate
 
     def jacobian(self, x) -> np.ndarray:
+        """Derivative at x; x is (n,) or (m, n), result (n, n) or (m, n, n)."""
         x = np.asarray(x, dtype=float)
-        J = self.layers[0].copy()
+        batch = x.shape[:-1]
+        vals = _mono_values(x, self.n, self.order - 1)
+        J = np.broadcast_to(self.layers[0], batch + (self.n, self.n)).copy()
         for d in range(2, self.order + 1):
-            E = _exponent_matrix(self.n, d)
-            dM = np.zeros((E.shape[0], self.n))
-            for j in range(self.n):
-                mask = E[:, j] > 0
-                if not mask.any():
-                    continue
-                Ered = E[mask].copy()
-                Ered[:, j] -= 1
-                dM[mask, j] = E[mask, j] * np.prod(x[None, :] ** Ered, axis=1)
+            rows, cols, coef, prev = _derivative_table(self.n, d)
+            dM = np.zeros(batch + (num_monomials(self.n, d), self.n))
+            dM[..., rows, cols] = coef * vals[d - 2][..., prev]
             J += self.layers[d - 1] @ dM
         return J
 

@@ -181,10 +181,39 @@ def _vstar_core(psi: TruncatedMap, ctx: LiftContext, u, tol: float,
         coords = scipy.linalg.lu_solve(ctx.blend_lu, img - ctx.sigma @ v)
         return coords[m:], (coords[:m], v)
 
-    _, _, (a, v) = newton(split, lambda c, r: scipy.linalg.lu_solve(ctx.J0_lu, r),
+    _, _, (a, v) = newton(split, lambda c, r, aux: scipy.linalg.lu_solve(ctx.J0_lu, r),
                           np.zeros(nc), tol * max(1.0, unorm), max_iter,
                           f"v* at |u| = {unorm:.3e}")
     return v, ctx.U_basis @ a
+
+
+def _reduced_jacobian(psi: TruncatedMap, ctx: LiftContext, u, v) -> np.ndarray:
+    """D psi_r at u in U coordinates, given v = v*(u), by the implicit
+    function theorem.
+
+    With w = xi(u) + v and D = blockdiag(D psi(w_0), ..., D psi(w_{q-1})),
+    blend^-1 D xi U_basis = [a_u; F_u] and blend^-1 (D - sigma) Cb =
+    [a_v; F_v] split the derivatives of the xi-part a and of the complement
+    residual F, so dv*/du = -F_v^-1 F_u and D psi_r = a_u - a_v F_v^-1 F_u.
+    """
+    w = (xi(u, ctx) + v).reshape(ctx.q, ctx.n)
+    Js = psi.jacobian(w)
+    m = ctx.dim_u
+    Cb = ctx.complement_basis
+
+    def blockwise(B):
+        B = B.reshape(ctx.q, ctx.n, -1)
+        return (Js @ B).reshape(ctx.q * ctx.n, -1)
+
+    rhs = np.hstack([blockwise(ctx.xi_matrix @ ctx.U_basis),
+                     blockwise(Cb) - ctx.sigma @ Cb])
+    coords = scipy.linalg.lu_solve(ctx.blend_lu, rhs)
+    a_u, F_u = coords[:m, :m], coords[m:, :m]
+    a_v, F_v = coords[:m, m:], coords[m:, m:]
+    try:
+        return a_u - a_v @ np.linalg.solve(F_v, F_u)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"singular complement Jacobian: {exc}") from exc
 
 
 def solve_vstar(family, ctx: LiftContext, u, lam, tol: float = VSTAR_TOL,
@@ -234,7 +263,7 @@ def reduced_inverse(ctx: LiftContext, reduced, u, lam, tol: float = 1e-11,
     def res(cv):
         return Ub.T @ reduced(Ub @ cv, lam) - Ub.T @ u
 
-    def step(cv, r):
+    def step(cv, r, aux):
         try:
             return np.linalg.solve(fd_jacobian(res, cv), r)
         except np.linalg.LinAlgError as exc:
@@ -305,12 +334,15 @@ def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
         psi = family.at(lam)
 
         def det_eq(c):
-            _, pr = _vstar_core(psi, ctx, Ub @ c, tol=VSTAR_TOL,
+            v, pr = _vstar_core(psi, ctx, Ub @ c, tol=VSTAR_TOL,
                                 max_iter=VSTAR_MAX_ITER, radius=radius)
-            return Ub.T @ pr - SU @ c
+            return Ub.T @ pr - SU @ c, v
 
-        def det_step(c, r):
-            return np.linalg.lstsq(fd_jacobian(det_eq, c), r, rcond=None)[0]
+        def det_jacobian(c, v):
+            return _reduced_jacobian(psi, ctx, Ub @ c, v) - SU
+
+        def det_step(c, r, v):
+            return np.linalg.lstsq(det_jacobian(c, v), r, rcond=None)[0]
 
         axes = [np.linspace(-b, b, seeds_per_axis) for b in box]
         seeds = (np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
@@ -319,8 +351,8 @@ def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
         accepted = []
         for seed in seeds:
             try:
-                c, r, _ = newton(lambda c: (det_eq(c), None), det_step, seed, tol,
-                                 max_iter, "periodic seed")
+                c, r, v = newton(det_eq, det_step, seed, tol, max_iter,
+                                 "periodic seed")
             except NoConvergence:
                 continue
             if np.any(np.abs(c) > 1.5 * box + 1e-12):
@@ -335,12 +367,11 @@ def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
                 continue
             keys.add(key)
 
-            s = (np.linalg.svd(fd_jacobian(det_eq, c), compute_uv=False) if m
+            s = (np.linalg.svd(det_jacobian(c, v), compute_uv=False) if m
                  else np.array([1.0]))
             smin = float(s[-1]) if s.size else 1.0
             isolated = smin > isolation_tol * max(1.0, float(s[0]) if s.size else 1.0)
 
-            v, _ = _vstar_core(psi, ctx, u, VSTAR_TOL, VSTAR_MAX_ITER, radius)
             orbit = (xi(u, ctx) + v).reshape(ctx.q, ctx.n)
             x0 = orbit[0]
             x = x0.copy()
@@ -431,11 +462,8 @@ def nf_reduction_consistency(result, ctx: LiftContext, k: int, family=None,
                     f"reduced map deviates from the normal form with slope "
                     f"{slope:.3f} < {min_slope:.3f} at sample {idx}")
 
-        def reduced_coords(c):
-            _, pr = _vstar_core(psi, ctx, Ub @ c, VSTAR_TOL, VSTAR_MAX_ITER, ctx.radius)
-            return Ub.T @ pr
-
-        Jr = fd_jacobian(reduced_coords, np.zeros(m))
+        # psi fixes the origin, so v*(0) = 0
+        Jr = _reduced_jacobian(psi, ctx, np.zeros(ctx.n), np.zeros(ctx.q * ctx.n))
         eig_r = np.sort_complex(np.linalg.eigvals(Jr))
         eig_a = np.linalg.eigvals(psi.linear())
         near_unit = eig_a[np.abs(eig_a ** ctx.q - 1.0) <= 0.2]

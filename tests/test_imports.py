@@ -1,4 +1,6 @@
-"""Import hygiene: every name a package module imports is used in it."""
+"""Package hygiene: every name a package module imports is used in it, and
+every module-level private function or class is referenced somewhere in
+the package."""
 import ast
 from pathlib import Path
 
@@ -31,3 +33,48 @@ def test_scan_flags_unused_and_keeps_used_names():
               "from .errors import A, B as C\n"
               "def f():\n    from .x import local\n    return np.eye(A) + scipy.linalg.expm(local)\n")
     assert _unused_imports(source) == ["os", "C"]
+
+
+def _dead_private_defs(sources: dict) -> list[str]:
+    """Module-level _private functions and classes that no module of
+    `sources` (name -> source) references outside their own definition."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined, used = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = stmt.name if isinstance(stmt, kinds) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined.append((module, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                used.update(name for name in names if name != own)
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
+def test_no_dead_private_helpers():
+    package = Path(eqnf.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert _dead_private_defs(sources) == []
+
+
+def test_scan_flags_unreferenced_private_helpers():
+    sources = {
+        "a": ("def _used():\n    return 1\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "class _Orphan:\n    pass\n"
+              "def _imported():\n    return 2\n"
+              "def _by_attribute():\n    return 3\n"
+              "def __dunder__():\n    return 4\n"
+              "def public():\n    def _nested():\n        return _used()\n"
+              "    return _nested\n"),
+        "b": "from .a import _imported\nfrom . import a\nX = a._by_attribute\n",
+    }
+    assert _dead_private_defs(sources) == ["a._recursive", "a._Orphan"]

@@ -220,8 +220,16 @@ class _Counted:
 
 def test_newton_converges_with_aux_of_accepted_iterate():
     evaluate = _Counted(lambda x: x ** 2 - np.array([2.0, 9.0]))
-    x, r, aux = newton(evaluate, lambda x, r: r / (2 * x), np.array([1.0, 1.0]),
-                       1e-12, 20, "toy")
+    steps = []
+
+    def solve(x, r, aux):
+        # the step sees the aux that evaluate returned at the same iterate
+        assert np.array_equal(aux, x)
+        steps.append(x)
+        return r / (2 * aux)
+
+    x, r, aux = newton(evaluate, solve, np.array([1.0, 1.0]), 1e-12, 20, "toy")
+    assert len(steps) >= 2
     assert np.max(np.abs(x - np.array([np.sqrt(2.0), 3.0]))) < 1e-12
     assert np.max(np.abs(r)) <= 1e-12
     assert np.array_equal(aux, x)
@@ -231,7 +239,7 @@ def test_newton_converges_with_aux_of_accepted_iterate():
 def test_newton_checks_the_residual_after_the_last_step():
     # an exact linear step converges in one iteration, and max_iter = 1
     # allows exactly that one
-    x, r, _ = newton(_Counted(lambda x: x - 3.0), lambda x, r: r,
+    x, r, _ = newton(_Counted(lambda x: x - 3.0), lambda x, r, aux: r,
                      np.array([0.0]), 1e-14, 1, "toy")
     assert x[0] == 3.0 and r[0] == 0.0
 
@@ -240,11 +248,11 @@ def test_newton_stall_raises_naming_the_stage():
     # no step lowers a constant residual: t = 1, 1/2, ..., 1/256 are tried
     evaluate = _Counted(lambda x: np.ones(2))
     with pytest.raises(NoConvergence, match="toy stage: Newton stalled at residual 1.000e"):
-        newton(evaluate, lambda x, r: r, np.zeros(2), 1e-10, 5, "toy stage")
+        newton(evaluate, lambda x, r, aux: r, np.zeros(2), 1e-10, 5, "toy stage")
     assert evaluate.calls == 1 + 9
     # a decrease short of the sufficient-decrease margin 1e-4 * t stalls too
     with pytest.raises(NoConvergence, match="Newton stalled"):
-        newton(_Counted(lambda x: x), lambda x, r: 1e-6 * r, np.array([1.0]),
+        newton(_Counted(lambda x: x), lambda x, r, aux: 1e-6 * r, np.array([1.0]),
                1e-10, 5, "toy")
 
 
@@ -253,12 +261,12 @@ def test_newton_exhausted_iterations_raise():
     evaluate = _Counted(lambda x: x)
     with pytest.raises(NoConvergence,
                        match="toy: residual 1.250e-01 after 3 iterations"):
-        newton(evaluate, lambda x, r: 0.5 * r, np.array([1.0]), 1e-10, 3, "toy")
+        newton(evaluate, lambda x, r, aux: 0.5 * r, np.array([1.0]), 1e-10, 3, "toy")
     assert evaluate.calls == 1 + 3
 
 
 def test_newton_empty_residual_returns_at_once():
-    def solve(x, r):
+    def solve(x, r, aux):
         raise AssertionError("no step is needed for an empty residual")
 
     evaluate = _Counted(lambda x: np.zeros(0))

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from eqnf import polymap
 from eqnf.errors import CkSingular, DimensionMismatch, NonInvertibleLinearPart
+from eqnf.linalg import fd_jacobian
 from eqnf.polymap import (AffineMapFamily, MapFamily, TruncatedMap,
                           _power_matrix, _transport_operator, ad_conjugate,
                           adk_field, adk_operator, ch_compose, ck_operator,
@@ -491,3 +492,72 @@ def test_property_compose_is_associative(maps):
 def test_property_exp_vf_inverts_log_map(maps):
     (F,) = maps
     assert exp_vf(log_map(F, tol=1e-14)).allclose(F, 1e-11)
+
+
+# ---------------------------------------------------------------------------
+# property tests of the evaluation kernels against the direct monomial form
+
+def _mono_values_direct(x, n, d):
+    """Monomial values at x as np.prod(x ** E); x is (n,) or (m, n)."""
+    E = np.array(monomials(n, d), dtype=np.int64)
+    if x.ndim == 1:
+        return np.prod(x[None, :] ** E, axis=1)
+    return np.prod(x[:, None, :] ** E[None, :, :], axis=2)
+
+
+def _kernel_case(n, order, m, seed):
+    """A random map of shape (n, order) and m points in [-1, 1]^n, about a
+    fifth of whose coordinates are exactly zero."""
+    rng = np.random.default_rng(seed)
+    F = TruncatedMap(n, order, [0.5 * rng.standard_normal((n, num_monomials(n, d)))
+                                for d in range(1, order + 1)])
+    X = rng.uniform(-1.0, 1.0, (m, n))
+    X[rng.random((m, n)) < 0.2] = 0.0
+    return F, X
+
+
+_KERNEL_CASES = st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 4),
+                          st.integers(0, 2 ** 32 - 1))
+
+
+def _corner_examples(test):
+    for case in ((1, 1, 3, 0), (1, 6, 2, 1), (5, 1, 2, 2), (5, 6, 2, 3)):
+        test = example(case)(test)
+    return test
+
+
+@PROPERTY_SETTINGS
+@_corner_examples
+@given(_KERNEL_CASES)
+def test_property_evaluate_matches_direct_monomials(case):
+    n, order, _, _ = case
+    F, X = _kernel_case(*case)
+    ref = sum(_mono_values_direct(X, n, d) @ F.layer(d).T for d in range(1, order + 1))
+    assert np.allclose(F.evaluate(X), ref, rtol=1e-13, atol=1e-13)
+    for x, r in zip(X, ref):
+        direct = sum(_mono_values_direct(x, n, d) @ F.layer(d).T
+                     for d in range(1, order + 1))
+        assert np.allclose(direct, r, rtol=1e-13, atol=1e-13)
+
+
+@PROPERTY_SETTINGS
+@_corner_examples
+@given(_KERNEL_CASES)
+def test_property_batched_kernels_match_rows(case):
+    n, _, m, _ = case
+    F, X = _kernel_case(*case)
+    vals, jacs = F.evaluate(X), F.jacobian(X)
+    assert vals.shape == (m, n) and jacs.shape == (m, n, n)
+    for x, val, jac in zip(X, vals, jacs):
+        assert np.allclose(F.evaluate(x), val, rtol=1e-14, atol=1e-14)
+        assert np.allclose(F.jacobian(x), jac, rtol=1e-14, atol=1e-14)
+
+
+@PROPERTY_SETTINGS
+@_corner_examples
+@given(_KERNEL_CASES)
+def test_property_jacobian_matches_fd(case):
+    F, X = _kernel_case(*case)
+    for x in X:
+        J = fd_jacobian(F.evaluate, x)
+        assert np.max(np.abs(F.jacobian(x) - J)) <= 1e-7 * max(1.0, np.max(np.abs(J)))

@@ -3,16 +3,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from eqnf import reduction
 from eqnf.corpus import (binomial_shear_family, binomial_shear_group,
                          binomial_shear_matrix, equivariant_family,
-                         instance_rot_reflect, instance_swap2, nf_form_family,
-                         planted_q1, planted_q2, planted_q4, rotation)
+                         instance_block_swap, instance_rot_reflect,
+                         instance_swap2, nf_form_family, planted_q1,
+                         planted_q2, planted_q4, rotation)
 from eqnf.errors import (InvariantViolation, InverseNewtonFailed, NoConvergence,
                          NotInU, SlopeTestFailed)
 from eqnf.groups import GroupData
+from eqnf.linalg import fd_jacobian
 from eqnf.normalform import nilpotent_nf, semisimple_nf
 from eqnf.polymap import MapFamily
-from eqnf.reduction import (bifurcation_fn, build_lift, find_periodic,
+from eqnf.reduction import (_reduced_jacobian, bifurcation_fn, build_lift,
+                            find_periodic,
                             ghat_vstar_identity_check, lifted_apply,
                             make_reduced, nf_reduction_consistency,
                             reduced_inverse, reduced_map, solve_vstar, xi,
@@ -142,6 +146,86 @@ def test_find_periodic_shear_line_not_isolated():
     for pt in pts:
         assert not pt.isolated  # fixed points fill the line y = x
         assert abs(pt.u[0] - pt.u[1]) < 1e-8
+
+
+_DETERMINING_CASES = ([f"block-swap rng {r}" for r in range(6)]
+                      + ["planted q4", "planted q2", "planted q1", "shear line"])
+
+
+def _determining_case(name):
+    """(family, ctx, lam, box) of block-swap(3) at q = 3 for rngs 0-5, of
+    the planted q4/q2/q1 branches and of the shear line, as searched above."""
+    if name.startswith("block-swap"):
+        inst = instance_block_swap(3)
+        rng = np.random.default_rng(int(name.split()[-1]))
+        return (equivariant_family(inst, 3, rng),
+                build_lift(inst.A0, inst.S0, inst.gd, 3), [0.01], 0.02)
+    if name == "shear line":
+        return (binomial_shear_family(3),
+                build_lift(binomial_shear_matrix(), np.eye(2), binomial_shear_group(),
+                           1, radius=0.5), [0.0], 0.06)
+    p, lam, radius, box = {"planted q4": (planted_q4(), [-0.03], 0.6, 0.3),
+                           "planted q2": (planted_q2(), [-0.03], 0.8, 0.35),
+                           "planted q1": (planted_q1(), [0.02], 0.8, 0.3)}[name]
+    return (p.family, build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q, radius=radius),
+            lam, box)
+
+
+def _determining_jacobians(family, ctx, lam, c, radius):
+    """The implicit-function-theorem determining Jacobian at U coordinates c,
+    and the central-difference one of the determining equation itself."""
+    Ub = ctx.U_basis
+    SU = Ub.T @ ctx.S0 @ Ub
+
+    def det_eq(cc):
+        return Ub.T @ reduced_map(family, ctx, Ub @ cc, lam, radius=radius) - SU @ cc
+
+    v = solve_vstar(family, ctx, Ub @ c, lam, radius=radius)
+    return (_reduced_jacobian(family.at(lam), ctx, Ub @ c, v) - SU,
+            fd_jacobian(det_eq, c))
+
+
+@pytest.mark.parametrize("name", _DETERMINING_CASES)
+def test_reduced_jacobian_matches_fd(name):
+    family, ctx, lam, box = _determining_case(name)
+    rng = np.random.default_rng(55)
+    radius = max(ctx.radius, 2.0 * box)
+    for _ in range(3):
+        c = rng.uniform(-box, box, ctx.dim_u)
+        J, J_fd = _determining_jacobians(family, ctx, lam, c, radius)
+        assert np.max(np.abs(J - J_fd)) <= 1e-5 * np.max(np.abs(J_fd))
+
+
+def test_reduced_jacobian_singular_on_shear_line():
+    ctx = build_lift(binomial_shear_matrix(), np.eye(2),
+                     binomial_shear_group(), 1, radius=0.5)
+    family = binomial_shear_family(3)
+    pts = find_periodic(family, ctx, [[0.0]], 0.06)
+    assert len(pts) >= 3
+    for pt in pts:
+        J, _ = _determining_jacobians(family, ctx, [0.0], pt.coords, 0.5)
+        s = np.linalg.svd(J, compute_uv=False)
+        assert s[-1] <= 1e-10 * s[0]
+        assert pt.jacobian_smin == s[-1]
+
+
+def test_find_periodic_vstar_solves_block_swap(monkeypatch):
+    # with central differences this search took 5,695 v* solves; the
+    # implicit-function-theorem Jacobian must cut that at least five-fold
+    inst = instance_block_swap(3)
+    family = equivariant_family(inst, 3, np.random.default_rng(2))
+    ctx = build_lift(inst.A0, inst.S0, inst.gd, 3)
+    calls = []
+    core = reduction._vstar_core
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "_vstar_core", counted)
+    pts = find_periodic(family, ctx, [[0.01]], 0.02, seeds_per_axis=3)
+    assert pts
+    assert len(calls) <= 5695 // 5
 
 
 def test_bifurcation_fn_zero_iff_determining():
