@@ -3,9 +3,9 @@ local diffeomorphisms near a symmetric fixed point."""
 
 from .errors import (BadCharacter, CkSingular, DimensionMismatch, EqnfError,
                      InvariantViolation, InverseNewtonFailed, NoConvergence,
-                     NonInvertibleLinearPart, NoRealLogarithm, NotClosed,
-                     NotEquivariant, NotInU, NotSemisimple, NotUnipotent,
-                     SingularInput, SlopeTestFailed, SplitFailure)
+                     NonFinite, NonInvertibleLinearPart, NoRealLogarithm,
+                     NotClosed, NotEquivariant, NotInU, NotSemisimple,
+                     NotUnipotent, SingularInput, SlopeTestFailed, SplitFailure)
 from .groups import (ExtendedGroupData, GroupData, extended_group,
                      invariant_inner_product, is_chi_equivariant_linear,
                      is_chi_equivariant_map, project, project_map,
@@ -15,8 +15,7 @@ from .linalg import (AdaptedInnerProduct, JCDecomposition, SUDecomposition,
                      matrix_log_unipotent, nullspace, real_log,
                      su_decomposition)
 from .normalform import (NormalFormResult, admissible_exponent_basis,
-                         hk_projection, linear_nf, linear_nilpotent_nf,
-                         nilpotent_nf, semisimple_nf)
+                         hk_projection, nilpotent_nf, semisimple_nf)
 from .polymap import (AffineMapFamily, MapFamily, TruncatedMap, ad_conjugate,
                       adk_field, adk_operator, ch_compose, ck_operator,
                       compose, conjugate_linear, exp_vf, fischer_gram, hk_dim,

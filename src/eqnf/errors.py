@@ -45,6 +45,10 @@ class NoRealLogarithm(EqnfError):
     """No real logarithm exists (or is reachable) for the given linear part."""
 
 
+class NonFinite(EqnfError):
+    """An input or an intermediate operator holds inf or NaN."""
+
+
 class CkSingular(EqnfError):
     """The averaged conjugation operator C_k is singular at the given linear layer."""
 

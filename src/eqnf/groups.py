@@ -189,17 +189,6 @@ def is_chi_equivariant_linear(A, gd: GroupData, tol: float = 1e-9) -> bool:
     return True
 
 
-def gl_chi_defect(A, gd: GroupData, char="chi") -> float:
-    """Max deviation from the linear-space condition g A g^-1 = chi(g) A."""
-    A = as_square(A)
-    values = _resolve_char(gd, char)
-    worst = 0.0
-    for i in range(gd.order):
-        lhs = gd.elements[i] @ A @ gd.inverse(i)
-        worst = max(worst, float(np.max(np.abs(lhs - values[i] * A))))
-    return worst
-
-
 def is_chi_equivariant_map(F, gd: GroupData, k: int | None = None,
                            tol: float = 1e-9) -> bool:
     """Check g o F o g^-1 = F^chi(g) as truncated maps (coefficientwise)."""

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NotEquivariant, SplitFailure
-from .groups import (GroupData, _resolve_char, extended_group,
-                     is_chi_equivariant_linear, project_map, tilde_character)
+from .errors import SplitFailure
+from .groups import (GroupData, _resolve_char, extended_group, project_map,
+                     tilde_character)
 from .linalg import (AdaptedInnerProduct, image_basis, newton, nullspace,
                      rank_tolerance, real_log, require_invertible,
                      su_decomposition)
@@ -185,44 +185,6 @@ def _linear_newton(A, A0, S0, target_shift, data: _DegreeData, base,
     _, _, (phi, W) = newton(eval_at, data.lstsq_step, np.zeros(data.unknown.shape[1]),
                             tol * scale, max_iter, what)
     return phi, W
-
-
-def linear_nf(A, A0, gd: GroupData, ip: AdaptedInnerProduct,
-              tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER):
-    """Conjugate A in GL^chi to A0 e^B with B commuting with S0.
-
-    Returns (phi, B) with e^phi A e^-phi = A0 e^B, phi a group-commuting
-    matrix in Im(Ad(S0^-1)-I), and B in ker(Ad(S0)-I).
-    """
-    A = require_invertible(A, "A")
-    A0 = require_invertible(A0, "A0")
-    if not is_chi_equivariant_linear(A, gd, tol=1e-8):
-        raise NotEquivariant("A is not chi-equivariant for the given group")
-    su = su_decomposition(A0)
-    S0, N0 = su.S, su.nil_log
-    Nstar = ip.adjoint(N0)
-    data = _degree_data(1, S0, N0, Nstar, A0, gd, "semisimple")
-    return _linear_newton(A, A0, S0, np.zeros_like(A), data, A0, tol, max_iter,
-                          "linear stage")
-
-
-def linear_nilpotent_nf(A, A0, gd: GroupData, ip: AdaptedInnerProduct,
-                        tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER):
-    """Conjugate A in GL^chi to S0 e^{N0 + C} with C in the triple kernel.
-
-    Returns (phi, C) with e^phi A e^-phi = S0 e^{N0+C}; C commutes with S0
-    in the Ad sense and lies in ker(ad(N0*)).
-    """
-    A = require_invertible(A, "A")
-    A0 = require_invertible(A0, "A0")
-    if not is_chi_equivariant_linear(A, gd, tol=1e-8):
-        raise NotEquivariant("A is not chi-equivariant for the given group")
-    su = su_decomposition(A0)
-    S0, N0 = su.S, su.nil_log
-    Nstar = ip.adjoint(N0)
-    data = _degree_data(1, S0, N0, Nstar, A0, gd, "nilpotent")
-    phi, W = _linear_newton(A, A0, S0, N0, data, S0, tol, max_iter, "linear stage")
-    return phi, W - N0
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .errors import (CkSingular, DimensionMismatch, NonInvertibleLinearPart)
+from .errors import (CkSingular, DimensionMismatch, NonFinite,
+                     NonInvertibleLinearPart)
 from .linalg import real_log
 
 
@@ -440,21 +441,61 @@ def adk_field(N, k: int) -> np.ndarray:
             - np.kron(N, np.eye(M)))
 
 
+# phi1 is summed as a Taylor polynomial at L / 2^s, scaled to 1-norm <= this.
+PHI1_THETA = 0.5
+
+
 def ck_operator(X1, k: int) -> np.ndarray:
     """C_k(X1) = phi1(adk_field(X1, k)) with phi1(z) = (e^z - 1)/z.
 
     Governs composition with near-identity degree-k factors:
     exp(X1 + W_k) = exp(X1) o exp(C_k(X1) W_k) modulo degrees > k.
+
+    Scaling and modified squaring of phi1 on the m x m bracket operator L
+    (Skaflestad & Wright, Appl. Numer. Math. 59 (2009) 783-799).  With
+    A = L / 2^s and a = ||A||_1 <= PHI1_THETA, the Taylor polynomial of the
+    least degree q with a^(q+1)/(q+2)! e^a <= 2^-53 is summed by Horner;
+    then s doublings phi1(2B) = phi1(B) (e^B + I) / 2 and e^2B = (e^B)^2,
+    with e^B - I carried from e^A - I = A phi1(A).
     """
+    X1 = np.asarray(X1, dtype=float)
+    _require_finite("linear part", X1)
     L = adk_field(X1, k)
     m = L.shape[0]
-    B = np.zeros((2 * m, 2 * m))
-    B[:m, :m] = L
-    B[:m, m:] = np.eye(m)
-    return scipy.linalg.expm(B)[:m, m:]
+    a = float(np.linalg.norm(L, 1))
+    if not math.isfinite(a):
+        raise NonFinite("bracket operator has a non-finite 1-norm")
+    s = max(0, math.ceil(math.log2(a / PHI1_THETA))) if a > PHI1_THETA else 0
+    L *= 2.0 ** -s
+    a *= 2.0 ** -s
+    q = 0
+    while a ** (q + 1) / math.factorial(q + 2) * math.exp(a) > 2.0 ** -53:
+        q += 1
+    phi = np.zeros((m, m))
+    phi.flat[::m + 1] = 1.0 / math.factorial(q + 1)
+    for j in range(q, 0, -1):
+        phi = L @ phi
+        phi.flat[::m + 1] += 1.0 / math.factorial(j)
+    if s:
+        D = L @ phi  # e^A - I
+    for i in range(s):
+        if i:
+            P = D @ D  # e^2B - I = (e^B - I)^2 + 2 (e^B - I)
+            D *= 2.0
+            D += P
+        P = phi @ D  # phi1(2B) = phi1(B) + phi1(B) (e^B - I) / 2
+        P *= 0.5
+        phi += P
+    return phi
+
+
+def _require_finite(what: str, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFinite(f"{what} has non-finite entries")
 
 
 def _check_ck(C: np.ndarray) -> None:
+    _require_finite("composition operator", C)
     s = np.linalg.svd(C, compute_uv=False)
     if s[-1] <= 1e-12 * s[0]:
         raise CkSingular(
@@ -589,6 +630,7 @@ def log_map(F: TruncatedMap, k: int | None = None, tol: float = 1e-9) -> Truncat
     """
     if k is not None:
         F = F.truncated(k)
+    _require_finite("map", *F.layers)
     data = _linear_part_data(F.linear())
     X = TruncatedMap.from_linear(data.X1, F.order)
     scale = max(1.0, F.max_abs())

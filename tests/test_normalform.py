@@ -11,10 +11,13 @@ from eqnf.corpus import (instance_block_swap, instance_nilpotent_kron,
                          planted_q4, random_semisimple_instance, rotation)
 from eqnf.errors import NotEquivariant
 from eqnf.groups import (GroupData, extended_group, invariant_inner_product,
-                         project_map, tilde_character)
-from eqnf.linalg import image_basis, nullspace, su_decomposition
-from eqnf.normalform import (_frozen_operator, admissible_exponent_basis,
-                             hk_projection, linear_nf, linear_nilpotent_nf,
+                         is_chi_equivariant_linear, project_map,
+                         tilde_character)
+from eqnf.linalg import (image_basis, nullspace, require_invertible,
+                         su_decomposition)
+from eqnf.normalform import (NEWTON_MAX_ITER, NEWTON_TOL, _degree_data,
+                             _frozen_operator, _linear_newton,
+                             admissible_exponent_basis, hk_projection,
                              nilpotent_nf, semisimple_nf)
 from eqnf.polymap import (MapFamily, TruncatedMap, ad_conjugate, adk_field,
                           adk_operator, ck_operator, compose, exp_vf, hk_dim,
@@ -113,6 +116,24 @@ def test_property_admissible_basis_random_skeletons(seed, j, mode):
     _check_admissible_against_oracle(S0, gd, ip, j, mode)
 
 
+def _linear_nf(A, A0, gd, ip, mode="semisimple"):
+    """Oracle: the driver's linear stage run alone.  Semisimple mode returns
+    (phi, B) with e^phi A e^-phi = A0 e^B and B in ker(Ad(S0) - I); nilpotent
+    mode returns (phi, C) with e^phi A e^-phi = S0 e^{N0 + C}, C commuting
+    with S0 in the Ad sense and in ker(ad(N0*))."""
+    A = require_invertible(A, "A")
+    A0 = require_invertible(A0, "A0")
+    if not is_chi_equivariant_linear(A, gd, tol=1e-8):
+        raise NotEquivariant("A is not chi-equivariant for the given group")
+    su = su_decomposition(A0)
+    S0, N0 = su.S, su.nil_log
+    data = _degree_data(1, S0, N0, ip.adjoint(N0), A0, gd, mode)
+    shift, base = (np.zeros_like(A), A0) if mode == "semisimple" else (N0, S0)
+    phi, W = _linear_newton(A, A0, S0, shift, data, base, NEWTON_TOL,
+                            NEWTON_MAX_ITER, "linear stage")
+    return phi, W - shift
+
+
 def test_linear_nf_planted_recovery():
     gd = GroupData.from_generators([-np.eye(2)], [1.0])
     S0 = rotation(2 * np.pi / 3)
@@ -122,20 +143,20 @@ def test_linear_nf_planted_recovery():
     B_star = 0.1 * np.eye(2) + 0.2 * J2
     A = (scipy.linalg.expm(-phi_star) @ S0 @ scipy.linalg.expm(B_star)
          @ scipy.linalg.expm(phi_star))
-    phi, B = linear_nf(A, S0, gd, ip)
+    phi, B = _linear_nf(A, S0, gd, ip)
     assert np.max(np.abs(phi - phi_star)) < 1e-9
     assert np.max(np.abs(B - B_star)) < 1e-9
     E = scipy.linalg.expm(phi)
     assert np.max(np.abs(E @ A @ np.linalg.inv(E)
                          - S0 @ scipy.linalg.expm(B))) < 1e-11
-    phi0, B0 = linear_nf(S0, S0, gd, ip)
+    phi0, B0 = _linear_nf(S0, S0, gd, ip)
     assert np.max(np.abs(phi0)) < 1e-12 and np.max(np.abs(B0)) < 1e-12
 
 
 def test_linear_nf_rejects_nonequivariant():
     inst = instance_rot_reflect(3)
     with pytest.raises(NotEquivariant):
-        linear_nf(np.diag([2.0, 3.0]), inst.A0, inst.gd, inst.ip)
+        _linear_nf(np.diag([2.0, 3.0]), inst.A0, inst.gd, inst.ip)
 
 
 def test_linear_nilpotent_nf_planted_recovery():
@@ -145,10 +166,10 @@ def test_linear_nilpotent_nf_planted_recovery():
     phi_star = 0.2 * s
     A = (scipy.linalg.expm(-phi_star) @ inst.S0
          @ scipy.linalg.expm(inst.N0 + C_star) @ scipy.linalg.expm(phi_star))
-    phi, C = linear_nilpotent_nf(A, inst.A0, inst.gd, inst.ip)
+    phi, C = _linear_nf(A, inst.A0, inst.gd, inst.ip, "nilpotent")
     assert np.max(np.abs(phi - phi_star)) < 1e-11
     assert np.max(np.abs(C - C_star)) < 1e-11
-    phi0, C0 = linear_nilpotent_nf(inst.A0, inst.A0, inst.gd, inst.ip)
+    phi0, C0 = _linear_nf(inst.A0, inst.A0, inst.gd, inst.ip, "nilpotent")
     assert np.max(np.abs(phi0)) < 1e-12 and np.max(np.abs(C0)) < 1e-12
 
 

@@ -1,4 +1,6 @@
 """Truncated polynomial maps: composition, graded operators, flows."""
+import tracemalloc
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
@@ -8,12 +10,14 @@ import scipy.linalg
 from hypothesis import example, given, settings
 
 from eqnf import polymap
-from eqnf.errors import CkSingular, DimensionMismatch, NonInvertibleLinearPart
+from eqnf.corpus import instance_swap2
+from eqnf.errors import (CkSingular, DimensionMismatch, EqnfError, NonFinite,
+                         NonInvertibleLinearPart)
 from eqnf.linalg import fd_jacobian
 from eqnf.polymap import (AffineMapFamily, MapFamily, TruncatedMap,
                           _power_matrix, _transport_operator, ad_conjugate,
                           adk_field, adk_operator, ch_compose, ck_operator,
-                          compose, conjugate_linear, exp_vf, fischer_gram,
+                          ck_solve, compose, conjugate_linear, exp_vf, fischer_gram,
                           hk_dim, inverse_truncated, log_map, monomials,
                           num_monomials, substitution_matrix)
 
@@ -203,14 +207,19 @@ def test_ck_operator_scalar_oracle():
 def test_ck_operator_quadrature_oracle():
     # C_k(X1) = integral over s in [0,1] of the conjugation action of e^{-s X1}
     rng = np.random.default_rng(30)
-    n, k = 2, 3
-    X1 = 0.7 * rng.standard_normal((n, n))
-    nodes, weights = np.polynomial.legendre.leggauss(12)
+    theta = 2.1
+    cases = [(0.7 * rng.standard_normal((2, 2)), 3),
+             # nilpotent, max|C| = 146: the integrand is polynomial in s
+             (instance_swap2().N0, 4),
+             # rotation generator with |X1| = 2.1: trigonometric integrand
+             (np.array([[0.0, -theta], [theta, 0.0]]), 3)]
+    nodes, weights = np.polynomial.legendre.leggauss(24)
     s = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
-    quad = sum(wi * adk_operator(scipy.linalg.expm(-si * X1), k)
-               for si, wi in zip(s, w))
-    assert np.max(np.abs(ck_operator(X1, k) - quad)) < 1e-12
+    for X1, k in cases:
+        quad = sum(wi * adk_operator(scipy.linalg.expm(-si * X1), k)
+                   for si, wi in zip(s, w))
+        assert np.max(np.abs(ck_operator(X1, k) - quad)) < 1e-12
 
 
 def test_ch_compose_both_sides(rand_map):
@@ -561,3 +570,94 @@ def test_property_jacobian_matches_fd(case):
     for x in X:
         J = fd_jacobian(F.evaluate, x)
         assert np.max(np.abs(F.jacobian(x) - J)) <= 1e-7 * max(1.0, np.max(np.abs(J)))
+
+
+# ---------------------------------------------------------------------------
+# C_k against the augmented-expm oracle; non-finite input; memory
+
+def _ck_operator_augmented(X1, k):
+    """C_k(X1) as the top-right block of expm([[L, I], [0, 0]]), 2m x 2m."""
+    L = adk_field(X1, k)
+    m = L.shape[0]
+    B = np.zeros((2 * m, 2 * m))
+    B[:m, :m] = L
+    B[:m, m:] = np.eye(m)
+    return scipy.linalg.expm(B)[:m, m:]
+
+
+@st.composite
+def _ck_cases(draw):
+    """(X1, k): n = 1..3, k = 1..5, X1 general, strictly upper triangular
+    (nilpotent) or skew (rotation generator), scaled to |X1|_2 in [0, 6]."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["general", "nilpotent", "rotation"]))
+    X = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0, width=64)))
+    if kind == "nilpotent":
+        X = np.triu(X, 1)
+    elif kind == "rotation":
+        X = X - X.T
+    radius = draw(st.floats(0.0, 6.0))
+    norm = np.linalg.norm(X, 2)
+    return (X * (radius / norm) if norm > 0 else X), k
+
+
+_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+@PROPERTY_SETTINGS
+@example((np.zeros((1, 1)), 1))
+@example((6.0 * _J2, 5))
+@example((np.array([[0.0, 6.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 5))
+@example((instance_swap2().N0, 4))
+@given(_ck_cases())
+def test_property_ck_operator_matches_augmented_expm(case):
+    X1, k = case
+    C = ck_operator(X1, k)
+    ref = _ck_operator_augmented(X1, k)
+    assert C.shape == ref.shape
+    assert np.max(np.abs(C - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ck_operator_rejects_non_finite_input(bad):
+    X1 = np.array([[0.1, 0.2], [bad, -0.3]])
+    with pytest.raises(NonFinite):
+        ck_operator(X1, 3)
+    # finite, but the bracket operator overflows
+    with np.errstate(over="ignore"), pytest.raises(NonFinite):
+        ck_operator(np.array([[1e308]]), 3)
+    C = np.eye(4)
+    C[1, 2] = bad
+    with pytest.raises(NonFinite):
+        polymap._check_ck(C)
+    with pytest.raises(NonFinite):
+        ck_solve(C, np.ones(4))
+    assert issubclass(NonFinite, EqnfError)
+
+
+def test_log_map_rejects_non_finite_map():
+    # a diverged Newton iterate: finite linear part, NaN in a higher layer
+    F = _rotation_map(0.4, 3, [[0.1, 0.0, 0.2], [0.0, -0.3, 0.0]])
+    F.layers[2][0, 1] = np.nan
+    with pytest.raises(NonFinite):
+        log_map(F)
+    F.layers[0][1, 1] = np.inf
+    with pytest.raises(NonFinite):
+        log_map(F)
+
+
+def test_ck_operator_peak_memory():
+    # n = 6, k = 4: m = 756.  The traced peak stays below two 2m x 2m float
+    # arrays, the work arrays of expm on the augmented operator.
+    n, k = 6, 4
+    X1 = 0.3 * np.random.default_rng(70).standard_normal((n, n))
+    m = hk_dim(n, k)
+    tracemalloc.start()
+    try:
+        C = ck_operator(X1, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert C.shape == (m, m)
+    assert peak < 2 * (2 * m) ** 2 * 8
