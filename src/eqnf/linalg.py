@@ -6,7 +6,8 @@ multiplicative one (A = S * exp(L) with L = log(I + S^-1 N) nilpotent); both
 are unique, commute with conjugation, and are computed by a Newton iteration
 on the squarefree part of the characteristic polynomial.  The damped Newton
 kernel and the central-difference Jacobian at the end serve every solver
-stage of the normal form and the reduction.
+stage of the normal form and the reduction, and beside them `lu_solve`
+solves every system whose LU factors the package keeps.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import NoConvergence, NotUnipotent, SingularInput
+from .errors import (DimensionMismatch, NoConvergence, NonFinite,
+                     NotUnipotent, SingularInput)
 
 # Singular values below max(n,1)*eps*max(smax,1)*RANK_TOL_FACTOR count as
 # zero.  The absolute floor of 1 keeps numerically-zero differences of
@@ -343,3 +345,28 @@ def fd_jacobian(f, x) -> np.ndarray:
         e[i] = h
         cols.append((f(x + e) - f(x - e)) / (2 * h))
     return np.column_stack(cols) if cols else np.zeros((0, 0))
+
+
+def lu_solve(lu_piv, b) -> np.ndarray:
+    """Solve A x = b for a vector or a matrix of columns b, given the
+    (lu, piv) factors of a real A that scipy.linalg.lu_factor returns.
+
+    Calls LAPACK dgetrs once, exactly as scipy.linalg.lu_solve does, and
+    makes the same checks, but skips that wrapper's per-call dispatch, which
+    costs about ten times the solve itself on the small systems of the v*
+    Newton loop.  Raises NonFinite when b holds inf or NaN and
+    DimensionMismatch when b does not have as many rows as A.
+    """
+    lu, piv = lu_piv
+    b = np.asarray(b, dtype=float)
+    if not np.isfinite(b).all():
+        raise NonFinite("LU solve: right-hand side has non-finite entries")
+    if b.shape[0] != lu.shape[0]:
+        raise DimensionMismatch(
+            f"LU solve: factors of shape {lu.shape}, right-hand side {b.shape}")
+    if b.size == 0:
+        return np.empty_like(b)
+    x, info = scipy.linalg.lapack.dgetrs(lu, piv, b)
+    if info != 0:
+        raise ValueError(f"LU solve: illegal value in argument {-info} of dgetrs")
+    return x

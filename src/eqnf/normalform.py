@@ -18,8 +18,8 @@ import scipy.linalg
 from .errors import SplitFailure
 from .groups import (GroupData, _resolve_char, extended_group, project_map,
                      tilde_character)
-from .linalg import (AdaptedInnerProduct, image_basis, newton, nullspace,
-                     rank_tolerance, real_log, require_invertible,
+from .linalg import (AdaptedInnerProduct, image_basis, lu_solve, newton,
+                     nullspace, rank_tolerance, real_log, require_invertible,
                      su_decomposition)
 from .polymap import (TruncatedMap, ad_conjugate, adk_field, adk_operator,
                       ck_operator, compose, conjugate_linear, exp_vf, hk_dim,
@@ -100,7 +100,7 @@ class _DegreeData:
     jac_smax: float
 
     def unwanted(self, vec: np.ndarray) -> np.ndarray:
-        c = scipy.linalg.lu_solve(self.blend_lu, vec)
+        c = lu_solve(self.blend_lu, vec)
         return c[:self.n_im + self.n_kerim]
 
     def lstsq_step(self, u, r, aux) -> np.ndarray:
@@ -150,7 +150,7 @@ def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str) -> _Degree
     M = _frozen_operator(S0, N0, A0, j, mode)
     n_res = rank + n_kerim
     if unknown.shape[1]:
-        coords = scipy.linalg.lu_solve(blend_lu, M @ unknown)
+        coords = lu_solve(blend_lu, M @ unknown)
         Jmat = coords[:n_res]
         s = np.linalg.svd(Jmat, compute_uv=False) if Jmat.size else np.array([0.0])
         smin, smax = float(s[-1]), float(s[0])

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .errors import (CkSingular, DimensionMismatch, NonFinite,
                      NonInvertibleLinearPart)
-from .linalg import real_log
+from .linalg import lu_solve, real_log
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +637,7 @@ def log_map(F: TruncatedMap, k: int | None = None, tol: float = 1e-9) -> Truncat
     for _ in range(8):
         for d in range(2, F.order + 1):
             r = (F - exp_vf(X)).layer(d)
-            w = scipy.linalg.lu_solve(data.ck_factor(d), (data.Ainv @ r).reshape(-1))
+            w = lu_solve(data.ck_factor(d), (data.Ainv @ r).reshape(-1))
             X.layers[d - 1] += w.reshape(r.shape)
         if (F - exp_vf(X)).max_abs() <= tol * scale or F.order == 1:
             break

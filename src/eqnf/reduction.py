@@ -16,8 +16,8 @@ import scipy.linalg
 from .errors import (InvariantViolation, InverseNewtonFailed, NoConvergence,
                      NotInU, SlopeTestFailed)
 from .groups import GroupData
-from .linalg import (fd_jacobian, image_basis, kernel_basis, newton,
-                     require_invertible)
+from .linalg import (fd_jacobian, image_basis, kernel_basis, lu_solve,
+                     newton, require_invertible)
 from .polymap import TruncatedMap, exp_vf
 
 VSTAR_TOL = 1e-12
@@ -29,7 +29,11 @@ LIFT_CHECK_TOL = 1e-11
 @dataclass
 class LiftContext:
     """Immutable data of the q-fold lift: shift, lifted operators, lifted
-    group action, and the xi / complement splitting of Y_q."""
+    group action, and the xi / complement splitting of Y_q.
+
+    xi_basis = xi_matrix @ U_basis spans xi(U), and sigma_complement =
+    sigma @ complement_basis is the shifted complement basis; both are
+    formed once here for the determining Jacobian."""
 
     q: int
     n: int
@@ -43,6 +47,8 @@ class LiftContext:
     U_basis: np.ndarray
     xi_matrix: np.ndarray
     complement_basis: np.ndarray
+    xi_basis: np.ndarray
+    sigma_complement: np.ndarray
     blend_lu: tuple
     J0_lu: tuple | None
     radius: float
@@ -124,7 +130,7 @@ def build_lift(A0, S0, gd: GroupData, q: int,
         sigma @ Xi - xi_matrix @ (S0 @ U_basis)))) if m else 0.0)
 
     if rank:
-        coords = scipy.linalg.lu_solve(blend_lu, (A0_hat - sigma) @ complement_basis)
+        coords = lu_solve(blend_lu, (A0_hat - sigma) @ complement_basis)
         J0 = coords[m:]
         js = np.linalg.svd(J0, compute_uv=False)
         if js[-1] <= 1e-10 * max(1.0, js[0]):
@@ -137,8 +143,9 @@ def build_lift(A0, S0, gd: GroupData, q: int,
     return LiftContext(q=q, n=n, A0=A0, S0=S0, gd=gd, sigma=sigma,
                        S0_hat=S0_hat, A0_hat=A0_hat, g_hat=g_hat,
                        U_basis=U_basis, xi_matrix=xi_matrix,
-                       complement_basis=complement_basis, blend_lu=blend_lu,
-                       J0_lu=J0_lu, radius=radius)
+                       complement_basis=complement_basis, xi_basis=Xi,
+                       sigma_complement=sigma @ complement_basis,
+                       blend_lu=blend_lu, J0_lu=J0_lu, radius=radius)
 
 
 def xi(u, ctx: LiftContext) -> np.ndarray:
@@ -178,10 +185,10 @@ def _vstar_core(psi: TruncatedMap, ctx: LiftContext, u, tol: float,
     def split(c):
         v = Cb @ c if nc else np.zeros(ctx.q * ctx.n)
         img = lifted_apply(psi, ctx, xi_u + v)
-        coords = scipy.linalg.lu_solve(ctx.blend_lu, img - ctx.sigma @ v)
+        coords = lu_solve(ctx.blend_lu, img - ctx.sigma @ v)
         return coords[m:], (coords[:m], v)
 
-    _, _, (a, v) = newton(split, lambda c, r, aux: scipy.linalg.lu_solve(ctx.J0_lu, r),
+    _, _, (a, v) = newton(split, lambda c, r, aux: lu_solve(ctx.J0_lu, r),
                           np.zeros(nc), tol * max(1.0, unorm), max_iter,
                           f"v* at |u| = {unorm:.3e}")
     return v, ctx.U_basis @ a
@@ -199,15 +206,14 @@ def _reduced_jacobian(psi: TruncatedMap, ctx: LiftContext, u, v) -> np.ndarray:
     w = (xi(u, ctx) + v).reshape(ctx.q, ctx.n)
     Js = psi.jacobian(w)
     m = ctx.dim_u
-    Cb = ctx.complement_basis
 
     def blockwise(B):
         B = B.reshape(ctx.q, ctx.n, -1)
         return (Js @ B).reshape(ctx.q * ctx.n, -1)
 
-    rhs = np.hstack([blockwise(ctx.xi_matrix @ ctx.U_basis),
-                     blockwise(Cb) - ctx.sigma @ Cb])
-    coords = scipy.linalg.lu_solve(ctx.blend_lu, rhs)
+    rhs = np.hstack([blockwise(ctx.xi_basis),
+                     blockwise(ctx.complement_basis) - ctx.sigma_complement])
+    coords = lu_solve(ctx.blend_lu, rhs)
     a_u, F_u = coords[:m, :m], coords[m:, :m]
     a_v, F_v = coords[:m, m:], coords[m:, m:]
     try:

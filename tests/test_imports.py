@@ -1,6 +1,6 @@
-"""Package hygiene: every name a package module imports is used in it, and
+"""Package hygiene: every name a package module imports is used in it,
 every module-level private function or class is referenced somewhere in
-the package."""
+the package, and factored systems are solved only by linalg.lu_solve."""
 import ast
 from pathlib import Path
 
@@ -78,3 +78,54 @@ def test_scan_flags_unreferenced_private_helpers():
         "b": "from .a import _imported\nfrom . import a\nX = a._by_attribute\n",
     }
     assert _dead_private_defs(sources) == ["a._recursive", "a._Orphan"]
+
+
+def _scipy_lu_solve_uses(source: str) -> list[int]:
+    """Lines of `source` that import or call scipy.linalg.lu_solve, under
+    any name the module binds to scipy.linalg."""
+    tree = ast.parse(source)
+    modules = {"scipy.linalg"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names
+                           if a.name == "scipy.linalg" and a.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name == "linalg")
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            return f"{dotted(node.value)}.{node.attr}"
+        return ""
+
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.startswith("scipy.linalg")
+                and any(a.name == "lu_solve" for a in node.names)):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "lu_solve"
+              and dotted(node.value) in modules):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_scipy_lu_solve():
+    package = Path(eqnf.__file__).parent
+    uses = [f"{path.stem}:{line}" for path in sorted(package.glob("*.py"))
+            for line in _scipy_lu_solve_uses(path.read_text(encoding="utf-8"))]
+    assert uses == []
+
+
+def test_scan_flags_scipy_lu_solve_under_any_name():
+    source = ("import scipy.linalg\nimport scipy.linalg as sla\n"
+              "from scipy import linalg as spl\n"
+              "from scipy.linalg import lu_solve as solve\n"
+              "from .linalg import lu_solve\nfrom . import linalg\n"
+              "a = scipy.linalg.lu_solve\nb = sla.lu_solve\nc = spl.lu_solve\n"
+              "d = lu_solve\ne = linalg.lu_solve\n"
+              "f = scipy.linalg.lu_factor\n"
+              '"""scipy.linalg.lu_solve in a docstring is not a use"""\n')
+    assert _scipy_lu_solve_uses(source) == [4, 7, 8, 9]

@@ -1,14 +1,21 @@
 """Dense linear-algebra layer: decompositions, bases, logs, inner products."""
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
 
-from eqnf.errors import (NoConvergence, NoRealLogarithm, NotSemisimple,
-                         NotUnipotent, SingularInput)
+from eqnf.errors import (DimensionMismatch, NoConvergence, NonFinite,
+                         NoRealLogarithm, NotSemisimple, NotUnipotent,
+                         SingularInput)
 from eqnf.linalg import (AdaptedInnerProduct, fd_jacobian, image_basis,
-                         jordan_chevalley, kernel_basis, matrix_log_unipotent,
-                         newton, nullspace, rank_tolerance, real_log,
-                         require_invertible, su_decomposition)
+                         jordan_chevalley, kernel_basis, lu_solve,
+                         matrix_log_unipotent, newton, nullspace,
+                         rank_tolerance, real_log, require_invertible,
+                         su_decomposition)
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
+                             database=None)
 
 
 def _is_semisimple(S, tol=1e-8):
@@ -285,3 +292,46 @@ def test_fd_jacobian_matches_polynomial_jacobian(rand_map):
         J = fd_jacobian(F.evaluate, x)
         assert J.shape == (3, 3)
         assert np.max(np.abs(J - F.jacobian(x))) < 1e-8 * max(1.0, np.max(np.abs(J)))
+
+
+# ---------------------------------------------------------------------------
+# LU solve against scipy's wrapper around the same LAPACK routine
+
+def _lu_case(seed, n, cols):
+    """Factors of a random n x n matrix and a right-hand side: 1-D when
+    cols is None, else n x cols."""
+    rng = np.random.default_rng(seed)
+    lu_piv = scipy.linalg.lu_factor(rng.standard_normal((n, n)) + n * np.eye(n))
+    return lu_piv, rng.standard_normal(n if cols is None else (n, cols))
+
+
+@PROPERTY_SETTINGS
+@example(0, 1, None)
+@example(0, 12, 0)
+@example(0, 12, 4)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+       st.one_of(st.none(), st.integers(0, 4)))
+def test_property_lu_solve_matches_scipy_bitwise(seed, n, cols):
+    lu_piv, b = _lu_case(seed, n, cols)
+    x = lu_solve(lu_piv, b)
+    ref = scipy.linalg.lu_solve(lu_piv, b)
+    assert x.shape == ref.shape and x.dtype == ref.dtype
+    assert np.array_equal(x, ref)
+    # the memory order of b does not change the answer
+    assert np.array_equal(lu_solve(lu_piv, np.asfortranarray(b)), ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cols", [None, 3])
+def test_lu_solve_rejects_non_finite_right_hand_side(bad, cols):
+    lu_piv, b = _lu_case(1, 5, cols)
+    b[(2,) if cols is None else (2, 1)] = bad
+    with pytest.raises(NonFinite):
+        lu_solve(lu_piv, b)
+
+
+@pytest.mark.parametrize("shape", [(4,), (6,), (4, 2), (0, 2)])
+def test_lu_solve_rejects_row_count_mismatch(shape):
+    lu_piv, _ = _lu_case(2, 5, None)
+    with pytest.raises(DimensionMismatch):
+        lu_solve(lu_piv, np.ones(shape))

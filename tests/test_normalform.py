@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from eqnf.corpus import (instance_block_swap, instance_nilpotent_kron,
                          instance_rot_reflect, instance_sign_z2,
                          instance_swap2, nf_form_family, planted_q2,
-                         planted_q4, random_semisimple_instance, rotation)
+                         planted_q4, random_group_with_characters,
+                         random_semisimple_instance, rotation)
 from eqnf.errors import NotEquivariant
 from eqnf.groups import (GroupData, extended_group, invariant_inner_product,
                          is_chi_equivariant_linear, project_map,
@@ -114,6 +115,25 @@ def test_property_admissible_basis_random_skeletons(seed, j, mode):
     S0, gd = random_semisimple_instance(np.random.default_rng(seed))
     ip = invariant_inner_product(S0, gd)
     _check_admissible_against_oracle(S0, gd, ip, j, mode)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_property_hk_projection_random_groups(seed, j):
+    # P_chi is the chi-isotypic projection on degree-j layers: idempotent,
+    # P_chi Ad_j(g) = chi(g) P_chi, and the two distinct characters of a
+    # random group project onto complementary pieces
+    gd1, gd2 = random_group_with_characters(np.random.default_rng(seed))
+    projections = [hk_projection(gd, j, "chi") for gd in (gd1, gd2)]
+    ads = [adk_operator(g, j) for g in gd1.elements]
+    scale = max(1.0, max(float(np.max(np.abs(ad))) for ad in ads))
+    for gd, P in zip((gd1, gd2), projections):
+        assert np.max(np.abs(P @ P - P)) <= 1e-12 * scale
+        for chi, ad in zip(gd.char, ads):
+            assert np.max(np.abs(P @ ad - chi * P)) <= 1e-12 * scale
+    P1, P2 = projections
+    assert np.max(np.abs(P1 @ P2)) <= 1e-12 * scale
+    assert np.max(np.abs(P2 @ P1)) <= 1e-12 * scale
 
 
 def _linear_nf(A, A0, gd, ip, mode="semisimple"):

@@ -10,7 +10,7 @@ from eqnf.corpus import (binomial_shear_family, binomial_shear_group,
                          instance_swap2, nf_form_family, planted_q1,
                          planted_q2, planted_q4, rotation)
 from eqnf.errors import (InvariantViolation, InverseNewtonFailed, NoConvergence,
-                         NotInU, SlopeTestFailed)
+                         NonFinite, NotInU, SlopeTestFailed)
 from eqnf.groups import GroupData
 from eqnf.linalg import fd_jacobian
 from eqnf.normalform import nilpotent_nf, semisimple_nf
@@ -284,6 +284,27 @@ def test_vstar_failure_names_the_stage():
     with pytest.raises(NoConvergence,
                        match=r"v\* at \|u\| = 1\.000e-01: residual .* after 0 iterations"):
         solve_vstar(p.family, ctx, np.array([0.1, 0.0]), [0.02], max_iter=0)
+
+
+def test_vstar_rejects_non_finite_map():
+    # a NaN coefficient makes every lifted image NaN; the v* solve must
+    # raise the typed error, and the periodic search must not take it for
+    # a seed that failed to converge
+    inst = instance_block_swap(3)
+    base = equivariant_family(inst, 3, np.random.default_rng(2))
+
+    def poisoned(lam):
+        F = base.at(lam)
+        F.layers[2][1, 3] = np.nan
+        return F
+
+    family = MapFamily(poisoned, 4, 3)
+    ctx = build_lift(inst.A0, inst.S0, inst.gd, 3)
+    u = 0.01 * ctx.U_basis[:, 0]
+    with pytest.raises(NonFinite):
+        solve_vstar(family, ctx, u, [0.01])
+    with pytest.raises(NonFinite):
+        find_periodic(family, ctx, [[0.01]], 0.02, seeds_per_axis=2)
 
 
 def test_radius_guard_message():
