@@ -26,6 +26,7 @@ from .reduction import (_reduced_jacobian, build_lift, find_periodic,
                         ghat_vstar_identity_check, reduced_map, solve_vstar)
 
 DEFAULT_TOL = 1e-9
+TERM_CUTOFF = 1e-12  # reported map terms leave out smaller coefficients
 
 
 class ParseFailure(Exception):
@@ -46,7 +47,16 @@ class Problem:
     mode: str | None
 
 
+def _field(name: str, convert, value):
+    """convert(value); a conversion error is a ParseFailure naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseFailure(f"{name}: {exc}") from exc
+
+
 def _terms_to_map(n: int, order: int, terms) -> TruncatedMap:
+    terms = _field("map.terms", list, terms)
     recs = []
     for i, t in enumerate(terms):
         try:
@@ -73,12 +83,15 @@ def load_problem(path: str, args) -> Problem:
     map_spec = doc.get("map")
     if map_spec is None:
         raise ParseFailure("missing field: map")
+    if not isinstance(map_spec, dict):
+        raise ParseFailure(f"map must be an object, got {map_spec!r}")
 
-    order = int(args.order if args.order is not None else doc.get("order", 3))
+    order = _field("order", int, args.order if args.order is not None
+                   else doc.get("order", 3))
     if order < 1:
         raise ParseFailure("order must be >= 1")
 
-    builtin = map_spec.get("builtin") if isinstance(map_spec, dict) else None
+    builtin = map_spec.get("builtin")
     if builtin is not None:
         if builtin != "binomial-shear":
             raise ParseFailure(f"unknown builtin map {builtin!r}")
@@ -87,14 +100,12 @@ def load_problem(path: str, args) -> Problem:
         gd = corpus.binomial_shear_group()
         default_q = 1
     else:
-        try:
-            n = int(doc["dimension"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseFailure(f"dimension: {exc}") from exc
+        n = _field("dimension", int, doc.get("dimension"))
         base = _terms_to_map(n, order, map_spec.get("terms", []))
-        slopes = [_terms_to_map(n, order, s)
-                  for s in map_spec.get("parameter_slopes", [])]
-        family = AffineMapFamily(base, slopes)
+        slopes = _field("map.parameter_slopes", list,
+                        map_spec.get("parameter_slopes", []))
+        family = AffineMapFamily(base, [_terms_to_map(n, order, s)
+                                        for s in slopes])
         group_spec = doc.get("group")
         if not isinstance(group_spec, dict):
             raise ParseFailure("missing field: group")
@@ -110,25 +121,30 @@ def load_problem(path: str, args) -> Problem:
             raise ParseFailure(f"group: {exc}") from exc
         default_q = 1
 
-    q = int(args.period if args.period is not None else doc.get("q", default_q))
+    q = _field("q", int, args.period if args.period is not None
+               else doc.get("q", default_q))
     if q < 1:
         raise ParseFailure("q must be >= 1")
 
     if args.lambda_grid is not None:
         grid = parse_lambda_grid(args.lambda_grid)
     else:
-        grid = [list(np.atleast_1d(np.asarray(v, dtype=float)))
-                for v in doc.get("lambda_grid", [[0.0]])]
+        grid = _field("lambda_grid", lambda vs: [
+            list(np.atleast_1d(np.asarray(v, dtype=float))) for v in vs],
+            doc.get("lambda_grid", [[0.0]]))
+    if not grid:
+        raise ParseFailure("lambda_grid must have at least one entry")
     nparams = getattr(family, "nparams", 1)
     for g in grid:
         if len(g) != nparams:
             raise ParseFailure(
                 f"lambda grid entry {g} has {len(g)} values, expected {nparams}")
 
-    tol = float(args.tol if args.tol is not None else doc.get("tol", DEFAULT_TOL))
-    radius = float(args.radius if args.radius is not None
-                   else doc.get("radius", 0.1))
-    box = float(doc.get("search_box", 0.05))
+    tol = _field("tol", float, args.tol if args.tol is not None
+                 else doc.get("tol", DEFAULT_TOL))
+    radius = _field("radius", float, args.radius if args.radius is not None
+                    else doc.get("radius", 0.1))
+    box = _field("search_box", float, doc.get("search_box", 0.05))
     mode = doc.get("mode")
     if mode not in (None, "nilpotent", "semisimple"):
         raise ParseFailure(f"mode must be nilpotent or semisimple, got {mode!r}")
@@ -156,11 +172,11 @@ def _matrix_obj(M):
     return [[float(v) for v in row] for row in np.atleast_2d(M)]
 
 
-def _map_terms_obj(F: TruncatedMap, tol: float = 1e-12):
+def _map_terms_obj(F: TruncatedMap):
     return [{"component": int(t["component"]),
              "exponents": [int(e) for e in t["exponents"]],
              "coefficient": float(t["coefficient"])}
-            for t in F.to_terms(tol)]
+            for t in F.to_terms(TERM_CUTOFF)]
 
 
 def _emit(doc: dict, args) -> None:

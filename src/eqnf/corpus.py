@@ -22,6 +22,11 @@ from .polymap import (MapFamily, TruncatedMap, adk_operator, exp_vf, hk_dim,
                       num_monomials)
 
 
+FIELD_AMP = 0.25  # scale of the random coefficients of a family's fields
+LAMBDA_AMP = 0.2  # and of their lambda-slopes
+RANDOM_GROUP_MAX_DIM = 5
+
+
 def rotation(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
@@ -132,8 +137,7 @@ def instance_nilpotent_kron(q: int = 4) -> Instance:
 # ---------------------------------------------------------------------------
 # random equivariant families
 
-def equivariant_family(inst: Instance, order: int, rng, amp: float = 0.25,
-                       lam_amp: float = 0.2) -> MapFamily:
+def equivariant_family(inst: Instance, order: int, rng) -> MapFamily:
     """A chi-equivariant family A0 e^{X + lam Y} with random graded fields.
 
     X has no linear layer (so the linear part at lam = 0 is exactly A0);
@@ -142,14 +146,14 @@ def equivariant_family(inst: Instance, order: int, rng, amp: float = 0.25,
     """
     n = inst.A0.shape[0]
     ext = extended_group(inst.gd, inst.A0)
-    tchi = tilde_character(inst.gd, inst.A0, "chi", ext)
+    tchi = tilde_character(inst.gd, "chi", ext)
 
     def graded_field(with_linear: bool) -> TruncatedMap:
         F = TruncatedMap.zero(n, order)
         for d in range(1, order + 1):
             if d == 1 and not with_linear:
                 continue
-            F.layers[d - 1] = amp * rng.standard_normal((n, num_monomials(n, d)))
+            F.layers[d - 1] = FIELD_AMP * rng.standard_normal((n, num_monomials(n, d)))
         return project_map(F, ext, tchi)
 
     X = graded_field(with_linear=False)
@@ -157,17 +161,16 @@ def equivariant_family(inst: Instance, order: int, rng, amp: float = 0.25,
     A0 = inst.A0
 
     def fn(lam):
-        field = X + float(lam[0]) * lam_amp * Y
+        field = X + float(lam[0]) * LAMBDA_AMP * Y
         return exp_vf(field, order).linear_left(A0)
 
     fam = MapFamily(fn, n, order, nparams=1)
-    if not is_chi_equivariant_map(fam.at([0.03]), inst.gd, tol=1e-9):
+    if not is_chi_equivariant_map(fam.at([0.03]), inst.gd):
         raise AssertionError("constructed family failed the equivariance check")
     return fam
 
 
-def nf_form_family(inst: Instance, k: int, rng, amp: float = 0.25,
-                   lam_amp: float = 0.2, tail_amp: float = 0.5,
+def nf_form_family(inst: Instance, k: int, rng, tail_amp: float = 0.5,
                    with_tail: bool = True):
     """A family S0 e^{N0 + X_lam + T} already in normal form to order k.
 
@@ -189,8 +192,8 @@ def nf_form_family(inst: Instance, k: int, rng, amp: float = 0.25,
             continue
         Mj = num_monomials(n, j)
         if j >= 2:
-            X_layers[j] = (B @ (amp * rng.standard_normal(B.shape[1]))).reshape(n, Mj)
-        Y_layers[j] = (B @ (lam_amp * rng.standard_normal(B.shape[1]))).reshape(n, Mj)
+            X_layers[j] = (B @ (FIELD_AMP * rng.standard_normal(B.shape[1]))).reshape(n, Mj)
+        Y_layers[j] = (B @ (LAMBDA_AMP * rng.standard_normal(B.shape[1]))).reshape(n, Mj)
 
     T = None
     if with_tail:
@@ -345,12 +348,12 @@ def planted_q1(gamma: float = 0.3) -> PlantedFamily:
 # ---------------------------------------------------------------------------
 # random groups and semisimple parts for the projection / inner-product suites
 
-def random_group_with_characters(rng, n_max: int = 5):
+def random_group_with_characters(rng):
     """A random finite group with two distinct (hence orthogonal) plus-minus
     characters; returns (gd1, gd2) sharing elements and order."""
     kind = rng.integers(0, 3)
     if kind == 0:
-        n = int(rng.integers(1, n_max + 1))
+        n = int(rng.integers(1, RANDOM_GROUP_MAX_DIM + 1))
         eps1 = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         if np.all(eps1 == 1.0):
             eps1[0] = -1.0
@@ -369,7 +372,7 @@ def random_group_with_characters(rng, n_max: int = 5):
             if chars1 == chars2:
                 chars2[0] = 1.0
     elif kind == 1:
-        n = int(rng.integers(2, n_max + 1))
+        n = int(rng.integers(2, RANDOM_GROUP_MAX_DIM + 1))
         q = int(rng.integers(2, 5))
         R = np.eye(n)
         R[:2, :2] = rotation(2 * math.pi / q)
@@ -379,7 +382,7 @@ def random_group_with_characters(rng, n_max: int = 5):
         chars1 = [1.0, -1.0]
         chars2 = [1.0, 1.0]
     else:
-        n = max(2, int(rng.integers(2, n_max + 1)))
+        n = max(2, int(rng.integers(2, RANDOM_GROUP_MAX_DIM + 1)))
         P = np.eye(n)[:, list(range(1, 2)) + [0] + list(range(2, n))]
         gens = [P, -np.eye(n)]
         chars1 = [-1.0, 1.0]

@@ -16,8 +16,9 @@ from .errors import (BadCharacter, DimensionMismatch, InvariantViolation,
 from .linalg import (AdaptedInnerProduct, as_square, kernel_basis,
                      require_invertible, _cluster_means)
 
-MATCH_TOL = 1e-9
+MATCH_TOL = 1e-9  # two matrices match to MATCH_TOL * (1 + max|M|)
 MAX_GROUP_ORDER = 10_000
+EQUIVARIANCE_TOL = 1e-9  # GL^chi and map equivariance tests, relative
 
 
 def _find_match(elements: list[np.ndarray], M: np.ndarray, tol: float) -> int | None:
@@ -50,7 +51,7 @@ class GroupData:
         return self.elements[self.inverse_index[i]]
 
     @classmethod
-    def from_elements(cls, elements, char, match_tol: float = MATCH_TOL) -> "GroupData":
+    def from_elements(cls, elements, char) -> "GroupData":
         elements = [as_square(E, "group element") for E in elements]
         char = np.asarray(char, dtype=float)
         if len(char) != len(elements):
@@ -63,11 +64,11 @@ class GroupData:
         table = np.empty((order, order), dtype=np.intp)
         for i in range(order):
             for j in range(order):
-                k = _find_match(elements, elements[i] @ elements[j], match_tol)
+                k = _find_match(elements, elements[i] @ elements[j], MATCH_TOL)
                 if k is None:
                     raise NotClosed(f"product of elements {i} and {j} is not in the set")
                 table[i, j] = k
-        ident = _find_match(elements, np.eye(n), match_tol)
+        ident = _find_match(elements, np.eye(n), MATCH_TOL)
         if ident is None:
             raise NotClosed("identity matrix missing from the element list")
         inv = np.full(order, -1, dtype=np.intp)
@@ -81,7 +82,6 @@ class GroupData:
 
     @classmethod
     def from_generators(cls, generators, gen_chars,
-                        match_tol: float = MATCH_TOL,
                         max_order: int = MAX_GROUP_ORDER) -> "GroupData":
         """Close the generator set under multiplication (breadth-first)."""
         generators = [as_square(G, "generator") for G in generators]
@@ -98,7 +98,7 @@ class GroupData:
                 for G, c in gens:
                     P = elements[i] @ G
                     pc = chars[i] * c
-                    k = _find_match(elements, P, match_tol)
+                    k = _find_match(elements, P, MATCH_TOL)
                     if k is None:
                         elements.append(P)
                         chars.append(pc)
@@ -112,7 +112,7 @@ class GroupData:
                             f"character value conflict at element {k}: "
                             f"{chars[k]} vs {pc}")
             frontier = new_frontier
-        return cls.from_elements(elements, chars, match_tol)
+        return cls.from_elements(elements, chars)
 
     @classmethod
     def trivial(cls, n: int) -> "GroupData":
@@ -131,7 +131,7 @@ class ExtendedGroupData(GroupData):
     provenance: np.ndarray = None
 
 
-def validate_group(gd: GroupData, tol: float = MATCH_TOL) -> list[str]:
+def validate_group(gd: GroupData) -> list[str]:
     """Return the list of violated group invariants (empty means valid)."""
     bad: list[str] = []
     order = gd.order
@@ -139,16 +139,16 @@ def validate_group(gd: GroupData, tol: float = MATCH_TOL) -> list[str]:
         for j in range(order):
             k = gd.mult_table[i, j]
             P = gd.elements[i] @ gd.elements[j]
-            if np.max(np.abs(P - gd.elements[k])) > tol * (1.0 + np.max(np.abs(P))):
+            if np.max(np.abs(P - gd.elements[k])) > MATCH_TOL * (1.0 + np.max(np.abs(P))):
                 bad.append(f"closure fails at ({i},{j})")
-            if abs(gd.char[k] - gd.char[i] * gd.char[j]) > tol:
+            if abs(gd.char[k] - gd.char[i] * gd.char[j]) > MATCH_TOL:
                 bad.append(f"character not multiplicative at ({i},{j})")
-    if np.max(np.abs(gd.elements[gd.identity_index] - np.eye(gd.n))) > tol:
+    if np.max(np.abs(gd.elements[gd.identity_index] - np.eye(gd.n))) > MATCH_TOL:
         bad.append("identity element wrong")
     for i in range(order):
         if gd.mult_table[i, gd.inverse_index[i]] != gd.identity_index:
             bad.append(f"inverse table wrong at {i}")
-    if np.any(np.abs(np.abs(gd.char) - 1.0) > tol):
+    if np.any(np.abs(np.abs(gd.char) - 1.0) > MATCH_TOL):
         bad.append("character values not in {+1,-1}")
     return bad
 
@@ -176,7 +176,8 @@ def project(A, gd: GroupData, char="chi") -> np.ndarray:
     return out / gd.order
 
 
-def is_chi_equivariant_linear(A, gd: GroupData, tol: float = 1e-9) -> bool:
+def is_chi_equivariant_linear(A, gd: GroupData,
+                              tol: float = EQUIVARIANCE_TOL) -> bool:
     """Membership test for GL^chi: g A g^-1 = A^chi(g) for every g."""
     A = require_invertible(A, "A")
     Ainv = np.linalg.inv(A)
@@ -189,13 +190,10 @@ def is_chi_equivariant_linear(A, gd: GroupData, tol: float = 1e-9) -> bool:
     return True
 
 
-def is_chi_equivariant_map(F, gd: GroupData, k: int | None = None,
-                           tol: float = 1e-9) -> bool:
+def is_chi_equivariant_map(F, gd: GroupData) -> bool:
     """Check g o F o g^-1 = F^chi(g) as truncated maps (coefficientwise)."""
     from .polymap import conjugate_linear, inverse_truncated
 
-    if k is not None:
-        F = F.truncated(k)
     Finv = None
     scale = 1.0 + F.max_abs()
     for i in range(gd.order):
@@ -206,7 +204,7 @@ def is_chi_equivariant_map(F, gd: GroupData, k: int | None = None,
             if Finv is None:
                 Finv = inverse_truncated(F)
             rhs = Finv
-        if not lhs.allclose(rhs, tol * scale):
+        if not lhs.allclose(rhs, EQUIVARIANCE_TOL * scale):
             return False
     return True
 
@@ -223,10 +221,11 @@ def project_map(F, gd: GroupData, char="chi"):
     return out * (1.0 / gd.order)
 
 
-def extended_group(gd: GroupData, A0, tol: float = 1e-9) -> ExtendedGroupData:
-    """Elements {g : chi(g)=1} together with {g A0 : chi(g)=-1}."""
+def extended_group(gd: GroupData, A0) -> ExtendedGroupData:
+    """Elements {g : chi(g)=1} together with {g A0 : chi(g)=-1}, closed and
+    tabulated as GroupData.from_elements does."""
     A0 = require_invertible(A0, "A0")
-    if not is_chi_equivariant_linear(A0, gd, tol):
+    if not is_chi_equivariant_linear(A0, gd):
         raise NotEquivariant("A0 is not in GL^chi for the given group")
     elements, base, prov = [], [], []
     for i in range(gd.order):
@@ -236,34 +235,19 @@ def extended_group(gd: GroupData, A0, tol: float = 1e-9) -> ExtendedGroupData:
             elements.append(gd.elements[i] @ A0)
         base.append(i)
         prov.append(gd.char[i])
-    table = np.empty((len(elements), len(elements)), dtype=np.intp)
-    for i in range(len(elements)):
-        for j in range(len(elements)):
-            k = _find_match(elements, elements[i] @ elements[j], tol)
-            if k is None:
-                raise NotClosed(f"extended set not closed at ({i},{j})")
-            table[i, j] = k
-    ident = _find_match(elements, np.eye(gd.n), tol)
-    if ident is None:
-        raise NotClosed("extended set lost the identity")
-    inv = np.array([int(np.nonzero(table[i] == ident)[0][0]) for i in range(len(elements))],
-                   dtype=np.intp)
-    return ExtendedGroupData(elements=elements, char=np.ones(len(elements)),
-                             mult_table=table, identity_index=ident,
-                             inverse_index=inv, base_index=np.asarray(base, dtype=np.intp),
+    group = GroupData.from_elements(elements, np.ones(len(elements)))
+    return ExtendedGroupData(**vars(group),
+                             base_index=np.asarray(base, dtype=np.intp),
                              provenance=np.asarray(prov))
 
 
-def tilde_character(gd: GroupData, A0, alpha,
-                    ext: ExtendedGroupData | None = None) -> np.ndarray:
-    """Push a character alpha of G to the extended group.
+def tilde_character(gd: GroupData, alpha, ext: ExtendedGroupData) -> np.ndarray:
+    """Push a character alpha of G to the extended group ext of G and A0.
 
     alpha~(h) = alpha(h) on chi=1 elements, alpha~(g A0) = alpha(g); verified
     multiplicative on the extended multiplication table.
     """
     alpha = _resolve_char(gd, alpha)
-    if ext is None:
-        ext = extended_group(gd, A0)
     values = alpha[ext.base_index]
     for i in range(ext.order):
         for j in range(ext.order):
@@ -277,7 +261,7 @@ def tilde_character(gd: GroupData, A0, alpha,
 # ---------------------------------------------------------------------------
 # adapted inner product (spectral construction + group averaging)
 
-def invariant_inner_product(S0, gd: GroupData, tol: float = 1e-9) -> AdaptedInnerProduct:
+def invariant_inner_product(S0, gd: GroupData) -> AdaptedInnerProduct:
     """Inner product making S0 normal, every g orthogonal, and the adjoint
     satisfy g S0* = (S0*)^chi(g) g.
 
@@ -287,7 +271,7 @@ def invariant_inner_product(S0, gd: GroupData, tol: float = 1e-9) -> AdaptedInne
     """
     S0 = require_invertible(S0, "S0")
     n = S0.shape[0]
-    if not is_chi_equivariant_linear(S0, gd, tol=max(tol, 1e-8)):
+    if not is_chi_equivariant_linear(S0, gd, tol=1e-8):
         raise NotEquivariant("S0 is not in GL^chi for the given group")
     eigs = np.linalg.eigvals(S0)
     scale = max(1.0, float(np.max(np.abs(eigs))))
@@ -299,7 +283,7 @@ def invariant_inner_product(S0, gd: GroupData, tol: float = 1e-9) -> AdaptedInne
     for mu in means:
         if abs(mu.imag) <= 1e-7 * scale:
             lam = mu.real
-            B = kernel_basis(S0 - lam * np.eye(n), tol=None)
+            B = kernel_basis(S0 - lam * np.eye(n))
             if B.shape[1] == 0:
                 raise NotSemisimple(f"empty eigenspace for eigenvalue {lam}")
             bases.append(B)
@@ -311,7 +295,7 @@ def invariant_inner_product(S0, gd: GroupData, tol: float = 1e-9) -> AdaptedInne
             seen_conj.add(key)
             alpha, beta = mu.real, abs(mu.imag)
             K = (S0 - alpha * np.eye(n)) @ (S0 - alpha * np.eye(n)) + beta ** 2 * np.eye(n)
-            B = kernel_basis(K, tol=None)
+            B = kernel_basis(K)
             if B.shape[1] == 0:
                 raise NotSemisimple(f"empty real block for eigenvalue pair {mu}")
             bases.append(B)
@@ -343,15 +327,14 @@ def invariant_inner_product(S0, gd: GroupData, tol: float = 1e-9) -> AdaptedInne
     # postconditions
     S0s = ip.adjoint(S0)
     snorm = max(1.0, np.linalg.norm(S0) ** 2)
-    check_tol = max(tol, 1e-9)
-    if np.linalg.norm(S0 @ S0s - S0s @ S0) > check_tol * snorm:
+    if np.linalg.norm(S0 @ S0s - S0s @ S0) > 1e-9 * snorm:
         raise InvariantViolation("adapted product failed to make S0 normal")
     S0s_inv = np.linalg.inv(S0s)
     for i in range(gd.order):
         g = gd.elements[i]
-        if np.linalg.norm(ip.adjoint(g) @ g - np.eye(n)) > check_tol * max(1.0, np.linalg.norm(g) ** 2):
+        if np.linalg.norm(ip.adjoint(g) @ g - np.eye(n)) > 1e-9 * max(1.0, np.linalg.norm(g) ** 2):
             raise InvariantViolation("adapted product failed to make the group orthogonal")
         target = S0s if gd.char[i] > 0 else S0s_inv
-        if np.linalg.norm(g @ S0s - target @ g) > check_tol * snorm:
+        if np.linalg.norm(g @ S0s - target @ g) > 1e-9 * snorm:
             raise InvariantViolation("adapted product failed the twisted adjoint identity")
     return ip

@@ -25,6 +25,11 @@ from .errors import (DimensionMismatch, NoConvergence, NonFinite,
 RANK_TOL_FACTOR = 1e3
 # Semisimplicity proxy: eigenvector-matrix condition number limit.
 EIGVEC_COND_LIMIT = 1e8
+UNIPOTENT_TOL = 1e-7  # (U - I)^n negligible, relative to max(1, |U - I|)^n
+REAL_LOG_TOL = 1e-9  # imaginary part of a real logarithm, relative
+JC_TOL = 1e-10  # Jordan-Chevalley postconditions, relative
+JC_CLUSTER_FACTORS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-3)  # x spectral radius
+SQUAREFREE_MAX_ITER = 60
 
 
 def as_square(A, name: str = "matrix") -> np.ndarray:
@@ -36,9 +41,9 @@ def as_square(A, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def rank_tolerance(s, n: int, factor: float = RANK_TOL_FACTOR) -> float:
+def rank_tolerance(s, n: int) -> float:
     smax = float(s[0]) if len(s) else 0.0
-    return max(n, 1) * np.finfo(float).eps * max(smax, 1.0) * factor
+    return max(n, 1) * np.finfo(float).eps * max(smax, 1.0) * RANK_TOL_FACTOR
 
 
 def require_invertible(A, name: str = "matrix") -> np.ndarray:
@@ -51,12 +56,12 @@ def require_invertible(A, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def kernel_basis(L, tol: float | None = None) -> np.ndarray:
+def kernel_basis(L) -> np.ndarray:
     """Orthonormal basis (columns) of ker L for square L, by SVD."""
-    return nullspace(as_square(L, "operator"), tol)
+    return nullspace(as_square(L, "operator"))
 
 
-def image_basis(M, tol: float | None = None) -> np.ndarray:
+def image_basis(M) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of M, by SVD."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if not np.all(np.isfinite(M)):
@@ -64,25 +69,21 @@ def image_basis(M, tol: float | None = None) -> np.ndarray:
     if M.shape[1] == 0:
         return np.zeros((M.shape[0], 0))
     u, s, _ = np.linalg.svd(M)
-    if tol is None:
-        tol = rank_tolerance(s, max(M.shape))
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > rank_tolerance(s, max(M.shape))))
     return u[:, :rank].copy()
 
 
-def nullspace(M, tol: float | None = None) -> np.ndarray:
+def nullspace(M) -> np.ndarray:
     """Orthonormal basis of the right null space of a rectangular matrix."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] == 0:
         return np.eye(M.shape[1])
     _, s, vh = np.linalg.svd(M, full_matrices=True)
-    if tol is None:
-        tol = rank_tolerance(s, max(M.shape))
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > rank_tolerance(s, max(M.shape))))
     return vh[rank:].T.copy()
 
 
-def matrix_log_unipotent(U, tol: float = 1e-9) -> np.ndarray:
+def matrix_log_unipotent(U) -> np.ndarray:
     """Log of a unipotent matrix via the finite Mercator series.
 
     Raises NotUnipotent when (U - I)^n is not negligible.
@@ -91,7 +92,7 @@ def matrix_log_unipotent(U, tol: float = 1e-9) -> np.ndarray:
     n = U.shape[0]
     M = U - np.eye(n)
     scale = max(1.0, np.linalg.norm(M)) ** n
-    if np.linalg.norm(np.linalg.matrix_power(M, n)) > tol * scale:
+    if np.linalg.norm(np.linalg.matrix_power(M, n)) > UNIPOTENT_TOL * scale:
         raise NotUnipotent(f"(U - I)^{n} not negligible; no unipotent logarithm")
     out = np.zeros_like(M)
     P = np.eye(n)
@@ -101,7 +102,7 @@ def matrix_log_unipotent(U, tol: float = 1e-9) -> np.ndarray:
     return out
 
 
-def real_log(A, tol: float = 1e-9) -> np.ndarray:
+def real_log(A) -> np.ndarray:
     """Principal real logarithm of a matrix near the identity (or unipotent).
 
     Only the unipotent-compatible / near-identity case is supported; a
@@ -113,9 +114,9 @@ def real_log(A, tol: float = 1e-9) -> np.ndarray:
     n = A.shape[0]
     M = A - np.eye(n)
     if np.linalg.norm(np.linalg.matrix_power(M, n)) <= 1e-13 * max(1.0, np.linalg.norm(M)) ** n:
-        return matrix_log_unipotent(A, tol=1e-7)
+        return matrix_log_unipotent(A)
     L = scipy.linalg.logm(A)
-    if np.max(np.abs(np.imag(L))) > tol * max(1.0, np.max(np.abs(L))):
+    if np.max(np.abs(np.imag(L))) > REAL_LOG_TOL * max(1.0, np.max(np.abs(L))):
         raise NoRealLogarithm("principal logarithm has a non-negligible imaginary part")
     return np.real(L)
 
@@ -179,13 +180,13 @@ def _polyval_matrix(coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _newton_squarefree(A: np.ndarray, means: list[complex], imag_tol: float,
-                       max_iter: int = 60) -> np.ndarray:
+def _newton_squarefree(A: np.ndarray, means: list[complex],
+                       imag_tol: float) -> np.ndarray:
     f = _squarefree_from_means(means, imag_tol)
     df = np.polyder(f)
     S = A.copy()
     scale = max(1.0, np.linalg.norm(A))
-    for _ in range(max_iter):
+    for _ in range(SQUAREFREE_MAX_ITER):
         F = _polyval_matrix(f, S)
         dF = _polyval_matrix(df, S)
         try:
@@ -198,14 +199,14 @@ def _newton_squarefree(A: np.ndarray, means: list[complex], imag_tol: float,
     return S
 
 
-def _validate_jc(A: np.ndarray, S: np.ndarray, tol: float) -> bool:
+def _validate_jc(A: np.ndarray, S: np.ndarray) -> bool:
     n = A.shape[0]
     N = A - S
     scale = max(1.0, np.linalg.norm(A)) ** 2
-    if np.linalg.norm(S @ N - N @ S) > tol * scale:
+    if np.linalg.norm(S @ N - N @ S) > JC_TOL * scale:
         return False
     npow = max(1.0, np.linalg.norm(N)) ** n
-    if np.linalg.norm(np.linalg.matrix_power(N, n)) > tol * npow:
+    if np.linalg.norm(np.linalg.matrix_power(N, n)) > JC_TOL * npow:
         return False
     # semisimplicity of S via eigenvector conditioning
     try:
@@ -217,8 +218,7 @@ def _validate_jc(A: np.ndarray, S: np.ndarray, tol: float) -> bool:
     return True
 
 
-def jordan_chevalley(A, tol: float = 1e-10,
-                     cluster_factors=(1e-10, 1e-8, 1e-6, 1e-4, 1e-3)) -> JCDecomposition:
+def jordan_chevalley(A) -> JCDecomposition:
     """Split A = S + N with S semisimple, N nilpotent, SN = NS.
 
     Newton iteration on the squarefree part of the characteristic polynomial;
@@ -229,17 +229,17 @@ def jordan_chevalley(A, tol: float = 1e-10,
     A = require_invertible(A, "A")
     eigs = np.linalg.eigvals(A)
     scale = max(1.0, float(np.max(np.abs(eigs))))
-    for factor in cluster_factors:
+    for factor in JC_CLUSTER_FACTORS:
         ctol = factor * scale
         means = _cluster_means(eigs, ctol)
         try:
             S = _newton_squarefree(A, means, imag_tol=ctol)
         except NoConvergence:
             continue
-        if _validate_jc(A, S, tol):
+        if _validate_jc(A, S):
             return JCDecomposition(S=S, N=A - S)
     # fallback: eigendecomposition with clustered eigenvalues replaced by means
-    for factor in cluster_factors:
+    for factor in JC_CLUSTER_FACTORS:
         ctol = factor * scale
         means = _cluster_means(eigs, ctol)
         w, V = np.linalg.eig(A)
@@ -248,17 +248,17 @@ def jordan_chevalley(A, tol: float = 1e-10,
             S = np.real(V @ np.diag(mapped) @ np.linalg.inv(V))
         except np.linalg.LinAlgError:
             continue
-        if _validate_jc(A, S, tol):
+        if _validate_jc(A, S):
             return JCDecomposition(S=S, N=A - S)
     raise NoConvergence("jordan_chevalley: no clustering tolerance produced a valid splitting")
 
 
-def su_decomposition(A, tol: float = 1e-10) -> SUDecomposition:
+def su_decomposition(A) -> SUDecomposition:
     """Multiplicative splitting A = S exp(L), L = log(I + S^-1 N) nilpotent."""
-    jc = jordan_chevalley(A, tol=tol)
+    jc = jordan_chevalley(A)
     S = require_invertible(jc.S, "semisimple part")
     M = np.linalg.solve(S, jc.N)  # S^-1 N, nilpotent
-    nil_log = matrix_log_unipotent(np.eye(A.shape[0]) + M, tol=1e-7)
+    nil_log = matrix_log_unipotent(np.eye(A.shape[0]) + M)
     return SUDecomposition(S=S, nil_log=nil_log)
 
 

@@ -77,7 +77,7 @@ def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
     if mode == "semisimple":
         ext = extended_group(gd, A0)
         return _admissible_basis(ker_b, j, mode, gd, ext,
-                                 tilde_character(gd, A0, "chi", ext))
+                                 tilde_character(gd, "chi", ext))
     adNs = adk_field(ip.adjoint(su.nil_log), j)
     return _admissible_basis(ker_b @ nullspace(adNs @ ker_b), j, mode, gd,
                              None, None)
@@ -166,7 +166,7 @@ def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str) -> _Degree
 # linear stage
 
 def _linear_newton(A, A0, S0, target_shift, data: _DegreeData, base,
-                   tol: float, max_iter: int, what: str):
+                   what: str):
     """Shared Newton for the linear normal forms.
 
     Drives the unwanted components of W(phi) = log(base^-1 e^phi A e^-phi)
@@ -183,7 +183,7 @@ def _linear_newton(A, A0, S0, target_shift, data: _DegreeData, base,
         return data.unwanted((W - target_shift).reshape(-1)), (phi, W)
 
     _, _, (phi, W) = newton(eval_at, data.lstsq_step, np.zeros(data.unknown.shape[1]),
-                            tol * scale, max_iter, what)
+                            NEWTON_TOL * scale, NEWTON_MAX_ITER, what)
     return phi, W
 
 
@@ -216,7 +216,7 @@ class NormalFormResult:
 
 
 def _newton_degree(psi: TruncatedMap, j: int, data: _DegreeData, base_inv,
-                   k: int, tol: float, max_iter: int):
+                   k: int):
     """Degree-j Newton: returns (conjugated psi, transform factor, residual)."""
     n = psi.n
     Mj = num_monomials(n, j)
@@ -230,16 +230,16 @@ def _newton_degree(psi: TruncatedMap, j: int, data: _DegreeData, base_inv,
         else:
             Phi = TruncatedMap.identity(n, k)
             psi_try = psi
-        W = log_map(psi_try.linear_left(base_inv), tol=1e-14)
+        W = log_map(psi_try.linear_left(base_inv))
         return data.unwanted(W.layer(j).reshape(-1)), (Phi, psi_try)
 
     _, r, (Phi, cur) = newton(eval_at, data.lstsq_step, np.zeros(data.unknown.shape[1]),
-                              tol * scale, max_iter, f"degree {j}")
+                              NEWTON_TOL * scale, NEWTON_MAX_ITER, f"degree {j}")
     return cur, Phi, float(np.max(np.abs(r), initial=0.0))
 
 
 def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
-               lambdas, mode: str, tol: float, max_iter: int) -> NormalFormResult:
+               lambdas, mode: str) -> NormalFormResult:
     A0 = require_invertible(A0, "A0")
     su = su_decomposition(A0)
     S0, N0 = su.S, su.nil_log
@@ -247,7 +247,7 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
     ext = tchi = None
     if mode == "semisimple":
         ext = extended_group(gd, A0)
-        tchi = tilde_character(gd, A0, "chi", ext)
+        tchi = tilde_character(gd, "chi", ext)
     n = A0.shape[0]
     base = A0 if mode == "semisimple" else S0
     base_inv = np.linalg.inv(base)
@@ -263,20 +263,19 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
         psi = family.at(lam).truncated(k)
         A_lam = psi.linear()
         shift = np.zeros((n, n)) if mode == "semisimple" else N0
-        phi_lin, _ = _linear_newton(A_lam, A0, S0, shift, gl_data, base, tol,
-                                    max_iter, f"linear stage at sample {idx}")
+        phi_lin, _ = _linear_newton(A_lam, A0, S0, shift, gl_data, base,
+                                    f"linear stage at sample {idx}")
         T1 = scipy.linalg.expm(phi_lin)
         psi = conjugate_linear(T1, psi)
         transform = TruncatedMap.from_linear(T1, k)
 
         per_deg = [0.0]
         for j in range(2, k + 1):
-            psi, Phi_j, rj = _newton_degree(psi, j, degree_data[j], base_inv,
-                                            k, tol, max_iter)
+            psi, Phi_j, rj = _newton_degree(psi, j, degree_data[j], base_inv, k)
             transform = compose(Phi_j, transform, k)
             per_deg.append(rj)
 
-        W = log_map(psi.linear_left(base_inv), k, tol=1e-14)
+        W = log_map(psi.linear_left(base_inv), k)
         recon = exp_vf(W).linear_left(base)
         residual = max(max(per_deg), (psi - recon).max_abs())
         transforms.append(transform)
@@ -345,16 +344,14 @@ def _nf_diagnostics(mode, S0, N0, Nstar, gd, ext, tchi, k, transforms,
 
 
 def semisimple_nf(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
-                  lambdas=((0.0,),), tol: float = NEWTON_TOL,
-                  max_iter: int = NEWTON_MAX_ITER) -> NormalFormResult:
+                  lambdas=((0.0,),)) -> NormalFormResult:
     """Normalize a family to A0 e^{X} with X commuting with S0 in the Ad
     sense, degree by degree up to k."""
-    return _nf_driver(family, A0, gd, ip, k, lambdas, "semisimple", tol, max_iter)
+    return _nf_driver(family, A0, gd, ip, k, lambdas, "semisimple")
 
 
 def nilpotent_nf(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
-                 lambdas=((0.0,),), tol: float = NEWTON_TOL,
-                 max_iter: int = NEWTON_MAX_ITER) -> NormalFormResult:
+                 lambdas=((0.0,),)) -> NormalFormResult:
     """Normalize a family to S0 e^{N0 + X} with X in ker(Ad(S0)-I) and
     ker(ad(N0*)), degree by degree up to k."""
-    return _nf_driver(family, A0, gd, ip, k, lambdas, "nilpotent", tol, max_iter)
+    return _nf_driver(family, A0, gd, ip, k, lambdas, "nilpotent")

@@ -19,6 +19,8 @@ from .errors import (CkSingular, DimensionMismatch, NonFinite,
                      NonInvertibleLinearPart)
 from .linalg import lu_solve, real_log
 
+LOG_MAP_TOL = 1e-14
+
 
 # ---------------------------------------------------------------------------
 # monomial bookkeeping
@@ -621,12 +623,13 @@ def _linear_part_data(A: np.ndarray) -> _LinearPartData:
     return data
 
 
-def log_map(F: TruncatedMap, k: int | None = None, tol: float = 1e-9) -> TruncatedMap:
+def log_map(F: TruncatedMap, k: int | None = None) -> TruncatedMap:
     """Inverse of exp_vf: the field X with exp_vf(X) = F, degree by degree.
 
     The linear part of F must admit a real logarithm.  real_log, the inverse
     and the factorisations of C_d depend on the linear part alone; they are
-    kept for the most recent linear part and reused while it repeats.
+    kept for the most recent linear part and reused while it repeats.  Up to
+    8 sweeps refine X until max|F - exp_vf(X)| <= LOG_MAP_TOL * max(1, max|F|).
     """
     if k is not None:
         F = F.truncated(k)
@@ -639,7 +642,7 @@ def log_map(F: TruncatedMap, k: int | None = None, tol: float = 1e-9) -> Truncat
             r = (F - exp_vf(X)).layer(d)
             w = lu_solve(data.ck_factor(d), (data.Ainv @ r).reshape(-1))
             X.layers[d - 1] += w.reshape(r.shape)
-        if (F - exp_vf(X)).max_abs() <= tol * scale or F.order == 1:
+        if (F - exp_vf(X)).max_abs() <= LOG_MAP_TOL * scale or F.order == 1:
             break
     return X
 

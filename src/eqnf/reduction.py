@@ -24,6 +24,14 @@ VSTAR_TOL = 1e-12
 VSTAR_MAX_ITER = 60
 DEFAULT_RADIUS = 0.1
 LIFT_CHECK_TOL = 1e-11
+INVERSE_TOL = 1e-11
+PERIODIC_TOL = 1e-10  # determining equation of find_periodic
+PERIODIC_MAX_ITER = 40
+ISOLATION_TOL = 1e-6  # non-isolated: s_min <= ISOLATION_TOL * max(1, s_max)
+KEY_DECIMALS = 8  # rounding that identifies the points of one S0-orbit
+CONSISTENCY_DIRECTIONS = 3  # random directions in U, from a fixed seed
+CONSISTENCY_SEED = 0
+SLOPE_NOISE_FLOOR = 1e-13  # smaller deviations are left out of the slope fit
 
 
 @dataclass
@@ -58,8 +66,8 @@ class LiftContext:
         return self.U_basis.shape[1]
 
 
-def _check(name: str, defect: float, tol: float = LIFT_CHECK_TOL) -> None:
-    if defect > tol:
+def _check(name: str, defect: float) -> None:
+    if defect > LIFT_CHECK_TOL:
         raise InvariantViolation(f"lift identity {name} fails: defect {defect:.3e}")
 
 
@@ -165,8 +173,8 @@ def lifted_apply(psi: TruncatedMap, ctx: LiftContext, w) -> np.ndarray:
     return psi.evaluate(w).reshape(-1)
 
 
-def _vstar_core(psi: TruncatedMap, ctx: LiftContext, u, tol: float,
-                max_iter: int, radius: float):
+def _vstar_core(psi: TruncatedMap, ctx: LiftContext, u, max_iter: int,
+                radius: float):
     """Newton for the complement equation sigma v = Sigma(u, v).
 
     Returns (v*, psi_r(u)); the second output is the xi-part Psi(u, v*).
@@ -189,7 +197,7 @@ def _vstar_core(psi: TruncatedMap, ctx: LiftContext, u, tol: float,
         return coords[m:], (coords[:m], v)
 
     _, _, (a, v) = newton(split, lambda c, r, aux: lu_solve(ctx.J0_lu, r),
-                          np.zeros(nc), tol * max(1.0, unorm), max_iter,
+                          np.zeros(nc), VSTAR_TOL * max(1.0, unorm), max_iter,
                           f"v* at |u| = {unorm:.3e}")
     return v, ctx.U_basis @ a
 
@@ -222,32 +230,29 @@ def _reduced_jacobian(psi: TruncatedMap, ctx: LiftContext, u, v) -> np.ndarray:
         raise NoConvergence(f"singular complement Jacobian: {exc}") from exc
 
 
-def solve_vstar(family, ctx: LiftContext, u, lam, tol: float = VSTAR_TOL,
+def solve_vstar(family, ctx: LiftContext, u, lam,
                 max_iter: int = VSTAR_MAX_ITER,
                 radius: float | None = None) -> np.ndarray:
     """The complement solution v*(u, lambda) in Im(S0_hat - sigma)."""
     psi = family.at(lam)
-    v, _ = _vstar_core(psi, ctx, u, tol, max_iter,
+    v, _ = _vstar_core(psi, ctx, u, max_iter,
                        ctx.radius if radius is None else radius)
     return v
 
 
-def reduced_map(family, ctx: LiftContext, u, lam, tol: float = VSTAR_TOL,
-                max_iter: int = VSTAR_MAX_ITER,
+def reduced_map(family, ctx: LiftContext, u, lam,
                 radius: float | None = None) -> np.ndarray:
     """The reduced map psi_r(u) = Psi(u, v*(u, lambda)), a vector in U."""
     psi = family.at(lam)
-    _, pr = _vstar_core(psi, ctx, u, tol, max_iter,
+    _, pr = _vstar_core(psi, ctx, u, VSTAR_MAX_ITER,
                         ctx.radius if radius is None else radius)
     return pr
 
 
-def xstar(family, ctx: LiftContext, u, lam, tol: float = VSTAR_TOL,
-          max_iter: int = VSTAR_MAX_ITER,
-          radius: float | None = None) -> np.ndarray:
+def xstar(family, ctx: LiftContext, u, lam) -> np.ndarray:
     """The full-space point carried by u: block 0 of xi(u) + v*(u, lambda)."""
     u = np.asarray(u, dtype=float).reshape(-1)
-    v = solve_vstar(family, ctx, u, lam, tol, max_iter, radius)
+    v = solve_vstar(family, ctx, u, lam)
     return u + v[:ctx.n]
 
 
@@ -258,7 +263,7 @@ def make_reduced(family, ctx: LiftContext, radius: float | None = None):
     return reduced
 
 
-def reduced_inverse(ctx: LiftContext, reduced, u, lam, tol: float = 1e-11,
+def reduced_inverse(ctx: LiftContext, reduced, u, lam,
                     max_iter: int = 40) -> np.ndarray:
     """Solve reduced(w, lam) = u for w in U by Newton with an FD Jacobian."""
     u = np.asarray(u, dtype=float).reshape(-1)
@@ -277,7 +282,7 @@ def reduced_inverse(ctx: LiftContext, reduced, u, lam, tol: float = 1e-11,
 
     try:
         c, _, _ = newton(lambda cv: (res(cv), None), step, c0,
-                         tol * max(1.0, float(np.linalg.norm(u))), max_iter,
+                         INVERSE_TOL * max(1.0, float(np.linalg.norm(u))), max_iter,
                          "reduced inverse")
     except NoConvergence as exc:
         raise InverseNewtonFailed(str(exc)) from exc
@@ -308,18 +313,17 @@ class PeriodicPoint:
     jacobian_smin: float
 
 
-def _canonical_key(u, S0, q, decimals=8):
+def _canonical_key(u, S0, q):
     cands = []
     w = u.copy()
     for _ in range(q):
-        cands.append(tuple(np.round(w, decimals) + 0.0))
+        cands.append(tuple(np.round(w, KEY_DECIMALS) + 0.0))
         w = S0 @ w
     return min(cands)
 
 
 def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
-                  seeds_per_axis: int = 5, tol: float = 1e-10,
-                  max_iter: int = 40, isolation_tol: float = 1e-6):
+                  seeds_per_axis: int = 5):
     """Grid-seeded Newton on the determining equation psi_r(u) = S0 u.
 
     search_box is a half-width (scalar or per-U-coordinate array); orbits
@@ -340,8 +344,7 @@ def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
         psi = family.at(lam)
 
         def det_eq(c):
-            v, pr = _vstar_core(psi, ctx, Ub @ c, tol=VSTAR_TOL,
-                                max_iter=VSTAR_MAX_ITER, radius=radius)
+            v, pr = _vstar_core(psi, ctx, Ub @ c, VSTAR_MAX_ITER, radius)
             return Ub.T @ pr - SU @ c, v
 
         def det_jacobian(c, v):
@@ -357,8 +360,8 @@ def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
         accepted = []
         for seed in seeds:
             try:
-                c, r, v = newton(det_eq, det_step, seed, tol, max_iter,
-                                 "periodic seed")
+                c, r, v = newton(det_eq, det_step, seed, PERIODIC_TOL,
+                                 PERIODIC_MAX_ITER, "periodic seed")
             except NoConvergence:
                 continue
             if np.any(np.abs(c) > 1.5 * box + 1e-12):
@@ -376,7 +379,7 @@ def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
             s = (np.linalg.svd(det_jacobian(c, v), compute_uv=False) if m
                  else np.array([1.0]))
             smin = float(s[-1]) if s.size else 1.0
-            isolated = smin > isolation_tol * max(1.0, float(s[0]) if s.size else 1.0)
+            isolated = smin > ISOLATION_TOL * max(1.0, float(s[0]) if s.size else 1.0)
 
             orbit = (xi(u, ctx) + v).reshape(ctx.q, ctx.n)
             x0 = orbit[0]
@@ -394,33 +397,27 @@ def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
     return found
 
 
-def ghat_vstar_identity_check(family, ctx: LiftContext, u, lam, g_index: int,
-                              radius: float | None = None) -> float:
+def ghat_vstar_identity_check(family, ctx: LiftContext, u, lam,
+                              g_index: int) -> float:
     """Residual of the lifted equivariance identity of v*:
 
     g_hat v*(u) = sigma^e v*(g psi_r^e(u)) with e = (1 - chi(g)) / 2.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     psi = family.at(lam)
-    rad = ctx.radius if radius is None else radius
-    v, pr = _vstar_core(psi, ctx, u, VSTAR_TOL, VSTAR_MAX_ITER, rad)
+    v, pr = _vstar_core(psi, ctx, u, VSTAR_MAX_ITER, ctx.radius)
     g = ctx.gd.elements[g_index]
     chi = int(round(ctx.gd.char[g_index]))
     lhs = ctx.g_hat[g_index] @ v
-    if chi == 1:
-        arg = g @ u
-        rhs_v, _ = _vstar_core(psi, ctx, arg, VSTAR_TOL, VSTAR_MAX_ITER, rad)
-        rhs = rhs_v
-    else:
-        arg = g @ pr
-        rhs_v, _ = _vstar_core(psi, ctx, arg, VSTAR_TOL, VSTAR_MAX_ITER, rad)
-        rhs = ctx.sigma @ rhs_v
+    rhs, _ = _vstar_core(psi, ctx, g @ (u if chi == 1 else pr), VSTAR_MAX_ITER,
+                         ctx.radius)
+    if chi != 1:
+        rhs = ctx.sigma @ rhs
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def nf_reduction_consistency(result, ctx: LiftContext, k: int, family=None,
-                             scales=None, directions: int = 3,
-                             noise_floor: float = 1e-13, seed: int = 0) -> dict:
+                             scales=None) -> dict:
     """Check that the reduced map of a normal-formed family agrees with the
     normal form itself on U to order k (log-log slope >= k+1-0.2), and that
     D psi_r(0) carries the near-unit-circle eigenvalues of the linear part.
@@ -428,13 +425,13 @@ def nf_reduction_consistency(result, ctx: LiftContext, k: int, family=None,
     if scales is None:
         scales = np.geomspace(1e-4, 1e-2, 9)
     scales = np.asarray(scales, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CONSISTENCY_SEED)
     Ub = ctx.U_basis
     m = Ub.shape[1]
     base = ctx.S0 if result.mode == "nilpotent" else ctx.A0
 
     dirs = []
-    for _ in range(directions):
+    for _ in range(CONSISTENCY_DIRECTIONS):
         c = rng.standard_normal(m)
         c /= np.linalg.norm(c)
         dirs.append(Ub @ c)
@@ -451,13 +448,13 @@ def nf_reduction_consistency(result, ctx: LiftContext, k: int, family=None,
             worst = 0.0
             for d in dirs:
                 u = s * d
-                _, pr = _vstar_core(psi, ctx, u, VSTAR_TOL, VSTAR_MAX_ITER,
+                _, pr = _vstar_core(psi, ctx, u, VSTAR_MAX_ITER,
                                     max(ctx.radius, 10 * s))
                 worst = max(worst, float(np.max(np.abs(pr - nf_map.evaluate(u)))))
             diffs[si] = worst
         report["max_diffs"].append(diffs.tolist())
 
-        mask = diffs > noise_floor
+        mask = diffs > SLOPE_NOISE_FLOOR
         if np.count_nonzero(mask) < 3:
             report["slopes"].append(None)
         else:

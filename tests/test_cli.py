@@ -184,6 +184,24 @@ def test_parse_failures_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field, extra", [
+    ("order", {"order": "x"}),
+    ("q", {"q": "x"}),
+    ("tol", {"tol": "x"}),
+    ("search_box", {"search_box": "abc"}),
+    ("radius", {"radius": None}),
+    ("lambda_grid", {"lambda_grid": [["a"]]}),
+    ("lambda_grid", {"lambda_grid": []}),
+    ("map", {"map": [1, 2]}),
+    ("map.terms", {"map": {"terms": 5}, "dimension": 2}),
+])
+def test_malformed_field_is_a_parse_error(tmp_path, capsys, field, extra):
+    rc = cli.main(["decompose", _builtin(tmp_path, **extra)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("parse error:") and field in err
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "decompose" in capsys.readouterr().out

@@ -155,9 +155,9 @@ def test_tilde_character_values():
     gd = binomial_shear_group()
     A0 = binomial_shear_matrix()
     ext = extended_group(gd, A0)
-    tchi = tilde_character(gd, A0, "chi", ext)
+    tchi = tilde_character(gd, "chi", ext)
     assert np.max(np.abs(tchi - gd.char[ext.base_index])) < 1e-12
-    triv = tilde_character(gd, A0, "trivial", ext)
+    triv = tilde_character(gd, "trivial", ext)
     assert np.all(triv == 1.0)
 
 

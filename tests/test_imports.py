@@ -1,7 +1,9 @@
 """Package hygiene: every name a package module imports is used in it,
 every module-level private function or class is referenced somewhere in
-the package, and factored systems are solved only by linalg.lu_solve."""
+the package, factored systems are solved only by linalg.lu_solve, and
+every defaulted parameter is set by some call."""
 import ast
+import math
 from pathlib import Path
 
 import eqnf
@@ -129,3 +131,94 @@ def test_scan_flags_scipy_lu_solve_under_any_name():
               "f = scipy.linalg.lu_factor\n"
               '"""scipy.linalg.lu_solve in a docstring is not a use"""\n')
     assert _scipy_lu_solve_uses(source) == [4, 7, 8, 9]
+
+
+def _unset_defaults(package: dict, callers: dict) -> list[str]:
+    """Defaulted parameters of functions defined in `package` (name ->
+    source) that no call in `package` or `callers` passes, by keyword or by
+    position.  Calls are matched to definitions by name; a method's first
+    parameter is not counted, and a class name stands for its __init__."""
+    passed: dict = {}
+    for source in [*package.values(), *callers.values()]:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            entry = passed.setdefault(name, [0, set()])
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            entry[0] = max(entry[0], math.inf if starred else len(node.args))
+            entry[1].update(kw.arg for kw in node.keywords)
+
+    unset = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        methods = {id(stmt): cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for stmt in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = methods.get(id(node))
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            params = node.args.posonlyargs + node.args.args
+            if cls is not None and not static:
+                params = params[1:]
+            name = cls if node.name == "__init__" else node.name
+            qualified = f"{module}.{cls + '.' if cls else ''}{node.name}"
+            positional, keywords = passed.get(name, [0, set()])
+            if None in keywords:  # a **kwargs call may pass any keyword
+                continue
+            first_default = len(params) - len(node.args.defaults)
+            for i, p in enumerate(params[first_default:], first_default):
+                if i >= positional and p.arg not in keywords:
+                    unset.append(f"{qualified}({p.arg})")
+            for p, d in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if d is not None and p.arg not in keywords:
+                    unset.append(f"{qualified}({p.arg})")
+    return unset
+
+
+def _sources(root: Path) -> dict:
+    return {str(path): path.read_text(encoding="utf-8")
+            for path in sorted(root.rglob("*.py"))}
+
+
+def test_no_unset_defaulted_parameters():
+    package = Path(eqnf.__file__).parent
+    tests = Path(__file__).resolve().parent
+    callers = {**_sources(tests), **_sources(tests.parent / "benchmarks")}
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert _unset_defaults(sources, callers) == []
+
+
+def test_scan_flags_defaulted_parameters_no_call_sets():
+    package = {
+        "a": ("def f(x, by_position=1, by_keyword=2, unset=3, *, kw_unset=4):\n"
+              "    return x\n"
+              "class C:\n"
+              "    def __init__(self, a, b=1):\n"
+              "        self.a = a\n"
+              "    def method(self, x, y=2):\n"
+              "        return x\n"
+              "    @staticmethod\n"
+              "    def helper(x, y=3):\n"
+              "        return x\n"
+              "def spread(x, y=1):\n"
+              "    return x\n"
+              "def forwarded(x, y=1):\n"
+              "    return x\n"),
+        "b": ("from .a import C, f\n"
+              "f(1, 2, by_keyword=3)\n"
+              "C(1)\n"
+              "C(1).method(1, 2)\n"
+              "C.helper(1, 2)\n"),
+    }
+    callers = {"tests/t.py": ("spread(*args)\n"
+                              "forwarded(0, **options)\n")}
+    assert _unset_defaults(package, callers) == [
+        "a.f(unset)", "a.f(kw_unset)", "a.C.__init__(b)"]

@@ -5,10 +5,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 
-from eqnf.corpus import (instance_block_swap, instance_nilpotent_kron,
-                         instance_rot_reflect, instance_sign_z2,
-                         instance_swap2, nf_form_family, planted_q2,
-                         planted_q4, random_group_with_characters,
+from eqnf.corpus import (equivariant_family, instance_block_swap,
+                         instance_nilpotent_kron, instance_rot_reflect,
+                         instance_sign_z2, instance_swap2, nf_form_family,
+                         planted_q2, planted_q4, random_group_with_characters,
                          random_semisimple_instance, rotation)
 from eqnf.errors import NotEquivariant
 from eqnf.groups import (GroupData, extended_group, invariant_inner_product,
@@ -16,8 +16,7 @@ from eqnf.groups import (GroupData, extended_group, invariant_inner_product,
                          tilde_character)
 from eqnf.linalg import (image_basis, nullspace, require_invertible,
                          su_decomposition)
-from eqnf.normalform import (NEWTON_MAX_ITER, NEWTON_TOL, _degree_data,
-                             _frozen_operator, _linear_newton,
+from eqnf.normalform import (_degree_data, _frozen_operator, _linear_newton,
                              admissible_exponent_basis, hk_projection,
                              nilpotent_nf, semisimple_nf)
 from eqnf.polymap import (MapFamily, TruncatedMap, ad_conjugate, adk_field,
@@ -72,7 +71,7 @@ def _admissible_oracle(A0, gd, ip, j, mode):
         P = hk_projection(gd, j, "chi")
     else:
         ext = extended_group(gd, A0)
-        P = hk_projection(ext, j, tilde_character(gd, A0, "chi", ext))
+        P = hk_projection(ext, j, tilde_character(gd, "chi", ext))
     pieces.append(image_basis(P))
     return _intersect(pieces, dim), P
 
@@ -149,8 +148,7 @@ def _linear_nf(A, A0, gd, ip, mode="semisimple"):
     S0, N0 = su.S, su.nil_log
     data = _degree_data(1, S0, N0, ip.adjoint(N0), A0, gd, mode)
     shift, base = (np.zeros_like(A), A0) if mode == "semisimple" else (N0, S0)
-    phi, W = _linear_newton(A, A0, S0, shift, data, base, NEWTON_TOL,
-                            NEWTON_MAX_ITER, "linear stage")
+    phi, W = _linear_newton(A, A0, S0, shift, data, base, "linear stage")
     return phi, W - shift
 
 
@@ -207,7 +205,7 @@ def _fd_degree_derivative(psi, base, j, k, eps=1e-6):
             layer = np.zeros(dim)
             layer[c] = sgn
             Phi = exp_vf(TruncatedMap.zero(n, k).with_layer(j, layer.reshape(n, Mj)))
-            W = log_map(ad_conjugate(Phi, psi, k).linear_left(base_inv), tol=1e-14)
+            W = log_map(ad_conjugate(Phi, psi, k).linear_left(base_inv))
             sides.append(W.layer(j).reshape(-1))
         T[:, c] = (sides[0] - sides[1]) / (2 * eps)
     return T
@@ -302,6 +300,15 @@ def test_nilpotent_nf_recovers_planted_families():
         # exponents carry N0 in the linear layer
         assert (res.exponents[0] - nf_field(lam)).max_abs() < 1e-10
         assert np.max(np.abs(res.N0 - inst.N0)) < 1e-10
+
+
+def test_nilpotent_nf_swap2_k6_needs_log_map_refinement():
+    # At k = 6 one ascending log_map sweep leaves round-off that stalls the
+    # degree-6 Newton near 5e-10; the later sweeps refine it away.
+    inst = instance_swap2()
+    fam = equivariant_family(inst, 6, np.random.default_rng(1))
+    res = nilpotent_nf(fam, inst.A0, inst.gd, inst.ip, 6, lambdas=[[0.0]])
+    assert res.residual <= 1e-9
 
 
 def test_nf_diagnostics_contents():

@@ -279,7 +279,7 @@ def test_log_map_roundtrip(rand_map):
     rng = np.random.default_rng(35)
     X = rand_map(rng, 2, 4, amp=0.3)
     X.layers[0] = 0.4 * rng.standard_normal((2, 2))
-    L = log_map(exp_vf(X), tol=1e-14)
+    L = log_map(exp_vf(X))
     assert L.allclose(X, 1e-12)
 
 
@@ -432,7 +432,7 @@ def test_log_map_no_stale_reuse():
     F.layers[2] = 0.1 * np.ones((2, 4))
     G = _rotation_map(-0.7, 4, [[0.0, 0.2, 0.0], [0.1, 0.0, -0.2]])
     first = log_map(F)
-    assert exp_vf(log_map(G, tol=1e-14)).allclose(G, 1e-12)
+    assert exp_vf(log_map(G)).allclose(G, 1e-12)
     again = log_map(F)
     assert all(np.array_equal(a, b) for a, b in zip(first.layers, again.layers))
 
@@ -451,7 +451,7 @@ def test_log_map_reuses_ck_factors(monkeypatch, rand_map):
     monkeypatch.setattr(polymap, "ck_operator", counting_ck_operator)
     # same linear part, other higher layers: nothing is rebuilt
     G = F + rand_map(rng, 2, 4, amp=0.1, with_linear=False)
-    assert exp_vf(log_map(G, tol=1e-14)).allclose(G, 1e-12)
+    assert exp_vf(log_map(G)).allclose(G, 1e-12)
     assert built == []
     # a new linear part builds C_d once per degree
     H = G.with_layer(1, scipy.linalg.expm(0.3 * rng.standard_normal((2, 2))))
@@ -500,7 +500,7 @@ def test_property_compose_is_associative(maps):
 @given(_near_identity_maps(1))
 def test_property_exp_vf_inverts_log_map(maps):
     (F,) = maps
-    assert exp_vf(log_map(F, tol=1e-14)).allclose(F, 1e-11)
+    assert exp_vf(log_map(F)).allclose(F, 1e-11)
 
 
 # ---------------------------------------------------------------------------
