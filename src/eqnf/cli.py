@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -55,6 +56,22 @@ def _field(name: str, convert, value):
         raise ParseFailure(f"{name}: {exc}") from exc
 
 
+def _count(value) -> int:
+    """int(value) for an integer >= 1; booleans and fractions are refused."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()) or int(value) < 1:
+        raise ValueError(f"expected an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _positive(value) -> float:
+    """float(value), refusing values that are not finite and > 0."""
+    out = float(value)
+    if not (math.isfinite(out) and out > 0):
+        raise ValueError(f"expected a finite number > 0, got {value!r}")
+    return out
+
+
 def _terms_to_map(n: int, order: int, terms) -> TruncatedMap:
     terms = _field("map.terms", list, terms)
     recs = []
@@ -86,10 +103,8 @@ def load_problem(path: str, args) -> Problem:
     if not isinstance(map_spec, dict):
         raise ParseFailure(f"map must be an object, got {map_spec!r}")
 
-    order = _field("order", int, args.order if args.order is not None
+    order = _field("order", _count, args.order if args.order is not None
                    else doc.get("order", 3))
-    if order < 1:
-        raise ParseFailure("order must be >= 1")
 
     builtin = map_spec.get("builtin")
     if builtin is not None:
@@ -121,10 +136,8 @@ def load_problem(path: str, args) -> Problem:
             raise ParseFailure(f"group: {exc}") from exc
         default_q = 1
 
-    q = _field("q", int, args.period if args.period is not None
+    q = _field("q", _count, args.period if args.period is not None
                else doc.get("q", default_q))
-    if q < 1:
-        raise ParseFailure("q must be >= 1")
 
     if args.lambda_grid is not None:
         grid = parse_lambda_grid(args.lambda_grid)
@@ -142,9 +155,9 @@ def load_problem(path: str, args) -> Problem:
 
     tol = _field("tol", float, args.tol if args.tol is not None
                  else doc.get("tol", DEFAULT_TOL))
-    radius = _field("radius", float, args.radius if args.radius is not None
+    radius = _field("radius", _positive, args.radius if args.radius is not None
                     else doc.get("radius", 0.1))
-    box = _field("search_box", float, doc.get("search_box", 0.05))
+    box = _field("search_box", _positive, doc.get("search_box", 0.05))
     mode = doc.get("mode")
     if mode not in (None, "nilpotent", "semisimple"):
         raise ParseFailure(f"mode must be nilpotent or semisimple, got {mode!r}")

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .groups import (GroupData, extended_group, invariant_inner_product,
-                     is_chi_equivariant_map, project_map, tilde_character)
-from .linalg import AdaptedInnerProduct, nullspace
-from .normalform import _restrict, admissible_exponent_basis, hk_projection
-from .polymap import (MapFamily, TruncatedMap, adk_operator, exp_vf, hk_dim,
-                      num_monomials)
+from .groups import (GroupData, invariant_inner_product,
+                     is_chi_equivariant_map, project_map)
+from .linalg import AdaptedInnerProduct
+from .normalform import _degree_spaces, _grading, admissible_exponent_basis
+from .polymap import MapFamily, TruncatedMap, exp_vf, num_monomials
 
 
 FIELD_AMP = 0.25  # scale of the random coefficients of a family's fields
@@ -145,8 +144,7 @@ def equivariant_family(inst: Instance, order: int, rng) -> MapFamily:
     the extended group, which characterizes equivariance of the family.
     """
     n = inst.A0.shape[0]
-    ext = extended_group(inst.gd, inst.A0)
-    tchi = tilde_character(inst.gd, "chi", ext)
+    ext, tchi = _grading(inst.gd, inst.A0, "semisimple")
 
     def graded_field(with_linear: bool) -> TruncatedMap:
         F = TruncatedMap.zero(n, order)
@@ -176,47 +174,44 @@ def nf_form_family(inst: Instance, k: int, rng, tail_amp: float = 0.5,
 
     X_lam lives in the admissible (kernel) spaces per degree; T is an
     equivariant resonant tail at degree k+1, the planted remainder that the
-    reduction slope test must detect.  Returns (family, nf_field_fn) where
-    nf_field_fn(lam) is the exact exponent truncated to order k.
+    reduction slope test must detect.  Each layer is a Gaussian draw on the
+    whole layer projected orthogonally onto its space, so the family depends
+    on the spaces and not on the bases that span them.  Returns (family,
+    nf_field_fn) where nf_field_fn(lam) is the exact exponent truncated to
+    order k.
     """
     n = inst.A0.shape[0]
     order = k + 1 if with_tail else k
-    bases = {j: admissible_exponent_basis(inst.A0, inst.gd, inst.ip, j,
-                                          "nilpotent")
-             for j in range(1, k + 1)}
+
+    def draw(B, amp):
+        v = amp * rng.standard_normal(B.shape[0])
+        return (B @ (B.T @ v)).reshape(n, -1)
+
     X_layers = {}
     Y_layers = {}
     for j in range(1, k + 1):
-        B = bases[j]
+        B = admissible_exponent_basis(inst.A0, inst.gd, inst.ip, j, "nilpotent")
         if B.shape[1] == 0:
             continue
-        Mj = num_monomials(n, j)
         if j >= 2:
-            X_layers[j] = (B @ (FIELD_AMP * rng.standard_normal(B.shape[1]))).reshape(n, Mj)
-        Y_layers[j] = (B @ (LAMBDA_AMP * rng.standard_normal(B.shape[1]))).reshape(n, Mj)
+            X_layers[j] = draw(B, FIELD_AMP)
+        Y_layers[j] = draw(B, LAMBDA_AMP)
 
     T = None
     if with_tail:
-        dim = hk_dim(n, k + 1)
-        K = adk_operator(inst.S0, k + 1) - np.eye(dim)
-        res_b = _restrict(nullspace(K), hk_projection(inst.gd, k + 1, "chi"))
-        if res_b.shape[1]:
-            T = (res_b @ (tail_amp * rng.standard_normal(res_b.shape[1]))
-                 ).reshape(n, num_monomials(n, k + 1))
+        *_, B = _degree_spaces(inst.S0, k + 1, graded=(inst.gd, "chi"))
+        if B.shape[1]:
+            T = draw(B, tail_amp)
 
     S0, N0 = inst.S0, inst.N0
 
     def field(lam, cut):
         F = TruncatedMap.zero(n, cut)
         F.layers[0] = N0.copy()
-        for j in range(1, min(k, cut) + 1):
-            Mj = num_monomials(n, j)
-            L = np.zeros((n, Mj))
-            if j in X_layers:
-                L += X_layers[j]
-            if j in Y_layers:
-                L += float(lam[0]) * Y_layers[j]
-            F.layers[j - 1] = F.layers[j - 1] + L
+        for j, L in X_layers.items():
+            F.layers[j - 1] += L
+        for j, L in Y_layers.items():
+            F.layers[j - 1] += float(lam[0]) * L
         if cut > k and T is not None:
             F.layers[k] = T.copy()
         return F

@@ -49,18 +49,33 @@ def hk_projection(gd: GroupData, k: int, char="chi") -> np.ndarray:
     return P / gd.order
 
 
-def _admissible_basis(res_b, j: int, mode: str, gd: GroupData, ext,
-                      tchi) -> np.ndarray:
-    """Restrict the resonant basis res_b to the graded part of the mode.
-
-    res_b spans ker(Ad_j(S0)-I) in semisimple mode, and its intersection
-    with ker(ad_j(N0*)) in nilpotent mode.
-    """
+def _grading(gd: GroupData, A0, mode: str):
+    """(group, character) grading the exponent spaces of a normal-form
+    target: chi on G for the nilpotent one, and for the semisimple one
+    tilde-chi on the extended group of G and A0."""
     if mode == "nilpotent":
-        return _restrict(res_b, hk_projection(gd, j, "chi"))
+        return gd, "chi"
     if mode == "semisimple":
-        return _restrict(res_b, hk_projection(ext, j, tchi))
+        ext = extended_group(gd, A0)
+        return ext, tilde_character(gd, "chi", ext)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _degree_spaces(S0, j: int, adNs=None, graded=None):
+    """Orthonormal bases (image, kernel, resonant, admissible) on degree-j
+    layers, from one SVD of Ad_j(S0) - I.  The resonant space is the kernel,
+    cut by ker adNs when the operator adNs = ad_j(N0*) is given.  The
+    admissible space is the resonant space restricted to the range of
+    hk_projection(group, j, char) for graded = (group, char); it is None
+    when graded is."""
+    dim = hk_dim(S0.shape[0], j)
+    u, s, vh = np.linalg.svd(adk_operator(S0, j) - np.eye(dim))
+    rank = int(np.sum(s > rank_tolerance(s, dim)))
+    ker_b = vh[rank:].T
+    res_b = ker_b if adNs is None else ker_b @ nullspace(adNs @ ker_b)
+    adm_b = (None if graded is None
+             else _restrict(res_b, hk_projection(graded[0], j, graded[1])))
+    return u[:, :rank], ker_b, res_b, adm_b
 
 
 def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
@@ -73,14 +88,9 @@ def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
     """
     A0 = require_invertible(A0, "A0")
     su = su_decomposition(A0)
-    ker_b = nullspace(adk_operator(su.S, j) - np.eye(hk_dim(A0.shape[0], j)))
-    if mode == "semisimple":
-        ext = extended_group(gd, A0)
-        return _admissible_basis(ker_b, j, mode, gd, ext,
-                                 tilde_character(gd, "chi", ext))
-    adNs = adk_field(ip.adjoint(su.nil_log), j)
-    return _admissible_basis(ker_b @ nullspace(adNs @ ker_b), j, mode, gd,
-                             None, None)
+    graded = _grading(gd, A0, mode)
+    adNs = adk_field(ip.adjoint(su.nil_log), j) if mode == "nilpotent" else None
+    return _degree_spaces(su.S, j, adNs, graded)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +98,7 @@ def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
 
 @dataclass
 class _DegreeData:
-    j: int
-    dim: int
-    resonant: np.ndarray
+    admissible: np.ndarray | None
     n_im: int
     n_kerim: int
     blend_lu: tuple
@@ -119,29 +127,27 @@ def _frozen_operator(S0, N0, A0, j: int, mode: str) -> np.ndarray:
     return np.linalg.solve(ck_operator(-N0, j), M)
 
 
-def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str) -> _DegreeData:
-    n = S0.shape[0]
-    dim = hk_dim(n, j)
-    u, s, vh = np.linalg.svd(adk_operator(S0, j) - np.eye(dim))
-    rank = int(np.sum(s > rank_tolerance(s, dim)))
-    im_b, ker_b = u[:, :rank], vh[rank:].T
+def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str,
+                 graded) -> _DegreeData:
+    """Newton data of degree j; its admissible basis is graded by graded =
+    (group, char), or left out when graded is None."""
+    adNs = adk_field(Nstar, j) if mode == "nilpotent" else None
+    im_b, ker_b, res_b, adm_b = _degree_spaces(S0, j, adNs, graded)
+    rank = im_b.shape[1]
 
     P_triv = hk_projection(gd, j, "trivial")
     T_im = _restrict(im_b, P_triv)
 
     if mode == "nilpotent":
-        adNs_ker = adk_field(Nstar, j) @ ker_b
         kerim_b = image_basis(adk_field(N0, j) @ ker_b)
-        res_b = ker_b @ nullspace(adNs_ker)
         if kerim_b.shape[1] + res_b.shape[1] != ker_b.shape[1]:
             raise SplitFailure(
                 f"degree {j}: ad(N0)/ad(N0*) split of the resonant space failed")
         blend = np.hstack([im_b, kerim_b, res_b])
-        T_ker = _restrict(image_basis(adNs_ker), P_triv)
+        T_ker = _restrict(image_basis(adNs @ ker_b), P_triv)
         unknown = np.hstack([T_im, T_ker])
         n_kerim = kerim_b.shape[1]
     else:
-        res_b = ker_b
         blend = np.hstack([im_b, ker_b])
         unknown = T_im
         n_kerim = 0
@@ -157,7 +163,7 @@ def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str) -> _Degree
     else:
         Jmat = np.zeros((n_res, 0))
         smin = smax = 0.0
-    return _DegreeData(j=j, dim=dim, resonant=res_b, n_im=rank, n_kerim=n_kerim,
+    return _DegreeData(admissible=adm_b, n_im=rank, n_kerim=n_kerim,
                        blend_lu=blend_lu, unknown=unknown, Jmat=Jmat,
                        jac_smin=smin, jac_smax=smax)
 
@@ -244,17 +250,15 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
     su = su_decomposition(A0)
     S0, N0 = su.S, su.nil_log
     Nstar = ip.adjoint(N0)
-    ext = tchi = None
-    if mode == "semisimple":
-        ext = extended_group(gd, A0)
-        tchi = tilde_character(gd, "chi", ext)
+    graded = _grading(gd, A0, mode)
     n = A0.shape[0]
     base = A0 if mode == "semisimple" else S0
     base_inv = np.linalg.inv(base)
 
-    degree_data = {j: _degree_data(j, S0, N0, Nstar, A0, gd, mode)
+    degree_data = {j: _degree_data(j, S0, N0, Nstar, A0, gd, mode, graded)
                    for j in range(2, k + 1)}
-    gl_data = _degree_data(1, S0, N0, Nstar, A0, gd, mode)
+    # the linear stage reports no admissible basis
+    gl_data = _degree_data(1, S0, N0, Nstar, A0, gd, mode, None)
 
     lambdas = [np.atleast_1d(np.asarray(lam, dtype=float)) for lam in lambdas]
     transforms, exponents, residuals = [], [], []
@@ -282,10 +286,8 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
         exponents.append(W)
         residuals.append(float(residual))
 
-    admissible = {j: _admissible_basis(degree_data[j].resonant, j, mode, gd,
-                                       ext, tchi)
-                  for j in range(2, k + 1)}
-    diagnostics = _nf_diagnostics(mode, S0, N0, Nstar, gd, ext, tchi, k,
+    admissible = {j: degree_data[j].admissible for j in range(2, k + 1)}
+    diagnostics = _nf_diagnostics(mode, S0, N0, Nstar, gd, graded, k,
                                   transforms, exponents)
     diagnostics["homological_smin"] = {j: degree_data[j].jac_smin
                                        for j in range(2, k + 1)}
@@ -297,10 +299,10 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
                             diagnostics=diagnostics)
 
 
-def _nf_diagnostics(mode, S0, N0, Nstar, gd, ext, tchi, k, transforms,
+def _nf_diagnostics(mode, S0, N0, Nstar, gd, graded, k, transforms,
                     exponents) -> dict:
-    """Defects of the result; ext and tchi are None in nilpotent mode, which
-    leaves out the tilde-chi defect."""
+    """Defects of the result; the tilde-chi defect, on graded = (extended
+    group, tilde-chi), is reported in semisimple mode only."""
     n = S0.shape[0]
     d: dict = {}
 
@@ -335,10 +337,10 @@ def _nf_diagnostics(mode, S0, N0, Nstar, gd, ext, tchi, k, transforms,
         d["exponent_ad_defect"] = ad_defect
     d["exponent_chi_defect"] = chi_defect
 
-    if ext is not None:
+    if mode == "semisimple":
         til_defect = 0.0
         for X in resonant:
-            til_defect = max(til_defect, (X - project_map(X, ext, tchi)).max_abs())
+            til_defect = max(til_defect, (X - project_map(X, *graded)).max_abs())
         d["exponent_chitilde_defect"] = til_defect
     return d
 

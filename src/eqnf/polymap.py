@@ -380,28 +380,28 @@ def inverse_truncated(F: TruncatedMap, k: int | None = None) -> TruncatedMap:
     return H
 
 
+def _diagonal_block(M: np.ndarray, n: int, order: int, d: int) -> np.ndarray:
+    """The degree-d to degree-d block of a flat graded operator."""
+    offs, _ = _flat_layout(n, order)
+    s = slice(offs[d], offs[d] + num_monomials(n, d))
+    return M[s, s]
+
+
 def substitution_matrix(T, k: int) -> np.ndarray:
     """S[a, b] = coefficient of x^b in (T x)^a, both of degree k."""
     T = np.asarray(T, dtype=float)
-    n = T.shape[0]
     if k < 1:
         raise ValueError("degree must be at least 1")
-    S = T.copy()
-    for d in range(2, k + 1):
-        Tab = _prod_table(n, 1, d - 1)
-        Snew = np.zeros((num_monomials(n, d), num_monomials(n, d)))
-        for r, (i0, p) in enumerate(zip(*_power_steps(n, d))):
-            np.add.at(Snew[r], Tab, np.outer(T[i0], S[p]))
-        S = Snew
-    return S
+    PW = _power_matrix(TruncatedMap.from_linear(T, k))
+    return _diagonal_block(PW, T.shape[0], k, k).copy()
 
 
 def conjugate_linear(T, F: TruncatedMap) -> TruncatedMap:
     """T o F o T^{-1} for an invertible matrix T."""
     T = np.asarray(T, dtype=float)
-    Tinv = np.linalg.inv(T)
+    PW = _power_matrix(TruncatedMap.from_linear(np.linalg.inv(T), F.order))
     return TruncatedMap(F.n, F.order,
-                        [T @ F.layer(d) @ substitution_matrix(Tinv, d)
+                        [T @ F.layer(d) @ _diagonal_block(PW, F.n, F.order, d)
                          for d in range(1, F.order + 1)])
 
 
@@ -414,33 +414,13 @@ def adk_operator(T, k: int) -> np.ndarray:
     return np.kron(T, substitution_matrix(np.linalg.inv(T), k).T)
 
 
-def _derivation_scalar(X1: np.ndarray, k: int) -> np.ndarray:
-    """Matrix of p -> Dp . (X1 x) on degree-k scalar coefficient vectors."""
-    n = X1.shape[0]
-    idx = monomial_index(n, k)
-    mons = monomials(n, k)
-    D = np.zeros((len(mons), len(mons)))
-    for c, al in enumerate(mons):
-        for j in range(n):
-            if al[j] == 0:
-                continue
-            base = list(al)
-            base[j] -= 1
-            for l in range(n):
-                if X1[j, l] == 0.0:
-                    continue
-                be = tuple(base[m] + (1 if m == l else 0) for m in range(n))
-                D[idx[be], c] += al[j] * X1[j, l]
-    return D
-
-
 def adk_field(N, k: int) -> np.ndarray:
     """Bracket with the linear field N x on degree-k layers:
     vec([N x, Y_k]) = adk_field(N,k) vec(Y_k), [N x, Y] = DY.(Nx) - N Y."""
     N = np.asarray(N, dtype=float)
-    M = num_monomials(N.shape[0], k)
-    return (np.kron(np.eye(N.shape[0]), _derivation_scalar(N, k))
-            - np.kron(N, np.eye(M)))
+    n = N.shape[0]
+    D = _diagonal_block(_transport_operator(TruncatedMap.from_linear(N, k)), n, k, k)
+    return np.kron(np.eye(n), D) - np.kron(N, np.eye(num_monomials(n, k)))
 
 
 # phi1 is summed as a Taylor polynomial at L / 2^s, scaled to 1-norm <= this.

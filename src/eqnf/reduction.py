@@ -326,15 +326,18 @@ def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
                   seeds_per_axis: int = 5):
     """Grid-seeded Newton on the determining equation psi_r(u) = S0 u.
 
-    search_box is a half-width (scalar or per-U-coordinate array); orbits
+    search_box is a finite, non-negative half-width (scalar or
+    per-U-coordinate array; ValueError otherwise); orbits
     are deduplicated under u -> S0 u and flagged non-isolated when the
     determining Jacobian is rank deficient.
     """
     Ub = ctx.U_basis
     m = Ub.shape[1]
-    box = np.broadcast_to(np.asarray(search_box, dtype=float).reshape(-1)
-                          if np.ndim(search_box) else
-                          np.full(m, float(search_box)), (m,)).copy()
+    box = np.asarray(search_box, dtype=float)
+    if not np.all(np.isfinite(box) & (box >= 0)):
+        raise ValueError(f"search_box must be finite and >= 0, got {search_box!r}")
+    box = np.broadcast_to(box.reshape(-1) if box.ndim else np.full(m, float(box)),
+                          (m,)).copy()
     radius = max(ctx.radius, 2.0 * float(np.max(box, initial=0.0)))
     SU = Ub.T @ ctx.S0 @ Ub
 

@@ -1,8 +1,16 @@
 """Shared builders for the test suite."""
-import numpy as np
-import pytest
+import os
 
-from eqnf.polymap import TruncatedMap, num_monomials
+# One BLAS thread, set before numpy loads, as benchmarks/run.py does: the
+# suite's operators are small, and with a second process busy on a 2-core
+# host OpenBLAS's default threads made one call 20 times slower.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from eqnf.polymap import TruncatedMap, num_monomials  # noqa: E402
 
 
 @pytest.fixture

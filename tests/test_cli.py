@@ -194,6 +194,14 @@ def test_parse_failures_exit_2(tmp_path, capsys):
     ("lambda_grid", {"lambda_grid": []}),
     ("map", {"map": [1, 2]}),
     ("map.terms", {"map": {"terms": 5}, "dimension": 2}),
+    ("order", {"order": 2.5}),
+    ("order", {"order": True}),
+    ("q", {"q": 1.9}),
+    ("search_box", {"search_box": -0.05}),
+    ("search_box", {"search_box": float("inf")}),
+    ("radius", {"radius": -0.1}),
+    ("radius", {"radius": 0.0}),
+    ("radius", {"radius": float("nan")}),
 ])
 def test_malformed_field_is_a_parse_error(tmp_path, capsys, field, extra):
     rc = cli.main(["decompose", _builtin(tmp_path, **extra)])

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 
+from eqnf import corpus
 from eqnf.corpus import (equivariant_family, instance_block_swap,
                          instance_nilpotent_kron, instance_rot_reflect,
                          instance_sign_z2, instance_swap2, nf_form_family,
@@ -146,7 +147,7 @@ def _linear_nf(A, A0, gd, ip, mode="semisimple"):
         raise NotEquivariant("A is not chi-equivariant for the given group")
     su = su_decomposition(A0)
     S0, N0 = su.S, su.nil_log
-    data = _degree_data(1, S0, N0, ip.adjoint(N0), A0, gd, mode)
+    data = _degree_data(1, S0, N0, ip.adjoint(N0), A0, gd, mode, None)
     shift, base = (np.zeros_like(A), A0) if mode == "semisimple" else (N0, S0)
     phi, W = _linear_newton(A, A0, S0, shift, data, base, "linear stage")
     return phi, W - shift
@@ -300,6 +301,33 @@ def test_nilpotent_nf_recovers_planted_families():
         # exponents carry N0 in the linear layer
         assert (res.exponents[0] - nf_field(lam)).max_abs() < 1e-10
         assert np.max(np.abs(res.N0 - inst.N0)) < 1e-10
+
+
+@pytest.mark.parametrize("make, k", [(lambda: instance_nilpotent_kron(4), 2),
+                                     (instance_swap2, 3),
+                                     (lambda: instance_block_swap(3), 3)])
+def test_nf_form_family_depends_on_spaces_only(monkeypatch, make, k):
+    # rotate every basis nf_form_family is handed: the families must not move
+    inst = make()
+    fam, _ = nf_form_family(inst, k, np.random.default_rng(46), with_tail=True)
+    rot_rng = np.random.default_rng(47)
+
+    def rotate(B):
+        # Haar-random orthogonal Q, so a one-dimensional space flips sign too
+        Q, R = np.linalg.qr(rot_rng.standard_normal((B.shape[1], B.shape[1])))
+        return B @ (Q * np.sign(np.diag(R)))
+
+    basis, spaces = corpus.admissible_exponent_basis, corpus._degree_spaces
+
+    monkeypatch.setattr(corpus, "admissible_exponent_basis",
+                        lambda *args, **kwargs: rotate(basis(*args, **kwargs)))
+    monkeypatch.setattr(corpus, "_degree_spaces", lambda *args, **kwargs: tuple(
+        rotate(B) for B in spaces(*args, **kwargs)))
+    fam_rot, _ = nf_form_family(inst, k, np.random.default_rng(46), with_tail=True)
+    assert fam_rot.order == k + 1
+    for lam in (-0.04, 0.0, 0.03):
+        F = fam.at([lam])
+        assert (fam_rot.at([lam]) - F).max_abs() <= 1e-12 * F.max_abs()
 
 
 def test_nilpotent_nf_swap2_k6_needs_log_map_refinement():

@@ -22,6 +22,10 @@ from eqnf.polymap import (AffineMapFamily, MapFamily, TruncatedMap,
                           num_monomials, substitution_matrix)
 
 
+# (n, order) pairs the table-driven kernels are checked at
+KERNEL_SIZES = [(1, 5), (2, 3), (3, 4), (4, 4), (6, 4)]
+
+
 def _mono_eval(x, al):
     return float(np.prod(np.asarray(x, dtype=float) ** np.array(al)))
 
@@ -134,16 +138,17 @@ def test_ad_conjugate_matches_explicit(rand_map):
         conjugate_linear(M, F), 1e-10)
 
 
-def test_substitution_matrix_pointwise():
-    rng = np.random.default_rng(25)
-    for n, d in ((2, 3), (3, 2)):
-        T = rng.standard_normal((n, n))
+@pytest.mark.parametrize("n,order", KERNEL_SIZES)
+def test_substitution_matrix_pointwise(n, order):
+    rng = np.random.default_rng(25 + 10 * n + order)
+    T = rng.standard_normal((n, n))
+    x = rng.standard_normal(n)
+    Tx = T @ x
+    for d in range(1, order + 1):
         S = substitution_matrix(T, d)
-        x = rng.standard_normal(n)
-        mono = [_mono_eval(x, al) for al in monomials(n, d)]
-        Tx = T @ x
-        for r, al in enumerate(monomials(n, d)):
-            assert abs(_mono_eval(Tx, al) - float(S[r] @ mono)) < 1e-10
+        mono = np.array([_mono_eval(x, al) for al in monomials(n, d)])
+        want = np.array([_mono_eval(Tx, al) for al in monomials(n, d)])
+        assert np.max(np.abs(S @ mono - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_conjugate_linear_pointwise(rand_map):
@@ -178,19 +183,20 @@ def test_adk_operator_matches_conjugation(rand_map):
         assert np.max(np.abs(lhs - C.layer(d).reshape(-1))) < 1e-11
 
 
-def test_adk_field_bracket_oracle():
-    rng = np.random.default_rng(29)
-    n, k = 3, 3
+@pytest.mark.parametrize("n,order", KERNEL_SIZES)
+def test_adk_field_bracket_oracle(n, order):
+    rng = np.random.default_rng(29 + 10 * n + order)
     N = rng.standard_normal((n, n))
-    Y = TruncatedMap.zero(n, k)
-    Y.layers[k - 1] = rng.standard_normal((n, num_monomials(n, k)))
-    Z = (adk_field(N, k) @ Y.layer(k).reshape(-1)).reshape(n, -1)
-    Zmap = TruncatedMap.zero(n, k)
-    Zmap.layers[k - 1] = Z
-    for _ in range(5):
-        x = rng.standard_normal(n)
-        bracket = Y.jacobian(x) @ (N @ x) - N @ Y(x)
-        assert np.max(np.abs(Zmap(x) - bracket)) < 1e-10
+    for k in range(1, order + 1):
+        Y = TruncatedMap.zero(n, k)
+        Y.layers[k - 1] = rng.standard_normal((n, num_monomials(n, k)))
+        Zmap = TruncatedMap.zero(n, k)
+        Zmap.layers[k - 1] = (adk_field(N, k) @ Y.layer(k).reshape(-1)).reshape(n, -1)
+        for _ in range(3):
+            x = rng.standard_normal(n)
+            bracket = Y.jacobian(x) @ (N @ x) - N @ Y(x)
+            assert (np.max(np.abs(Zmap(x) - bracket))
+                    <= 1e-12 * max(1.0, np.max(np.abs(bracket))))
 
 
 def test_ck_operator_scalar_oracle():
@@ -315,9 +321,6 @@ def test_map_family_shapes(rand_map):
 
 # ---------------------------------------------------------------------------
 # term-by-term references for the table-driven kernels
-
-KERNEL_SIZES = [(1, 5), (2, 3), (3, 4), (4, 4), (6, 4)]
-
 
 def _flat_positions(n, order):
     """Exponent tuple -> flat position, in the graded layout of TruncatedMap."""

@@ -1,14 +1,16 @@
 """q-fold lifts, the reduced map, and the determining equation."""
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
 
 from eqnf import reduction
 from eqnf.corpus import (binomial_shear_family, binomial_shear_group,
                          binomial_shear_matrix, equivariant_family,
                          instance_block_swap, instance_rot_reflect,
-                         instance_swap2, nf_form_family, planted_q1,
-                         planted_q2, planted_q4, rotation)
+                         instance_sign_z2, instance_swap2, nf_form_family,
+                         planted_q1, planted_q2, planted_q4, rotation)
 from eqnf.errors import (InvariantViolation, InverseNewtonFailed, NoConvergence,
                          NonFinite, NotInU, SlopeTestFailed)
 from eqnf.groups import GroupData
@@ -109,6 +111,14 @@ def test_find_periodic_planted_q4():
         for i in range(p.q):
             nxt = pt.orbit[(i + 1) % p.q]
             assert np.max(np.abs(psi(pt.orbit[i]) - nxt)) < 1e-9
+
+
+@pytest.mark.parametrize("box", [-0.05, float("inf"), float("nan"), [0.1, -0.1]])
+def test_find_periodic_rejects_bad_search_box(box):
+    p = planted_q4()
+    ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q, radius=0.6)
+    with pytest.raises(ValueError, match="search_box"):
+        find_periodic(p.family, ctx, [[-0.03]], box)
 
 
 def test_find_periodic_planted_q2_orbit_dedup():
@@ -329,6 +339,37 @@ def test_ghat_vstar_identity():
         else:
             # reversing side carries the degree-4 truncation defect
             assert val < 1e-9
+
+
+VSTAR_SKELETONS = {"block_swap3": lambda: instance_block_swap(3),
+                   "rot_reflect3": lambda: instance_rot_reflect(3),
+                   "rot_reflect4": lambda: instance_rot_reflect(4),
+                   "rot_reflect5": lambda: instance_rot_reflect(5),
+                   "sign_z2": lambda: instance_sign_z2(3)}
+
+
+@pytest.mark.parametrize("name", sorted(VSTAR_SKELETONS))
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       st.floats(-0.02, 0.02))
+def test_property_vstar_equivariance(name, seed, coeffs, lam):
+    # criterion 6's identities on random families, |u| <= 0.02 in U; four
+    # examples on each of the five skeletons
+    inst = VSTAR_SKELETONS[name]()
+    fam = equivariant_family(inst, 3, np.random.default_rng(seed))
+    ctx = build_lift(inst.A0, inst.S0, inst.gd, inst.q)
+    c = np.array(coeffs[:ctx.dim_u])
+    u = ctx.U_basis @ (0.02 * c / max(1.0, float(np.linalg.norm(c))))
+    shift = solve_vstar(fam, ctx, inst.S0 @ u, [lam]) - ctx.sigma @ solve_vstar(
+        fam, ctx, u, [lam])
+    assert np.max(np.abs(shift)) <= 1e-8
+    # a family truncated at order 3 is reversible only modulo degree 4, so
+    # the identity for chi(g) = -1 carries a defect of order |u|^4
+    reversing_tol = 1e-8 + float(np.linalg.norm(u)) ** 4
+    for gi in range(inst.gd.order):
+        tol = 1e-8 if inst.gd.char[gi] > 0 else reversing_tol
+        assert ghat_vstar_identity_check(fam, ctx, u, [lam], gi) <= tol
 
 
 def test_nf_reduction_consistency_slopes():
