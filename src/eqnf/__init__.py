@@ -5,7 +5,8 @@ from .errors import (BadCharacter, CkSingular, DimensionMismatch, EqnfError,
                      InvariantViolation, InverseNewtonFailed, NoConvergence,
                      NonFinite, NonInvertibleLinearPart, NoRealLogarithm,
                      NotClosed, NotEquivariant, NotInU, NotSemisimple,
-                     NotUnipotent, SingularInput, SlopeTestFailed, SplitFailure)
+                     NotUnipotent, ProblemTooLarge, SingularInput,
+                     SlopeTestFailed, SplitFailure)
 from .groups import (ExtendedGroupData, GroupData, extended_group,
                      invariant_inner_product, is_chi_equivariant_linear,
                      is_chi_equivariant_map, project, project_map,

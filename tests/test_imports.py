@@ -1,8 +1,11 @@
 """Package hygiene: every name a package module imports is used in it,
 every module-level private function or class is referenced somewhere in
-the package, factored systems are solved only by linalg.lu_solve, and
-every defaulted parameter is set by some call."""
+the package, factored systems are solved only by linalg.lu_solve, every
+defaulted parameter is set by some call, and every callable the benchmark
+traces exists."""
 import ast
+import importlib
+import importlib.util
 import math
 from pathlib import Path
 
@@ -222,3 +225,22 @@ def test_scan_flags_defaulted_parameters_no_call_sets():
                               "forwarded(0, **options)\n")}
     assert _unset_defaults(package, callers) == [
         "a.f(unset)", "a.f(kw_unset)", "a.C.__init__(b)"]
+
+
+def test_benchmark_trace_targets_resolve():
+    # benchmarks/spans.py wraps each TARGETS entry by name in traced runs
+    # only; a renamed or deleted callable would break nothing else
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module, attrs in spans.TARGETS.items():
+        mod = importlib.import_module(f"eqnf.{module}")
+        for attr in attrs:
+            obj = mod
+            for part in attr.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{module}.{attr}")
+    assert missing == []

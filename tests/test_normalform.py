@@ -5,18 +5,20 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 
-from eqnf import corpus
+import tracemalloc
+
+from eqnf import corpus, normalform, polymap
 from eqnf.corpus import (equivariant_family, instance_block_swap,
                          instance_nilpotent_kron, instance_rot_reflect,
                          instance_sign_z2, instance_swap2, nf_form_family,
                          planted_q2, planted_q4, random_group_with_characters,
                          random_semisimple_instance, rotation)
-from eqnf.errors import NotEquivariant
+from eqnf.errors import NotEquivariant, ProblemTooLarge, SplitFailure
 from eqnf.groups import (GroupData, extended_group, invariant_inner_product,
                          is_chi_equivariant_linear, project_map,
                          tilde_character)
-from eqnf.linalg import (image_basis, nullspace, require_invertible,
-                         su_decomposition)
+from eqnf.linalg import (AdaptedInnerProduct, image_basis, nullspace,
+                         require_invertible, su_decomposition)
 from eqnf.normalform import (_degree_data, _frozen_operator, _linear_newton,
                              admissible_exponent_basis, hk_projection,
                              nilpotent_nf, semisimple_nf)
@@ -358,3 +360,144 @@ def test_nf_diagnostics_contents():
     fam, _ = nf_form_family(inst, k, rng, with_tail=False)
     res = nilpotent_nf(fam, inst.A0, inst.gd, inst.ip, k, lambdas=[[0.4]])
     assert "exponent_chitilde_defect" not in res.diagnostics
+
+
+# ---------------------------------------------------------------------------
+# per-degree data kept across calls on one skeleton
+
+MEMO_CASES = [(instance_swap2, nilpotent_nf, 3),
+              (lambda: instance_block_swap(3), semisimple_nf, 3)]
+
+
+def _assert_same_result(a, b):
+    """Bitwise-equal transforms, exponents, residuals, admissible bases and
+    diagnostics."""
+    for maps_a, maps_b in ((a.transforms, b.transforms), (a.exponents, b.exponents)):
+        assert len(maps_a) == len(maps_b)
+        for F, G in zip(maps_a, maps_b):
+            assert all(np.array_equal(x, y) for x, y in zip(F.layers, G.layers))
+    assert a.residuals == b.residuals
+    assert a.diagnostics == b.diagnostics
+    assert a.admissible.keys() == b.admissible.keys()
+    assert all(np.array_equal(a.admissible[j], b.admissible[j]) for j in a.admissible)
+
+
+def _memo_run(make, runner, k, gd=None, ip=None, A0=None):
+    inst = make()
+    fam = equivariant_family(inst, k, np.random.default_rng(48))
+    return runner(fam, inst.A0 if A0 is None else A0, gd or inst.gd,
+                  ip or inst.ip, k, lambdas=[[0.02], [-0.01]])
+
+
+@pytest.mark.parametrize("make, runner, k", MEMO_CASES)
+def test_degree_data_memo_returns_the_same_answers(monkeypatch, make, runner, k):
+    normalform._DEGREE_DATA_MEMO.clear()
+    first = _memo_run(make, runner, k)
+    built = []
+    degree_data = normalform._degree_data
+
+    def counting_degree_data(j, *args):
+        built.append(j)
+        return degree_data(j, *args)
+
+    monkeypatch.setattr(normalform, "_degree_data", counting_degree_data)
+    second = _memo_run(make, runner, k)
+    assert built == []
+    # a lower order reuses the same degrees; a higher one builds only its own
+    _memo_run(make, runner, k - 1)
+    _memo_run(make, runner, k + 1)
+    assert built == [k + 1]
+    normalform._DEGREE_DATA_MEMO.clear()
+    cleared = _memo_run(make, runner, k)
+    for res in (second, cleared):
+        _assert_same_result(first, res)
+
+
+def _variants():
+    """(make, runner, k, what differs) for a skeleton one input away from a
+    MEMO_CASES one: only chi, only the gram matrix, or one ulp of A0."""
+    swap = instance_swap2()
+    chi_plus = GroupData.from_elements(swap.gd.elements, np.ones(swap.gd.order))
+    gram = AdaptedInnerProduct(np.array([[2.0, 0.5], [0.5, 2.0]]))
+    block = instance_block_swap(3)
+    A0 = block.A0.copy()
+    A0[0, 0] = np.nextafter(A0[0, 0], np.inf)
+    return [(instance_swap2, nilpotent_nf, 3, {"gd": chi_plus}),
+            (instance_swap2, nilpotent_nf, 3, {"ip": gram}),
+            (lambda: instance_block_swap(3), semisimple_nf, 3, {"A0": A0})]
+
+
+@pytest.mark.parametrize("make, runner, k, change", _variants(),
+                         ids=["chi", "gram", "A0-ulp"])
+def test_degree_data_memo_has_no_false_hit(make, runner, k, change):
+    normalform._DEGREE_DATA_MEMO.clear()
+    base = _memo_run(make, runner, k)
+    after_base = _memo_run(make, runner, k, **change)
+    assert len(normalform._DEGREE_DATA_MEMO) == 2
+    normalform._DEGREE_DATA_MEMO.clear()
+    alone = _memo_run(make, runner, k, **change)
+    _assert_same_result(after_base, alone)
+    # the change reaches the answer, so a false hit could not go unseen
+    assert any(not np.array_equal(x, y)
+               for F, G in zip(base.exponents, alone.exponents)
+               for x, y in zip(F.layers, G.layers)) or any(
+        not np.array_equal(base.admissible[j], alone.admissible[j])
+        for j in base.admissible)
+
+
+def test_degree_data_memo_is_read_only():
+    make, runner, k = MEMO_CASES[1]
+    normalform._DEGREE_DATA_MEMO.clear()
+    first = _memo_run(make, runner, k)
+    with pytest.raises(ValueError):
+        first.admissible[2][0, 0] += 1.0
+    _assert_same_result(first, _memo_run(make, runner, k))
+
+
+def test_degree_data_memo_keeps_no_split_failure(monkeypatch):
+    make, runner, k = MEMO_CASES[0]
+    normalform._DEGREE_DATA_MEMO.clear()
+    good = _memo_run(make, runner, k)
+    normalform._DEGREE_DATA_MEMO.clear()
+    # an empty image of ad(N0) on the kernel cannot complete the split
+    monkeypatch.setattr(normalform, "image_basis",
+                        lambda M: np.zeros((M.shape[0], 0)))
+    for _ in range(2):
+        with pytest.raises(SplitFailure):
+            _memo_run(make, runner, k)
+    stores = list(normalform._DEGREE_DATA_MEMO.values())
+    assert stores == [{}]
+    monkeypatch.undo()
+    _assert_same_result(good, _memo_run(make, runner, k))
+
+
+def test_degree_data_memo_size_is_bounded():
+    normalform._DEGREE_DATA_MEMO.clear()
+    limit = normalform.DEGREE_DATA_SKELETONS
+    assert limit >= 5  # the nf-sweep benchmark cycles through five skeletons
+    for q in range(3, 3 + limit + 2):
+        _memo_run(lambda: instance_rot_reflect(q), semisimple_nf, 2)
+        assert len(normalform._DEGREE_DATA_MEMO) <= limit
+    assert len(normalform._DEGREE_DATA_MEMO) == limit
+
+
+def test_nf_refuses_oversized_order_without_allocating(monkeypatch):
+    # n = 6, k = 8: one dense m x m operator at m = hk_dim(6, 8) = 7722
+    # would take 477 MB
+    n, k = 6, 8
+    assert 8 * hk_dim(n, k) ** 2 > polymap.DENSE_BYTES_BUDGET
+    gd = GroupData.trivial(n)
+    ip = AdaptedInnerProduct.standard(n)
+    fam = MapFamily(lambda lam: TruncatedMap.identity(n, k), n, k)
+    monkeypatch.setattr(normalform, "_degree_data", None)  # never reached
+    for runner in (semisimple_nf, nilpotent_nf):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProblemTooLarge):
+                runner(fam, np.eye(n), gd, ip, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    # the largest normal forms the suite and the benchmark run fit
+    assert 8 * hk_dim(6, 5) ** 2 <= polymap.DENSE_BYTES_BUDGET

@@ -13,7 +13,7 @@ from eqnf import polymap
 from eqnf.corpus import instance_swap2
 from eqnf.errors import (CkSingular, DimensionMismatch, EqnfError, NonFinite,
                          NonInvertibleLinearPart)
-from eqnf.linalg import fd_jacobian
+from eqnf.linalg import fd_jacobian, real_log
 from eqnf.polymap import (AffineMapFamily, MapFamily, TruncatedMap,
                           _power_matrix, _transport_operator, ad_conjugate,
                           adk_field, adk_operator, ch_compose, ck_operator,
@@ -460,6 +460,100 @@ def test_log_map_reuses_ck_factors(monkeypatch, rand_map):
     H = G.with_layer(1, scipy.linalg.expm(0.3 * rng.standard_normal((2, 2))))
     log_map(H)
     assert sorted(built) == [2, 3, 4]
+
+
+def test_lru_memo_drops_the_least_recently_used():
+    memo = polymap._LruMemo(2)
+    builds = []
+
+    def build(value):
+        def make():
+            builds.append(value)
+            return value
+        return make
+
+    assert memo.get_or_build("a", build(1)) == 1
+    assert memo.get_or_build("b", build(2)) == 2
+    assert memo.get_or_build("a", build(0)) == 1  # a hit; "b" is now the oldest
+    assert memo.get_or_build("c", build(3)) == 3
+    assert len(memo) == 2
+    assert memo.get_or_build("b", build(4)) == 4  # "b" was dropped
+    assert memo.get_or_build("c", build(0)) == 3
+    assert builds == [1, 2, 3, 4]
+
+    def failing():
+        raise CkSingular("numerically singular")
+
+    with pytest.raises(CkSingular):
+        memo.get_or_build("d", failing)
+    assert len(memo) == 2 and memo.get_or_build("b", build(0)) == 4
+
+
+# ---------------------------------------------------------------------------
+# the C_d guard against the SVD rule it replaced
+
+def _svd_refuses(C):
+    """Oracle: the SVD rule, which refuses C when smin <= 1e-12 smax."""
+    s = np.linalg.svd(C, compute_uv=False)
+    return bool(s[-1] <= 1e-12 * s[0])
+
+
+def _guard_refuses(call):
+    try:
+        call()
+    except CkSingular as exc:
+        assert "numerically singular" in str(exc)
+        return True
+    return False
+
+
+def test_ck_guard_refuses_what_the_svd_rule_refuses():
+    # X1 = (2 pi / 3 - delta) J: C_2 has an eigenvalue of about 3 delta / (2 pi)
+    oracle = []
+    for delta in 10.0 ** -np.arange(4, 15):
+        F = _rotation_map(2 * np.pi / 3 - delta, 2,
+                          [[0.1, 0.0, 0.2], [0.0, -0.3, 0.0]])
+        C = ck_operator(real_log(F.linear()), 2)
+        refused = _guard_refuses(lambda: log_map(F))
+        assert _guard_refuses(lambda: ck_solve(C, np.ones(C.shape[0]))) == refused
+        oracle.append(_svd_refuses(C))
+        assert refused or not oracle[-1], delta
+        if not refused:
+            # the stored kappa_1 estimate is a lower bound, and a close one
+            kappa = polymap._linear_part_data(F.linear()).ck_kappa[2]
+            exact = np.linalg.cond(C, 1)
+            assert exact / 3 <= kappa <= exact * (1 + 1e-6)
+    assert any(oracle) and not all(oracle)
+
+
+def test_ck_guard_refuses_what_the_svd_rule_refuses_on_random_spectra():
+    rng = np.random.default_rng(80)
+    m = 12
+    oracle = []
+    for top in np.arange(9.0, 16.5, 0.5):
+        U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        V = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        C = (U * np.logspace(0.0, -top, m)) @ V.T
+        oracle.append(_svd_refuses(C))
+        refused = _guard_refuses(lambda: polymap._check_ck(C))
+        assert _guard_refuses(lambda: ck_solve(C, np.ones(m))) == refused
+        assert refused or not oracle[-1], top
+    assert any(oracle) and not all(oracle)
+
+
+def test_log_map_takes_no_svd_of_a_ck(monkeypatch):
+    F = _rotation_map(0.45, 4, [[0.1, 0.0, 0.2], [0.0, -0.3, 0.05]])
+    sides = {hk_dim(2, d) for d in range(2, 5)}
+    svd = np.linalg.svd
+    shapes = []
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert exp_vf(log_map(F)).allclose(F, 1e-12)
+    assert not [s for s in shapes if s[-1] in sides]
 
 
 # ---------------------------------------------------------------------------
