@@ -65,28 +65,37 @@ def _count(value) -> int:
     return int(value)
 
 
-def _positive(value) -> float:
-    """float(value), refusing values that are not finite and > 0."""
+def _finite(value) -> float:
+    """float(value), refusing inf and NaN."""
     out = float(value)
-    if not (math.isfinite(out) and out > 0):
-        raise ValueError(f"expected a finite number > 0, got {value!r}")
+    if not math.isfinite(out):
+        raise ValueError(f"expected a finite number, got {out!r}")
     return out
 
 
-def _terms_to_map(n: int, order: int, terms) -> TruncatedMap:
-    terms = _field("map.terms", list, terms)
+def _positive(value) -> float:
+    """_finite(value), refusing values that are not > 0."""
+    out = _finite(value)
+    if not out > 0:
+        raise ValueError(f"expected a number > 0, got {out!r}")
+    return out
+
+
+def _terms_to_map(n: int, order: int, terms, name: str) -> TruncatedMap:
+    """The map of the term records `terms`; errors name the field `name`."""
+    terms = _field(name, list, terms)
     recs = []
     for i, t in enumerate(terms):
         try:
             recs.append({"component": int(t["component"]),
                          "exponents": tuple(int(e) for e in t["exponents"]),
-                         "coefficient": float(t["coefficient"])})
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseFailure(f"map.terms[{i}]: {exc}") from exc
+                         "coefficient": _finite(t["coefficient"])})
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseFailure(f"{name}[{i}]: {exc}") from exc
     try:
         return TruncatedMap.from_terms(n, order, recs)
     except EqnfError as exc:
-        raise ParseFailure(f"map.terms: {exc}") from exc
+        raise ParseFailure(f"{name}: {exc}") from exc
 
 
 def load_problem(path: str, args) -> Problem:
@@ -117,17 +126,18 @@ def load_problem(path: str, args) -> Problem:
         gd = corpus.binomial_shear_group()
         default_q = 1
     else:
-        base = _terms_to_map(n, order, map_spec.get("terms", []))
+        base = _terms_to_map(n, order, map_spec.get("terms", []), "map.terms")
         slopes = _field("map.parameter_slopes", list,
                         map_spec.get("parameter_slopes", []))
-        family = AffineMapFamily(base, [_terms_to_map(n, order, s)
-                                        for s in slopes])
+        family = AffineMapFamily(base, [
+            _terms_to_map(n, order, s, f"map.parameter_slopes[{j}]")
+            for j, s in enumerate(slopes)])
         group_spec = doc.get("group")
         if not isinstance(group_spec, dict):
             raise ParseFailure("missing field: group")
         try:
             gens = [np.array(g, dtype=float) for g in group_spec["generators"]]
-            chars = [float(c) for c in group_spec["characters"]]
+            chars = [_finite(c) for c in group_spec["characters"]]
             for g in gens:
                 if g.shape != (n, n):
                     raise ParseFailure(
@@ -144,8 +154,8 @@ def load_problem(path: str, args) -> Problem:
         grid = parse_lambda_grid(args.lambda_grid)
     else:
         grid = _field("lambda_grid", lambda vs: [
-            list(np.atleast_1d(np.asarray(v, dtype=float))) for v in vs],
-            doc.get("lambda_grid", [[0.0]]))
+            [_finite(x) for x in np.atleast_1d(np.asarray(v, dtype=float))]
+            for v in vs], doc.get("lambda_grid", [[0.0]]))
     if not grid:
         raise ParseFailure("lambda_grid must have at least one entry")
     nparams = getattr(family, "nparams", 1)
@@ -154,7 +164,7 @@ def load_problem(path: str, args) -> Problem:
             raise ParseFailure(
                 f"lambda grid entry {g} has {len(g)} values, expected {nparams}")
 
-    tol = _field("tol", float, args.tol if args.tol is not None
+    tol = _field("tol", _finite, args.tol if args.tol is not None
                  else doc.get("tol", DEFAULT_TOL))
     radius = _field("radius", _positive, args.radius if args.radius is not None
                     else doc.get("radius", 0.1))
@@ -171,9 +181,9 @@ def parse_lambda_grid(spec: str):
     try:
         if ":" in spec:
             start, stop, count = spec.split(":")
-            return [[v] for v in np.linspace(float(start), float(stop),
-                                             int(count))]
-        return [[float(v)] for v in spec.split(",") if v.strip()]
+            return [[_finite(v)] for v in np.linspace(
+                _finite(start), _finite(stop), int(count))]
+        return [[_finite(v)] for v in spec.split(",") if v.strip()]
     except ValueError as exc:
         raise ParseFailure(f"--lambda-grid {spec!r}: {exc}") from exc
 

@@ -114,21 +114,16 @@ class GroupData:
             frontier = new_frontier
         return cls.from_elements(elements, chars)
 
-    @classmethod
-    def trivial(cls, n: int) -> "GroupData":
-        return cls.from_elements([np.eye(n)], [1.0])
-
 
 @dataclass
 class ExtendedGroupData(GroupData):
     """Group generated by {g : chi(g) = 1} and {g A0 : chi(g) = -1}.
 
     base_index[i] is the index in the parent group of the g that produced
-    element i; provenance[i] is chi(g) of that g.
+    element i.
     """
 
     base_index: np.ndarray = None
-    provenance: np.ndarray = None
 
 
 def validate_group(gd: GroupData) -> list[str]:
@@ -164,16 +159,6 @@ def _resolve_char(gd: GroupData, char) -> np.ndarray:
     if len(values) != gd.order:
         raise BadCharacter("character array length != group order")
     return values
-
-
-def project(A, gd: GroupData, char="chi") -> np.ndarray:
-    """Character-weighted average P(A) = (1/|G|) sum chi(g) g A g^-1."""
-    A = as_square(A)
-    values = _resolve_char(gd, char)
-    out = np.zeros_like(A)
-    for i in range(gd.order):
-        out += values[i] * gd.elements[i] @ A @ gd.inverse(i)
-    return out / gd.order
 
 
 def is_chi_equivariant_linear(A, gd: GroupData,
@@ -227,18 +212,16 @@ def extended_group(gd: GroupData, A0) -> ExtendedGroupData:
     A0 = require_invertible(A0, "A0")
     if not is_chi_equivariant_linear(A0, gd):
         raise NotEquivariant("A0 is not in GL^chi for the given group")
-    elements, base, prov = [], [], []
+    elements, base = [], []
     for i in range(gd.order):
         if gd.char[i] > 0:
             elements.append(gd.elements[i].copy())
         else:
             elements.append(gd.elements[i] @ A0)
         base.append(i)
-        prov.append(gd.char[i])
     group = GroupData.from_elements(elements, np.ones(len(elements)))
     return ExtendedGroupData(**vars(group),
-                             base_index=np.asarray(base, dtype=np.intp),
-                             provenance=np.asarray(prov))
+                             base_index=np.asarray(base, dtype=np.intp))
 
 
 def tilde_character(gd: GroupData, alpha, ext: ExtendedGroupData) -> np.ndarray:

@@ -5,9 +5,9 @@ additive one (A = S + N with S semisimple, N nilpotent, SN = NS) and the
 multiplicative one (A = S * exp(L) with L = log(I + S^-1 N) nilpotent); both
 are unique, commute with conjugation, and are computed by a Newton iteration
 on the squarefree part of the characteristic polynomial.  The damped Newton
-kernel and the central-difference Jacobian at the end serve every solver
-stage of the normal form and the reduction, and beside them `lu_solve`
-solves every system whose LU factors the package keeps.
+kernel at the end serves every solver stage of the normal form and the
+reduction, and beside it `lu_solve` solves every system whose LU factors
+the package keeps.
 """
 from __future__ import annotations
 
@@ -285,9 +285,6 @@ class AdaptedInnerProduct:
     def standard(cls, n: int) -> "AdaptedInnerProduct":
         return cls(np.eye(n))
 
-    def inner(self, x, y) -> float:
-        return float(np.asarray(x) @ self.gram @ np.asarray(y))
-
     def adjoint(self, A) -> np.ndarray:
         """Adjoint A* with <Ax, y> = <x, A* y>: A* = gram^-1 A^T gram."""
         return self.gram_inv @ as_square(A).T @ self.gram
@@ -333,18 +330,6 @@ def newton(evaluate, solve, x0, tol: float, max_iter: int, what: str):
     if r_max <= tol:
         return x, r, aux
     raise NoConvergence(f"{what}: residual {r_max:.3e} after {max_iter} iterations")
-
-
-def fd_jacobian(f, x) -> np.ndarray:
-    """Central-difference Jacobian of f at x with step 1e-6 * max(1, |x|)."""
-    x = np.asarray(x, dtype=float)
-    h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-    cols = []
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        cols.append((f(x + e) - f(x - e)) / (2 * h))
-    return np.column_stack(cols) if cols else np.zeros((0, 0))
 
 
 def lu_solve(lu_piv, b) -> np.ndarray:

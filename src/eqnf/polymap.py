@@ -524,23 +524,6 @@ def ck_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lu_solve(_check_ck(C)[0], rhs)
 
 
-def ch_compose(X: TruncatedMap, Yk, k: int, side: str = "right") -> TruncatedMap:
-    """Exponent of exp(X) o exp(Y_k) (side right) or exp(Y_k) o exp(X) (left).
-
-    Y_k is a single degree-k layer; the result is exact modulo degrees > k.
-    """
-    Yk = np.asarray(Yk, dtype=float)
-    X1 = X.linear()
-    if side == "right":
-        C = ck_operator(X1, k)
-    elif side == "left":
-        C = ck_operator(-X1, k)
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    z = ck_solve(C, Yk.reshape(-1))
-    return X.with_layer(k, X.layer(k) + z.reshape(Yk.shape))
-
-
 # ---------------------------------------------------------------------------
 # exponentials and logarithms of vector fields (time-one flows)
 
@@ -674,29 +657,6 @@ def log_map(F: TruncatedMap, k: int | None = None) -> TruncatedMap:
         if (F - exp_vf(X)).max_abs() <= LOG_MAP_TOL * scale or F.order == 1:
             break
     return X
-
-
-# ---------------------------------------------------------------------------
-# graded inner products
-
-def fischer_gram(n: int, k: int, gram=None) -> np.ndarray:
-    """Gram matrix of the Fischer product on degree-k layers, adapted to an
-    inner product on R^n (standard if gram is None).
-
-    Under this product the adjoint of adk_field(N, k) is adk_field(N*, k)
-    where N* is the gram-adjoint of N.
-    """
-    if gram is None:
-        gram = np.eye(n)
-    gram = np.asarray(gram, dtype=float)
-    w, V = np.linalg.eigh(gram)
-    if np.min(w) <= 0:
-        raise ValueError("inner product matrix must be positive definite")
-    Q = V @ np.diag(np.sqrt(w)) @ V.T
-    fact = np.array([math.prod(math.factorial(e) for e in al)
-                     for al in monomials(n, k)], dtype=float)
-    Ad = adk_operator(Q, k)
-    return Ad.T @ np.kron(np.eye(n), np.diag(fact)) @ Ad
 
 
 # ---------------------------------------------------------------------------

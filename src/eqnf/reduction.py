@@ -16,8 +16,8 @@ import scipy.linalg
 from .errors import (InvariantViolation, InverseNewtonFailed, NoConvergence,
                      NotInU, SlopeTestFailed)
 from .groups import GroupData
-from .linalg import (fd_jacobian, image_basis, kernel_basis, lu_solve,
-                     newton, require_invertible)
+from .linalg import (image_basis, kernel_basis, lu_solve, newton,
+                     require_invertible)
 from .polymap import TruncatedMap, exp_vf
 
 VSTAR_TOL = 1e-12
@@ -256,32 +256,28 @@ def xstar(family, ctx: LiftContext, u, lam) -> np.ndarray:
     return u + v[:ctx.n]
 
 
-def make_reduced(family, ctx: LiftContext, radius: float | None = None):
-    """Evaluator (u, lam) -> psi_r(u) for bifurcation_fn and root finding."""
-    def reduced(u, lam):
-        return reduced_map(family, ctx, u, lam, radius=radius)
-    return reduced
-
-
-def reduced_inverse(ctx: LiftContext, reduced, u, lam,
+def reduced_inverse(family, ctx: LiftContext, u, lam,
                     max_iter: int = 40) -> np.ndarray:
-    """Solve reduced(w, lam) = u for w in U by Newton with an FD Jacobian."""
+    """Solve psi_r(w) = u for w in U by Newton, on the implicit-function
+    Jacobian D psi_r at the v* that each residual's solve returns."""
     u = np.asarray(u, dtype=float).reshape(-1)
+    psi = family.at(lam)
     Ub = ctx.U_basis
     AU = Ub.T @ ctx.A0 @ Ub
     c0 = np.linalg.solve(AU, Ub.T @ u)
 
     def res(cv):
-        return Ub.T @ reduced(Ub @ cv, lam) - Ub.T @ u
+        v, pr = _vstar_core(psi, ctx, Ub @ cv, VSTAR_MAX_ITER, ctx.radius)
+        return Ub.T @ pr - Ub.T @ u, v
 
-    def step(cv, r, aux):
+    def step(cv, r, v):
         try:
-            return np.linalg.solve(fd_jacobian(res, cv), r)
+            return np.linalg.solve(_reduced_jacobian(psi, ctx, Ub @ cv, v), r)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular reduced Jacobian: {exc}") from exc
 
     try:
-        c, _, _ = newton(lambda cv: (res(cv), None), step, c0,
+        c, _, _ = newton(res, step, c0,
                          INVERSE_TOL * max(1.0, float(np.linalg.norm(u))), max_iter,
                          "reduced inverse")
     except NoConvergence as exc:
@@ -289,12 +285,12 @@ def reduced_inverse(ctx: LiftContext, reduced, u, lam,
     return Ub @ c
 
 
-def bifurcation_fn(ctx: LiftContext, reduced, u, lam) -> np.ndarray:
+def bifurcation_fn(family, ctx: LiftContext, u, lam) -> np.ndarray:
     """B(u, lambda) = S0^-1 psi_r(u) - S0 psi_r^-1(u); zeros are exactly the
     S0-fixed points of the reduced map."""
     u = np.asarray(u, dtype=float).reshape(-1)
-    fwd = np.linalg.solve(ctx.S0, reduced(u, lam))
-    bwd = ctx.S0 @ reduced_inverse(ctx, reduced, u, lam)
+    fwd = np.linalg.solve(ctx.S0, reduced_map(family, ctx, u, lam))
+    bwd = ctx.S0 @ reduced_inverse(family, ctx, u, lam)
     return fwd - bwd
 
 

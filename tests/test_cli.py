@@ -40,6 +40,19 @@ def _linear_terms(A):
     return recs
 
 
+def _swap_problem(terms=(1.0, 1.0), slope=0.0, character=1.0):
+    """Fields of a diagonal linear map on R^2 with the swap group; `terms`
+    are its two coefficients, `slope` its parameter slope on x_0 and
+    `character` the swap's character value."""
+    return {"dimension": 2, "order": 2,
+            "map": {"terms": [{"component": i, "exponents": [1 - i, i],
+                               "coefficient": c} for i, c in enumerate(terms)],
+                    "parameter_slopes": [[{"component": 0, "exponents": [1, 0],
+                                           "coefficient": slope}]]},
+            "group": {"generators": [[[0.0, 1.0], [1.0, 0.0]]],
+                      "characters": [character]}}
+
+
 def test_all_subcommands_succeed_on_builtin(tmp_path, capsys):
     path = _builtin(tmp_path)
     for cmd in SUBCOMMANDS:
@@ -205,12 +218,34 @@ def test_parse_failures_exit_2(tmp_path, capsys):
     ("radius", {"radius": float("nan")}),
     ("dimension", {"map": {"terms": []}, "dimension": 2.5}),
     ("dimension", {"map": {"terms": []}, "dimension": 0}),
+    ("map.terms", _swap_problem(terms=[float("nan"), 1.0])),
+    ("map.terms", _swap_problem(terms=[1e400, 1.0])),
+    ("map.parameter_slopes", _swap_problem(slope=float("nan"))),
+    ("map.parameter_slopes", _swap_problem(slope=1e400)),
+    ("lambda_grid", {"lambda_grid": [[float("inf")]]}),
+    ("lambda_grid", {"lambda_grid": [[float("nan")]]}),
+    ("tol", {"tol": float("nan")}),
+    ("tol", {"tol": float("inf")}),
+    ("group", _swap_problem(character=float("nan"))),
 ])
 def test_malformed_field_is_a_parse_error(tmp_path, capsys, field, extra):
     rc = cli.main(["decompose", _builtin(tmp_path, **extra)])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("parse error:") and field in err
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_non_finite_flag_is_a_parse_error(tmp_path, capsys, command):
+    path = _builtin(tmp_path)
+    for flags, name in ((["--lambda-grid", "inf"], "--lambda-grid"),
+                        (["--lambda-grid", "0:inf:3"], "--lambda-grid"),
+                        (["--lambda-grid", "nan,0"], "--lambda-grid"),
+                        (["--tol", "nan"], "tol")):
+        rc = cli.main([command, path, *flags])
+        err = capsys.readouterr().err
+        assert rc == 2, flags
+        assert err.startswith("parse error:") and name in err
 
 
 def test_help_exits_zero(capsys):

@@ -1,8 +1,9 @@
 """Package hygiene: every name a package module imports is used in it,
 every module-level private function or class is referenced somewhere in
-the package, factored systems are solved only by linalg.lu_solve, every
-defaulted parameter is set by some call, and every callable the benchmark
-traces exists."""
+the package, every public one somewhere in the package or the benchmark,
+factored systems are solved only by linalg.lu_solve, every defaulted
+parameter is set by some call, and every callable the benchmark traces
+exists."""
 import ast
 import importlib
 import importlib.util
@@ -83,6 +84,86 @@ def test_scan_flags_unreferenced_private_helpers():
         "b": "from .a import _imported\nfrom . import a\nX = a._by_attribute\n",
     }
     assert _dead_private_defs(sources) == ["a._recursive", "a._Orphan"]
+
+
+# Modules whose public functions and classes must have a caller outside the
+# tests.
+SCANNED_MODULES = ("linalg", "groups", "polymap", "normalform", "reduction")
+# The paper's reduction API that no CLI command calls yet: the bifurcation
+# function B(u, lambda) and the full-space point x*(u, lambda).
+PAPER_API = ("bifurcation_fn", "xstar")
+
+
+def _test_only_public_defs(package: dict, callers: dict, scanned) -> list[str]:
+    """Module-level public functions and classes of the `scanned` modules of
+    `package` (name -> source) that no code of `package` outside
+    __init__ and their own definition, and no code of `callers`,
+    references.  A reference is a bare name, an imported name, an attribute
+    of a package module (`linalg.nullspace`), or, in `callers` only, a
+    string constant or one of its dotted parts (the benchmark wraps
+    callables by name); an attribute of any other object, such as the
+    field `point.xstar`, is not one."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    modules = set(package) | {"eqnf"}
+    defined, used = [], set()
+
+    def refs(node, strings):
+        if isinstance(node, ast.Name):
+            return [node.id]
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            return [node.attr]
+        if isinstance(node, ast.ImportFrom):
+            return [a.name for a in node.names]
+        if strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value.split(".")
+        return []
+
+    for module, source in package.items():
+        for stmt in ast.parse(source).body:
+            own = stmt.name if isinstance(stmt, kinds) else None
+            if module in scanned and own and not own.startswith("_"):
+                defined.append((module, own))
+            if module != "__init__":
+                used.update(name for node in ast.walk(stmt)
+                            for name in refs(node, False) if name != own)
+    for source in callers.values():
+        used.update(name for node in ast.walk(ast.parse(source))
+                    for name in refs(node, True))
+    return [f"{module}.{name}" for module, name in defined
+            if name not in used and name not in PAPER_API]
+
+
+def test_no_public_code_only_tests_reach():
+    package = Path(eqnf.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    benchmarks = _sources(Path(__file__).resolve().parent.parent / "benchmarks")
+    assert _test_only_public_defs(sources, benchmarks, SCANNED_MODULES) == []
+
+
+def test_scan_flags_public_code_only_tests_reach():
+    package = {
+        "a": ("def called():\n    return 1\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "class Orphan:\n    pass\n"
+              "def field_named():\n    return 2\n"
+              "def by_module_attribute():\n    return 3\n"
+              "def traced_by_name():\n    return 4\n"
+              "def traced_method_class():\n    return 5\n"
+              "def exported_only():\n    return 6\n"
+              "def xstar():\n    return 7\n"
+              "def _private():\n    return called()\n"),
+        "b": ("from . import a\n"
+              "def user(point):\n"
+              "    return point.field_named + a.by_module_attribute()\n"),
+        "unscanned": "def never_called():\n    return 8\n",
+        "__init__": "from .a import exported_only\n",
+    }
+    callers = {"benchmarks/spans.py": (
+        'TARGETS = {"a": ("traced_by_name", "traced_method_class.evaluate")}\n')}
+    assert _test_only_public_defs(package, callers, ("a", "b")) == [
+        "a.recursive", "a.Orphan", "a.field_named", "a.exported_only", "b.user"]
 
 
 def _scipy_lu_solve_uses(source: str) -> list[int]:

@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from eqnf.errors import (DimensionMismatch, NoConvergence, NonFinite,
                          NoRealLogarithm, NotSemisimple, NotUnipotent,
                          SingularInput)
-from eqnf.linalg import (AdaptedInnerProduct, fd_jacobian, image_basis,
-                         jordan_chevalley, kernel_basis, lu_solve,
+from eqnf.linalg import (JC_CLUSTER_FACTORS, AdaptedInnerProduct,
+                         _cluster_means, _newton_squarefree, _validate_jc,
+                         image_basis, jordan_chevalley, kernel_basis, lu_solve,
                          matrix_log_unipotent, newton, nullspace,
                          rank_tolerance, real_log, require_invertible,
                          su_decomposition)
+from oracles import fd_jacobian
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -81,6 +83,25 @@ def test_jordan_chevalley_complex_pair():
     A[0, 2] = 0.3  # off-block coupling, distinct eigenvalues so still semisimple
     jc = jordan_chevalley(A)
     assert np.max(np.abs(jc.N)) < 1e-9
+
+
+def test_jordan_chevalley_eigendecomposition_fallback():
+    # A = P (2 I + N + eps diag(g)) P^-1 with N = e_1 e_2^T and eps = 9e-4,
+    # from a seeded search: its eigenvalues 1.99981 and 1.99985 are distinct,
+    # so A is its own semisimple part, but the Newton iteration on the
+    # squarefree polynomial fails validation at every clustering tolerance,
+    # and only the eigendecomposition fallback splits it
+    A = np.array([[1.6689356843770475, 0.7968215834856156],
+                  [-0.1374084527281912, 2.3307212128194044]])
+    eigs = np.linalg.eigvals(A)
+    for factor in JC_CLUSTER_FACTORS:
+        ctol = factor * float(np.max(np.abs(eigs)))
+        S = _newton_squarefree(A, _cluster_means(eigs, ctol), ctol)
+        assert not _validate_jc(A, S)
+    jc = jordan_chevalley(A)
+    assert np.max(np.abs(jc.S + jc.N - A)) <= 1e-14
+    assert np.max(np.abs(jc.S @ jc.N - jc.N @ jc.S)) <= 1e-10
+    assert np.max(np.abs(jc.N)) <= 1e-10
 
 
 def test_su_decomposition_reconstructs():
@@ -200,7 +221,7 @@ def test_adapted_inner_product_adjoint():
     for _ in range(5):
         x = rng.standard_normal(4)
         y = rng.standard_normal(4)
-        assert abs(ip.inner(A @ x, y) - ip.inner(x, Astar @ y)) < 1e-10
+        assert abs((A @ x) @ ip.gram @ y - x @ ip.gram @ (Astar @ y)) < 1e-10
     assert np.max(np.abs(ip.adjoint(A) - Astar)) < 1e-14
     std = AdaptedInnerProduct.standard(4)
     assert np.max(np.abs(std.adjoint(A) - A.T)) < 1e-14

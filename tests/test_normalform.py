@@ -486,7 +486,7 @@ def test_nf_refuses_oversized_order_without_allocating(monkeypatch):
     # would take 477 MB
     n, k = 6, 8
     assert 8 * hk_dim(n, k) ** 2 > polymap.DENSE_BYTES_BUDGET
-    gd = GroupData.trivial(n)
+    gd = GroupData.from_elements([np.eye(n)], [1.0])
     ip = AdaptedInnerProduct.standard(n)
     fam = MapFamily(lambda lam: TruncatedMap.identity(n, k), n, k)
     monkeypatch.setattr(normalform, "_degree_data", None)  # never reached

@@ -14,15 +14,14 @@ from eqnf.corpus import (binomial_shear_family, binomial_shear_group,
 from eqnf.errors import (InvariantViolation, InverseNewtonFailed, NoConvergence,
                          NonFinite, NotInU, SlopeTestFailed)
 from eqnf.groups import GroupData
-from eqnf.linalg import fd_jacobian
 from eqnf.normalform import nilpotent_nf, semisimple_nf
 from eqnf.polymap import MapFamily
 from eqnf.reduction import (_reduced_jacobian, bifurcation_fn, build_lift,
-                            find_periodic,
-                            ghat_vstar_identity_check, lifted_apply,
-                            make_reduced, nf_reduction_consistency,
+                            find_periodic, ghat_vstar_identity_check,
+                            lifted_apply, nf_reduction_consistency,
                             reduced_inverse, reduced_map, solve_vstar, xi,
                             xstar)
+from oracles import fd_jacobian
 
 
 def test_build_lift_shapes_and_identities():
@@ -238,50 +237,69 @@ def test_find_periodic_vstar_solves_block_swap(monkeypatch):
     assert len(calls) <= 5695 // 5
 
 
-def test_bifurcation_fn_zero_iff_determining():
+def _planted_q4_setup():
     p = planted_q4()
-    ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q, radius=0.6)
+    return p.family, build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q, radius=0.6)
+
+
+def _planted_q4_branch_point(lam):
+    """_planted_q4_setup() and a nonzero zero of B at lam."""
+    family, ctx = _planted_q4_setup()
+    pts = find_periodic(family, ctx, [lam], 0.3)
+    return family, ctx, next(pt.u for pt in pts if np.linalg.norm(pt.u) > 1e-6)
+
+
+def test_bifurcation_fn_zero_iff_determining():
     lam = [-0.03]
-    pts = find_periodic(p.family, ctx, [lam], 0.3)
-    red = make_reduced(p.family, ctx, radius=0.6)
-    usol = next(pt.u for pt in pts if np.linalg.norm(pt.u) > 1e-6)
-    assert np.max(np.abs(bifurcation_fn(ctx, red, usol, lam))) < 1e-9
-    assert np.max(np.abs(bifurcation_fn(ctx, red, 0.5 * usol, lam))) > 1e-4
+    family, ctx, usol = _planted_q4_branch_point(lam)
+    assert np.max(np.abs(bifurcation_fn(family, ctx, usol, lam))) < 1e-9
+    assert np.max(np.abs(bifurcation_fn(family, ctx, 0.5 * usol, lam))) > 1e-4
+
+
+def test_bifurcation_fn_vstar_solves(monkeypatch):
+    # psi_r^-1 runs Newton on the implicit-function-theorem Jacobian, at the
+    # v* of each residual: one v* solve for psi_r(u) and one per inverse
+    # iterate, where central differences took 12 in all
+    lam = [-0.03]
+    family, ctx, usol = _planted_q4_branch_point(lam)
+    calls = []
+    core = reduction._vstar_core
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "_vstar_core", counted)
+    B = bifurcation_fn(family, ctx, 0.5 * usol, lam)
+    assert np.max(np.abs(B)) > 1e-4
+    assert len(calls) <= 4
 
 
 def test_reduced_inverse_roundtrip():
-    p = planted_q4()
-    ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q, radius=0.6)
-    red = make_reduced(p.family, ctx, radius=0.6)
+    family, ctx = _planted_q4_setup()
     lam = [-0.03]
     u = np.array([0.05, 0.02])
-    w = reduced_inverse(ctx, red, u, lam)
-    assert np.max(np.abs(red(w, lam) - u)) < 1e-9
-
-
-def _planted_q4_inverse_setup():
-    p = planted_q4()
-    ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q, radius=0.6)
-    return ctx, make_reduced(p.family, ctx, radius=0.6)
+    w = reduced_inverse(family, ctx, u, lam)
+    assert np.max(np.abs(reduced_map(family, ctx, w, lam) - u)) < 1e-9
 
 
 def test_reduced_inverse_accepts_its_last_iterate():
     # two Newton steps reach the tolerance here; the residual after the
     # last allowed step counts, so max_iter = 2 is enough
-    ctx, red = _planted_q4_inverse_setup()
+    family, ctx = _planted_q4_setup()
     lam = [-0.03]
     u = np.array([0.05, 0.02])
-    w = reduced_inverse(ctx, red, u, lam, max_iter=2)
-    assert np.max(np.abs(red(w, lam) - u)) < 1e-9
+    w = reduced_inverse(family, ctx, u, lam, max_iter=2)
+    assert np.max(np.abs(reduced_map(family, ctx, w, lam) - u)) < 1e-9
     with pytest.raises(InverseNewtonFailed,
                        match=r"reduced inverse: residual .* after 1 iterations"):
-        reduced_inverse(ctx, red, u, lam, max_iter=1)
+        reduced_inverse(family, ctx, u, lam, max_iter=1)
 
 
 def test_inverse_newton_failed_is_caught_as_no_convergence():
-    ctx, red = _planted_q4_inverse_setup()
+    family, ctx = _planted_q4_setup()
     try:
-        reduced_inverse(ctx, red, np.array([0.05, 0.02]), [-0.03], max_iter=1)
+        reduced_inverse(family, ctx, np.array([0.05, 0.02]), [-0.03], max_iter=1)
     except NoConvergence as exc:
         assert isinstance(exc, InverseNewtonFailed)
     else:
@@ -320,9 +338,8 @@ def test_vstar_rejects_non_finite_map():
 def test_radius_guard_message():
     p = planted_q4()
     ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q)  # default radius
-    red = make_reduced(p.family, ctx)
     with pytest.raises(NoConvergence, match="trust radius"):
-        red(np.array([0.15, 0.0]), [-0.03])
+        reduced_map(p.family, ctx, np.array([0.15, 0.0]), [-0.03])
 
 
 def test_ghat_vstar_identity():
