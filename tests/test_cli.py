@@ -227,6 +227,8 @@ def test_parse_failures_exit_2(tmp_path, capsys):
     ("tol", {"tol": float("nan")}),
     ("tol", {"tol": float("inf")}),
     ("group", _swap_problem(character=float("nan"))),
+    ("map.terms", {"map": {"terms": [{"component": 0, "exponents": [1e400, 0],
+                                      "coefficient": 1.0}]}, "dimension": 2}),
 ])
 def test_malformed_field_is_a_parse_error(tmp_path, capsys, field, extra):
     rc = cli.main(["decompose", _builtin(tmp_path, **extra)])
