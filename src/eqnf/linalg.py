@@ -297,39 +297,105 @@ NEWTON_MIN_STEP = 1.0 / 256
 SUFFICIENT_DECREASE = 1e-4
 
 
-def newton(evaluate, solve, x0, tol: float, max_iter: int, what: str):
-    """Damped Newton iteration on a residual, with backtracking.
+def newton(evaluate, solve, x0, tol, max_iter: int, what):
+    """Damped Newton iteration on a residual, with backtracking, for one
+    unknown or for a batch of independent ones.
 
-    evaluate(x) returns (r, aux) and solve(x, r, aux) the Newton step at x,
-    given the aux that evaluate returned there.  Each
-    step tries t = 1, 1/2, ..., NEWTON_MIN_STEP and takes the first x - t*dx
-    whose residual meets tol or shows sufficient decrease (Dennis & Schnabel,
-    Numerical Methods for Unconstrained Optimization and Nonlinear
-    Equations, 1983, section 6.3).  Returns (x, r, aux) of the accepted
-    iterate once max|r| <= tol; raises NoConvergence, naming `what`, when no
-    step is accepted or the residual is still above tol after max_iter steps.
+    One unknown, x0 of shape (k,): evaluate(x) returns (r, aux) and
+    solve(x, r, aux) the Newton step at x, given the aux that evaluate
+    returned there.  Returns (x, r, aux) of the accepted iterate once
+    max|r| <= tol; raises NoConvergence, naming the stage `what`, when no
+    step is accepted or the residual is still above tol after max_iter
+    steps.
+
+    A batch, x0 of shape (b, k): row i is a problem of its own, with its own
+    tolerance (tol is a scalar or one per row), line search, exit and
+    failure.  evaluate(X, rows) gets the iterates X of the batch rows
+    `rows` and returns (R, aux, failed): one residual per row of R, aux as a
+    tuple of arrays whose first axis runs over `rows`, and failed, None or a
+    dict from positions in `rows` to the NoConvergence of each row it could
+    not evaluate.  solve(X, R, aux) returns (DX, failed) likewise.  Returns
+    (X, R, aux, failed) over the batch: failed maps every row that did not
+    converge to its NoConvergence, whose stage is what(i) for a callable
+    `what`; every other row holds its accepted iterate.
+
+    Each step tries t = 1, 1/2, ..., NEWTON_MIN_STEP and takes the first
+    x - t*dx whose residual meets tol or shows sufficient decrease (Dennis &
+    Schnabel, Numerical Methods for Unconstrained Optimization and Nonlinear
+    Equations, 1983, section 6.3).
     """
-    x = x0
-    r, aux = evaluate(x)
-    r_max = np.max(np.abs(r), initial=0.0)
+    single = np.ndim(x0) == 1
+    if single:
+        evaluate, solve, x0 = *_one_row(evaluate, solve), np.asarray(x0)[None]
+    X = np.array(x0, dtype=float)
+    b = X.shape[0]
+    tol = np.asarray(tol, dtype=float) + np.zeros(b)
+    name = what if callable(what) else (lambda i: what)
+    live = np.ones(b, dtype=bool)
+    failed = {}
+
+    def keep(bad, rows):
+        """Record the failures `bad` among `rows`; the mask of the rest."""
+        for j, exc in (bad or {}).items():
+            failed[int(rows[j])] = exc
+            live[rows[j]] = False
+        return live[rows]
+
+    R, aux, bad = evaluate(X, np.arange(b))
+    R, aux = np.array(R, dtype=float), tuple(np.array(a) for a in aux)
+    keep(bad, np.arange(b))
+    r_max = np.abs(R).max(axis=1, initial=0.0)
     for _ in range(max_iter):
-        if r_max <= tol:
-            return x, r, aux
-        dx = solve(x, r, aux)
-        t = 1.0
-        while True:
-            cand = x - t * dx
-            r_c, aux_c = evaluate(cand)
-            r_c_max = np.max(np.abs(r_c), initial=0.0)
-            if r_c_max <= tol or r_c_max < r_max * (1 - SUFFICIENT_DECREASE * t):
-                break
-            if t <= NEWTON_MIN_STEP:
-                raise NoConvergence(f"{what}: Newton stalled at residual {r_max:.3e}")
-            t /= 2
-        x, r, aux, r_max = cand, r_c, aux_c, r_c_max
-    if r_max <= tol:
-        return x, r, aux
-    raise NoConvergence(f"{what}: residual {r_max:.3e} after {max_iter} iterations")
+        # not r <= tol, so that a NaN residual counts as unconverged
+        act = (live & ~(r_max <= tol)).nonzero()[0]
+        if not act.size:
+            break
+        DX, bad = solve(X[act], R[act], tuple(a[act] for a in aux))
+        ok = keep(bad, act)
+        rows, DX = act[ok], np.asarray(DX)[ok]
+        t = np.ones(len(rows))
+        while rows.size:
+            cand = X[rows] - t[:, None] * DX
+            R_c, aux_c, bad = evaluate(cand, rows)
+            ok = keep(bad, rows)
+            rc_max = np.abs(R_c).max(axis=1, initial=0.0)
+            take = ok & ((rc_max <= tol[rows])
+                         | (rc_max < r_max[rows] * (1 - SUFFICIENT_DECREASE * t)))
+            hit = rows[take]
+            X[hit], R[hit], r_max[hit] = cand[take], R_c[take], rc_max[take]
+            for a, a_c in zip(aux, aux_c):
+                a[hit] = a_c[take]
+            again = ok & ~take
+            stalled = again & (t <= NEWTON_MIN_STEP)
+            for i in rows[stalled]:
+                failed[int(i)] = NoConvergence(
+                    f"{name(i)}: Newton stalled at residual {r_max[i]:.3e}")
+                live[i] = False
+            again &= ~stalled
+            rows, DX, t = rows[again], DX[again], t[again] / 2
+    for i in (live & ~(r_max <= tol)).nonzero()[0]:
+        failed[int(i)] = NoConvergence(
+            f"{name(i)}: residual {r_max[i]:.3e} after {max_iter} iterations")
+    if not single:
+        return X, R, aux, failed
+    if failed:
+        raise failed[0]
+    return X[0], R[0], aux[0][0]
+
+
+def _one_row(evaluate, solve):
+    """evaluate and solve of one unknown as those of a batch of one row; the
+    aux travels in a one-element object array."""
+    def evaluate_rows(X, rows):
+        r, aux = evaluate(X[0])
+        box = np.empty(1, dtype=object)
+        box[0] = aux
+        return np.asarray(r)[None], (box,), None
+
+    def solve_rows(X, R, aux):
+        return np.asarray(solve(X[0], R[0], aux[0][0]))[None], None
+
+    return evaluate_rows, solve_rows
 
 
 def lu_solve(lu_piv, b) -> np.ndarray:

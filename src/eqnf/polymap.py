@@ -342,9 +342,6 @@ class TruncatedMap:
         return all(np.max(np.abs(a - b)) <= tol if a.size else True
                    for a, b in zip(self.layers, other.layers))
 
-    def is_identity(self, tol: float = 1e-10) -> bool:
-        return self.allclose(TruncatedMap.identity(self.n, self.order), tol)
-
     def __repr__(self):
         return f"TruncatedMap(n={self.n}, order={self.order})"
 

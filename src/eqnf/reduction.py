@@ -157,95 +157,138 @@ def build_lift(A0, S0, gd: GroupData, q: int,
 
 
 def xi(u, ctx: LiftContext) -> np.ndarray:
-    """The lift u -> (S0^i u)_i; u must lie in U = ker(S0^q - I)."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    w = ctx.xi_matrix @ u
+    """The lift u -> (S0^i u)_i of u in U = ker(S0^q - I), or of each row of
+    a batch of them."""
+    u = np.asarray(u, dtype=float)
+    w = u @ ctx.xi_matrix.T
     # the last block is S0^(q-1) u, so S0 times it is S0^q u
-    defect = np.linalg.norm(ctx.S0 @ w[-ctx.n:] - u)
-    if defect > 1e-9 * max(1.0, float(np.linalg.norm(u))):
-        raise NotInU(f"u is not in ker(S0^q - I): defect {defect:.3e}")
+    defect = np.linalg.norm(w[..., -ctx.n:] @ ctx.S0.T - u, axis=-1)
+    if np.any(defect > 1e-9 * np.maximum(1.0, np.linalg.norm(u, axis=-1))):
+        raise NotInU(f"u is not in ker(S0^q - I): defect {np.max(defect):.3e}")
     return w
 
 
 def lifted_apply(psi: TruncatedMap, ctx: LiftContext, w) -> np.ndarray:
-    """Blockwise application of psi on Y_q."""
-    w = np.asarray(w, dtype=float).reshape(ctx.q, ctx.n)
-    return psi.evaluate(w).reshape(-1)
+    """Blockwise application of psi on Y_q, to w or to each row of a batch."""
+    w = np.asarray(w, dtype=float)
+    return psi.evaluate(w.reshape(w.shape[:-1] + (ctx.q, ctx.n))).reshape(w.shape)
 
 
-def _vstar_core(psi: TruncatedMap, ctx: LiftContext, u, max_iter: int,
+def _vstar_core(psi: TruncatedMap, ctx: LiftContext, U, max_iter: int,
                 radius: float):
-    """Newton for the complement equation sigma v = Sigma(u, v).
+    """Chord Newton for the complement equation sigma v = Sigma(u, v) at
+    every row u of U at once.
 
-    Returns (v*, psi_r(u)); the second output is the xi-part Psi(u, v*).
+    Returns (V, PR, failed): row i of V is v*(u_i) and row i of PR is
+    psi_r(u_i), the xi-part Psi(u_i, v*); failed maps each row whose solve
+    failed (|u| beyond the trust radius, a stall, the iteration cap) to its
+    NoConvergence, and leaves its rows of V and PR zero.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    unorm = float(np.linalg.norm(u))
-    if unorm > radius:
-        raise NoConvergence(
-            f"|u| = {unorm:.3e} exceeds the trust radius {radius:.3e}; "
-            "pass a larger radius if the neighborhood is known to be valid")
-    xi_u = xi(u, ctx)
+    U = np.asarray(U, dtype=float)
+    unorm = np.linalg.norm(U, axis=1)
+    failed = {int(i): NoConvergence(
+        f"|u| = {unorm[i]:.3e} exceeds the trust radius {radius:.3e}; "
+        "pass a larger radius if the neighborhood is known to be valid")
+        for i in np.flatnonzero(unorm > radius)}
+    live = np.flatnonzero(unorm <= radius)
+    xi_u = xi(U[live], ctx)
     m = ctx.dim_u
     Cb = ctx.complement_basis
-    nc = Cb.shape[1]
 
-    def split(c):
-        v = Cb @ c if nc else np.zeros(ctx.q * ctx.n)
-        img = lifted_apply(psi, ctx, xi_u + v)
-        coords = lu_solve(ctx.blend_lu, img - ctx.sigma @ v)
-        return coords[m:], (coords[:m], v)
+    def split(C, rows):
+        V = C @ Cb.T
+        img = lifted_apply(psi, ctx, xi_u[rows] + V)
+        coords = lu_solve(ctx.blend_lu, (img - V @ ctx.sigma.T).T)
+        return coords[m:].T, (coords[:m].T, V), None
 
-    _, _, (a, v) = newton(split, lambda c, r, aux: lu_solve(ctx.J0_lu, r),
-                          np.zeros(nc), VSTAR_TOL * max(1.0, unorm), max_iter,
-                          f"v* at |u| = {unorm:.3e}")
-    return v, ctx.U_basis @ a
+    def step(C, R, aux):
+        return lu_solve(ctx.J0_lu, R.T).T, None
+
+    _, _, (A, V), bad = newton(split, step, np.zeros((live.size, Cb.shape[1])),
+                               VSTAR_TOL * np.maximum(1.0, unorm[live]), max_iter,
+                               lambda i: f"v* at |u| = {unorm[live[i]]:.3e}")
+    solved = np.ones(live.size, dtype=bool)
+    for j, exc in bad.items():
+        failed[int(live[j])] = exc
+        solved[j] = False
+    V_all = np.zeros((U.shape[0], Cb.shape[0]))
+    PR = np.zeros(U.shape)
+    V_all[live[solved]] = V[solved]
+    PR[live[solved]] = A[solved] @ ctx.U_basis.T
+    return V_all, PR, failed
 
 
-def _reduced_jacobian(psi: TruncatedMap, ctx: LiftContext, u, v) -> np.ndarray:
-    """D psi_r at u in U coordinates, given v = v*(u), by the implicit
-    function theorem.
+def _vstar(psi: TruncatedMap, ctx: LiftContext, u, max_iter: int,
+           radius: float):
+    """(v*, psi_r(u)) at one u; raises the NoConvergence of its solve."""
+    V, PR, failed = _vstar_core(psi, ctx, np.reshape(u, (1, -1)), max_iter, radius)
+    if failed:
+        raise failed[0]
+    return V[0], PR[0]
+
+
+def _reduced_jacobians(psi: TruncatedMap, ctx: LiftContext, U, V):
+    """D psi_r in U coordinates at every row u of U, given the rows of
+    V = v*(U), by the implicit function theorem.
 
     With w = xi(u) + v and D = blockdiag(D psi(w_0), ..., D psi(w_{q-1})),
     blend^-1 D xi U_basis = [a_u; F_u] and blend^-1 (D - sigma) Cb =
     [a_v; F_v] split the derivatives of the xi-part a and of the complement
     residual F, so dv*/du = -F_v^-1 F_u and D psi_r = a_u - a_v F_v^-1 F_u.
+    Returns (J, failed): J is (b, m, m), and failed maps each row whose F_v
+    is singular to its NoConvergence.
     """
-    w = (xi(u, ctx) + v).reshape(ctx.q, ctx.n)
-    Js = psi.jacobian(w)
-    m = ctx.dim_u
+    b, q, n, m = len(U), ctx.q, ctx.n, ctx.dim_u
+    Js = psi.jacobian((xi(U, ctx) + V).reshape(b, q, n))
 
     def blockwise(B):
-        B = B.reshape(ctx.q, ctx.n, -1)
-        return (Js @ B).reshape(ctx.q * ctx.n, -1)
+        return (Js @ B.reshape(q, n, -1)).reshape(b, q * n, -1)
 
-    rhs = np.hstack([blockwise(ctx.xi_basis),
-                     blockwise(ctx.complement_basis) - ctx.sigma_complement])
-    coords = lu_solve(ctx.blend_lu, rhs)
-    a_u, F_u = coords[:m, :m], coords[m:, :m]
-    a_v, F_v = coords[:m, m:], coords[m:, m:]
+    rhs = np.concatenate([blockwise(ctx.xi_basis),
+                          blockwise(ctx.complement_basis) - ctx.sigma_complement],
+                         axis=2)
+    cols = rhs.shape[2]
+    coords = lu_solve(ctx.blend_lu, rhs.transpose(1, 0, 2).reshape(q * n, b * cols))
+    coords = coords.reshape(q * n, b, cols).transpose(1, 0, 2)
+    a_u, F_u = coords[:, :m, :m], coords[:, m:, :m]
+    a_v, F_v = coords[:, :m, m:], coords[:, m:, m:]
+    failed = {}
     try:
-        return a_u - a_v @ np.linalg.solve(F_v, F_u)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"singular complement Jacobian: {exc}") from exc
+        dv = np.linalg.solve(F_v, F_u)
+    except np.linalg.LinAlgError:
+        dv = np.zeros_like(F_u)
+        for i in range(b):
+            try:
+                dv[i] = np.linalg.solve(F_v[i], F_u[i])
+            except np.linalg.LinAlgError as exc:
+                failed[i] = NoConvergence(f"singular complement Jacobian: {exc}")
+    return a_u - a_v @ dv, failed
+
+
+def _reduced_jacobian(psi: TruncatedMap, ctx: LiftContext, u, v) -> np.ndarray:
+    """D psi_r at one u, given v = v*(u); raises NoConvergence when F_v is
+    singular."""
+    J, failed = _reduced_jacobians(psi, ctx, np.reshape(u, (1, -1)),
+                                   np.reshape(v, (1, -1)))
+    if failed:
+        raise failed[0]
+    return J[0]
 
 
 def solve_vstar(family, ctx: LiftContext, u, lam,
                 max_iter: int = VSTAR_MAX_ITER,
                 radius: float | None = None) -> np.ndarray:
     """The complement solution v*(u, lambda) in Im(S0_hat - sigma)."""
-    psi = family.at(lam)
-    v, _ = _vstar_core(psi, ctx, u, max_iter,
-                       ctx.radius if radius is None else radius)
+    v, _ = _vstar(family.at(lam), ctx, u, max_iter,
+                  ctx.radius if radius is None else radius)
     return v
 
 
 def reduced_map(family, ctx: LiftContext, u, lam,
                 radius: float | None = None) -> np.ndarray:
     """The reduced map psi_r(u) = Psi(u, v*(u, lambda)), a vector in U."""
-    psi = family.at(lam)
-    _, pr = _vstar_core(psi, ctx, u, VSTAR_MAX_ITER,
-                        ctx.radius if radius is None else radius)
+    _, pr = _vstar(family.at(lam), ctx, u, VSTAR_MAX_ITER,
+                   ctx.radius if radius is None else radius)
     return pr
 
 
@@ -267,7 +310,7 @@ def reduced_inverse(family, ctx: LiftContext, u, lam,
     c0 = np.linalg.solve(AU, Ub.T @ u)
 
     def res(cv):
-        v, pr = _vstar_core(psi, ctx, Ub @ cv, VSTAR_MAX_ITER, ctx.radius)
+        v, pr = _vstar(psi, ctx, Ub @ cv, VSTAR_MAX_ITER, ctx.radius)
         return Ub.T @ pr - Ub.T @ u, v
 
     def step(cv, r, v):
@@ -318,13 +361,50 @@ def _canonical_key(u, S0, q):
     return min(cands)
 
 
+def _lstsq_rows(J, R) -> np.ndarray:
+    """Minimum-norm least-squares solution x_i of J[i] x_i = R[i] for every
+    i, by one stacked SVD; singular values at or below eps * max(M, N) *
+    s_max count as zero, the cut-off of np.linalg.lstsq with rcond=None."""
+    Uj, s, Vh = np.linalg.svd(J, full_matrices=False)
+    cut = np.finfo(float).eps * max(J.shape[1:]) * s[:, :1]
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
+    y = s_inv * (np.swapaxes(Uj, 1, 2) @ R[..., None])[..., 0]
+    return (np.swapaxes(Vh, 1, 2) @ y[..., None])[..., 0]
+
+
+def _periodic_newton(psi: TruncatedMap, ctx: LiftContext, seeds, radius: float):
+    """One Newton on the determining equation psi_r(u) = S0 u over all rows
+    of seeds (U coordinates), each with its own line search and exit.
+
+    Returns (C, R, V, failed) as newton does for a batch, with V the v* of
+    each row's accepted iterate.  A row fails when a v* solve or a singular
+    F_v fails it; a non-finite map value raises NonFinite for the batch.
+    """
+    Ub = ctx.U_basis
+    SU = Ub.T @ ctx.S0 @ Ub
+
+    def det_eq(C, rows):
+        V, PR, failed = _vstar_core(psi, ctx, C @ Ub.T, VSTAR_MAX_ITER, radius)
+        return PR @ Ub - C @ SU.T, (V,), failed
+
+    def det_step(C, R, aux):
+        J, failed = _reduced_jacobians(psi, ctx, C @ Ub.T, aux[0])
+        return _lstsq_rows(J - SU, R), failed
+
+    C, R, (V,), failed = newton(det_eq, det_step, seeds, PERIODIC_TOL,
+                                PERIODIC_MAX_ITER, "periodic seed")
+    return C, R, V, failed
+
+
 def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
                   seeds_per_axis: int = 5):
-    """Grid-seeded Newton on the determining equation psi_r(u) = S0 u.
+    """Grid-seeded Newton on the determining equation psi_r(u) = S0 u, one
+    batched Newton over all seeds per lambda.
 
     search_box is a finite, non-negative half-width (scalar or
-    per-U-coordinate array; ValueError otherwise); orbits
-    are deduplicated under u -> S0 u and flagged non-isolated when the
+    per-U-coordinate array; ValueError otherwise).  Orbits are
+    deduplicated under u -> S0 u in seed order, listed in the order of the
+    seed that first reached them, and flagged non-isolated when the
     determining Jacobian is rank deficient.
     """
     Ub = ctx.U_basis
@@ -336,63 +416,53 @@ def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
                           (m,)).copy()
     radius = max(ctx.radius, 2.0 * float(np.max(box, initial=0.0)))
     SU = Ub.T @ ctx.S0 @ Ub
+    axes = [np.linspace(-b, b, seeds_per_axis) for b in box]
+    seeds = (np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+             if m else np.zeros((1, 0)))
 
     found = []
     for lam in lam_grid:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         psi = family.at(lam)
-
-        def det_eq(c):
-            v, pr = _vstar_core(psi, ctx, Ub @ c, VSTAR_MAX_ITER, radius)
-            return Ub.T @ pr - SU @ c, v
-
-        def det_jacobian(c, v):
-            return _reduced_jacobian(psi, ctx, Ub @ c, v) - SU
-
-        def det_step(c, r, v):
-            return np.linalg.lstsq(det_jacobian(c, v), r, rcond=None)[0]
-
-        axes = [np.linspace(-b, b, seeds_per_axis) for b in box]
-        seeds = (np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-                 if m else np.zeros((1, 0)))
+        C, R, V, failed = _periodic_newton(psi, ctx, seeds, radius)
+        U = C @ Ub.T
         keys = set()
-        accepted = []
-        for seed in seeds:
-            try:
-                c, r, v = newton(det_eq, det_step, seed, PERIODIC_TOL,
-                                 PERIODIC_MAX_ITER, "periodic seed")
-            except NoConvergence:
+        first = []  # the seed that first reached each orbit class
+        for i, u in enumerate(U):
+            if i in failed or np.any(np.abs(C[i]) > 1.5 * box + 1e-12):
                 continue
-            if np.any(np.abs(c) > 1.5 * box + 1e-12):
-                continue
-
-            u = Ub @ c
             key = _canonical_key(u, ctx.S0, ctx.q)
             if key in keys:
                 continue
-            if any(np.linalg.norm(u - p.u) < 1e-6 * max(1.0, np.linalg.norm(u))
-                   for p in accepted):
+            if any(np.linalg.norm(u - U[j]) < 1e-6 * max(1.0, np.linalg.norm(u))
+                   for j in first):
                 continue
             keys.add(key)
+            first.append(i)
+        if not first:
+            continue
 
-            s = (np.linalg.svd(det_jacobian(c, v), compute_uv=False) if m
-                 else np.array([1.0]))
-            smin = float(s[-1]) if s.size else 1.0
-            isolated = smin > ISOLATION_TOL * max(1.0, float(s[0]) if s.size else 1.0)
-
-            orbit = (xi(u, ctx) + v).reshape(ctx.q, ctx.n)
-            x0 = orbit[0]
-            x = x0.copy()
-            for _ in range(ctx.q):
-                x = psi.evaluate(x)
-            res_full = float(np.max(np.abs(x - x0)))
-            accepted.append(PeriodicPoint(
-                u=u, lam=lam, coords=c, xstar=x0, orbit=orbit,
-                residual_reduced=float(np.max(np.abs(r), initial=0.0)),
-                residual_full=res_full, isolated=isolated,
+        U, V = U[first], V[first]
+        if m:
+            J, bad = _reduced_jacobians(psi, ctx, U, V)
+            if bad:
+                raise bad[min(bad)]
+            s = np.linalg.svd(J - SU, compute_uv=False)
+        else:
+            s = np.ones((len(first), 1))
+        orbits = (xi(U, ctx) + V).reshape(-1, ctx.q, ctx.n)
+        x = orbits[:, 0]
+        for _ in range(ctx.q):
+            x = psi.evaluate(x)
+        res_full = np.max(np.abs(x - orbits[:, 0]), axis=1)
+        for j, i in enumerate(first):
+            smin, smax = float(s[j, -1]), float(s[j, 0])
+            found.append(PeriodicPoint(
+                u=U[j], lam=lam, coords=C[i], xstar=orbits[j, 0], orbit=orbits[j],
+                residual_reduced=float(np.max(np.abs(R[i]), initial=0.0)),
+                residual_full=float(res_full[j]),
+                isolated=smin > ISOLATION_TOL * max(1.0, smax),
                 jacobian_smin=smin))
-        accepted.sort(key=lambda p: tuple(np.round(p.coords, 9)))
-        found.extend(accepted)
     return found
 
 
@@ -404,12 +474,12 @@ def ghat_vstar_identity_check(family, ctx: LiftContext, u, lam,
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     psi = family.at(lam)
-    v, pr = _vstar_core(psi, ctx, u, VSTAR_MAX_ITER, ctx.radius)
+    v, pr = _vstar(psi, ctx, u, VSTAR_MAX_ITER, ctx.radius)
     g = ctx.gd.elements[g_index]
     chi = int(round(ctx.gd.char[g_index]))
     lhs = ctx.g_hat[g_index] @ v
-    rhs, _ = _vstar_core(psi, ctx, g @ (u if chi == 1 else pr), VSTAR_MAX_ITER,
-                         ctx.radius)
+    rhs, _ = _vstar(psi, ctx, g @ (u if chi == 1 else pr), VSTAR_MAX_ITER,
+                    ctx.radius)
     if chi != 1:
         rhs = ctx.sigma @ rhs
     return float(np.max(np.abs(lhs - rhs)))
@@ -447,8 +517,8 @@ def nf_reduction_consistency(result, ctx: LiftContext, k: int, family=None,
             worst = 0.0
             for d in dirs:
                 u = s * d
-                _, pr = _vstar_core(psi, ctx, u, VSTAR_MAX_ITER,
-                                    max(ctx.radius, 10 * s))
+                _, pr = _vstar(psi, ctx, u, VSTAR_MAX_ITER,
+                               max(ctx.radius, 10 * s))
                 worst = max(worst, float(np.max(np.abs(pr - nf_map.evaluate(u)))))
             diffs[si] = worst
         report["max_diffs"].append(diffs.tolist())

@@ -1,8 +1,9 @@
 """Reference implementations that the suites compare the package against.
 
 None of these has a caller in the package: `fd_jacobian` checks the exact
-Jacobians, and `ch_compose` and `fischer_gram` check the combined-exponent
-operator C_k and the adjoint identity of the bracket operator.
+Jacobians, `ch_compose` and `fischer_gram` check the combined-exponent
+operator C_k and the adjoint identity of the bracket operator, and
+`is_identity` checks compositions with inverses.
 """
 import math
 
@@ -22,6 +23,11 @@ def fd_jacobian(f, x) -> np.ndarray:
         e[i] = h
         cols.append((f(x + e) - f(x - e)) / (2 * h))
     return np.column_stack(cols) if cols else np.zeros((0, 0))
+
+
+def is_identity(F: TruncatedMap, tol: float) -> bool:
+    """Whether F is the identity map up to tol in every coefficient."""
+    return F.allclose(TruncatedMap.identity(F.n, F.order), tol)
 
 
 def ch_compose(X: TruncatedMap, Yk, k: int, side: str) -> TruncatedMap:

@@ -1,9 +1,10 @@
 """Package hygiene: every name a package module imports is used in it,
 every module-level private function or class is referenced somewhere in
-the package, every public one somewhere in the package or the benchmark,
-factored systems are solved only by linalg.lu_solve, every defaulted
-parameter is set by some call, and every callable the benchmark traces
-exists."""
+the package, every public one (and every public method) somewhere in the
+package or the benchmark, factored systems are solved only by
+linalg.lu_solve, the damped-Newton constants live only in linalg.newton,
+every defaulted parameter is set by some call, and every callable the
+benchmark traces exists."""
 import ast
 import importlib
 import importlib.util
@@ -95,17 +96,20 @@ PAPER_API = ("bifurcation_fn", "xstar")
 
 
 def _test_only_public_defs(package: dict, callers: dict, scanned) -> list[str]:
-    """Module-level public functions and classes of the `scanned` modules of
-    `package` (name -> source) that no code of `package` outside
-    __init__ and their own definition, and no code of `callers`,
-    references.  A reference is a bare name, an imported name, an attribute
-    of a package module (`linalg.nullspace`), or, in `callers` only, a
-    string constant or one of its dotted parts (the benchmark wraps
-    callables by name); an attribute of any other object, such as the
-    field `point.xstar`, is not one."""
+    """Public module-level functions and classes, and public methods of
+    module-level classes, of the `scanned` modules of `package` (name ->
+    source) that no code of `package` outside __init__ and their own
+    definition, and no code of `callers`, references.  A reference to a
+    function or class is a bare name, an imported name, an attribute of a
+    package module (`linalg.nullspace`), or, in `callers` only, a string
+    constant or one of its dotted parts (the benchmark wraps callables by
+    name); an attribute of any other object, such as the field
+    `point.xstar`, is not one.  A reference to a method is an attribute of
+    any object (`F.evaluate`), or a dotted part of such a string."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     modules = set(package) | {"eqnf"}
     defined, used = [], set()
+    attrs = set()  # (attribute name, the method it occurs in or None)
 
     def refs(node, strings):
         if isinstance(node, ast.Name):
@@ -119,19 +123,46 @@ def _test_only_public_defs(package: dict, callers: dict, scanned) -> list[str]:
             return node.value.split(".")
         return []
 
+    def attributes(node, owner=None):
+        return {(n.attr, owner) for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
     for module, source in package.items():
         for stmt in ast.parse(source).body:
             own = stmt.name if isinstance(stmt, kinds) else None
-            if module in scanned and own and not own.startswith("_"):
-                defined.append((module, own))
-            if module != "__init__":
-                used.update(name for node in ast.walk(stmt)
-                            for name in refs(node, False) if name != own)
+            scan = module in scanned and own is not None
+            if scan and not own.startswith("_"):
+                defined.append((module, own, False))
+            methods = ([item for item in stmt.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                       if isinstance(stmt, ast.ClassDef) else [])
+            if scan:
+                defined += [(module, f"{own}.{item.name}", True) for item in methods
+                            if not item.name.startswith("_")]
+            if module == "__init__":
+                continue
+            used.update(name for node in ast.walk(stmt)
+                        for name in refs(node, False) if name != own)
+            # a method's own body does not reference it
+            owners = {id(item): f"{module}.{own}.{item.name}" for item in methods}
+            for part in ([*stmt.bases, *stmt.decorator_list, *stmt.body] if methods
+                         else [stmt]):
+                attrs.update(attributes(part, owners.get(id(part))))
     for source in callers.values():
-        used.update(name for node in ast.walk(ast.parse(source))
-                    for name in refs(node, True))
-    return [f"{module}.{name}" for module, name in defined
-            if name not in used and name not in PAPER_API]
+        tree = ast.parse(source)
+        strings = {name for node in ast.walk(tree) for name in refs(node, True)}
+        used.update(strings)
+        attrs.update(attributes(tree))
+        attrs.update((name, None) for name in strings)
+
+    def referenced(module, name, is_method):
+        if not is_method:
+            return name in used or name in PAPER_API
+        method = name.rsplit(".", 1)[1]
+        return any(attr == method and owner != f"{module}.{name}"
+                   for attr, owner in attrs)
+
+    return [f"{module}.{name}" for module, name, is_method in defined
+            if not referenced(module, name, is_method)]
 
 
 def test_no_public_code_only_tests_reach():
@@ -164,6 +195,26 @@ def test_scan_flags_public_code_only_tests_reach():
         'TARGETS = {"a": ("traced_by_name", "traced_method_class.evaluate")}\n')}
     assert _test_only_public_defs(package, callers, ("a", "b")) == [
         "a.recursive", "a.Orphan", "a.field_named", "a.exported_only", "b.user"]
+
+
+def test_scan_flags_public_methods_only_tests_reach():
+    package = {
+        "a": ("class Kept:\n"
+              "    def called(self):\n        return 1\n"
+              "    def recursive(self):\n        return self.recursive()\n"
+              "    def only_tests(self):\n        return 2\n"
+              "    def traced_by_name(self):\n        return 3\n"
+              "    @property\n    def read(self):\n        return 4\n"
+              "    def _private(self):\n        return self.only_tests()\n"
+              "def user(k):\n    return k.called() + k.read\n"),
+        "unscanned": "class Other:\n    def never_called(self):\n        return 5\n",
+    }
+    callers = {"benchmarks/spans.py": 'TARGETS = {"a": ("user", "Kept.traced_by_name")}\n'}
+    assert _test_only_public_defs(package, callers, ("a",)) == ["a.Kept.recursive"]
+    # only_tests is reached from _private alone; without it, it is flagged too
+    package["a"] = package["a"].replace("return self.only_tests()", "return 6")
+    assert _test_only_public_defs(package, callers, ("a",)) == [
+        "a.Kept.recursive", "a.Kept.only_tests"]
 
 
 def _scipy_lu_solve_uses(source: str) -> list[int]:
@@ -215,6 +266,56 @@ def test_scan_flags_scipy_lu_solve_under_any_name():
               "f = scipy.linalg.lu_factor\n"
               '"""scipy.linalg.lu_solve in a docstring is not a use"""\n')
     assert _scipy_lu_solve_uses(source) == [4, 7, 8, 9]
+
+
+NEWTON_CONSTANTS = ("NEWTON_MIN_STEP", "SUFFICIENT_DECREASE")
+
+
+def _newton_constant_uses(sources: dict) -> list[str]:
+    """module:line of each name or attribute NEWTON_MIN_STEP or
+    SUFFICIENT_DECREASE in `sources` (module -> source) outside the body of
+    linalg.newton and the module-level assignments of linalg that define
+    them.  A second damped-Newton loop would need them."""
+    uses = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        allowed = set()
+        if module == "linalg":
+            for stmt in tree.body:
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "newton":
+                    allowed.update(id(n) for n in ast.walk(stmt))
+                elif isinstance(stmt, ast.Assign):
+                    allowed.update(id(t) for t in stmt.targets)
+        for node in ast.walk(tree):
+            names = ([node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else
+                     [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if id(node) not in allowed and any(n in NEWTON_CONSTANTS for n in names):
+                uses.append(f"{module}:{node.lineno}")
+    return uses
+
+
+def test_one_damped_newton_loop():
+    package = Path(eqnf.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert _newton_constant_uses(sources) == []
+
+
+def test_scan_flags_a_second_newton_loop():
+    sources = {
+        "linalg": ("NEWTON_MIN_STEP = 1.0 / 256\nSUFFICIENT_DECREASE = 1e-4\n"
+                   "def newton(x):\n    return x * NEWTON_MIN_STEP * SUFFICIENT_DECREASE\n"
+                   "def helper(t):\n    return t <= NEWTON_MIN_STEP\n"),
+        "reduction": ("from .linalg import SUFFICIENT_DECREASE\nfrom . import linalg\n"
+                      "def own_loop(t):\n"
+                      "    return linalg.NEWTON_MIN_STEP * SUFFICIENT_DECREASE\n"
+                      '"""NEWTON_MIN_STEP in a docstring is not a use"""\n'),
+        "polymap": "NEWTON_MIN_STEP = 0.5\n",
+    }
+    assert _newton_constant_uses(sources) == [
+        "linalg:6", "reduction:1", "reduction:4", "reduction:4", "polymap:1"]
 
 
 def _unset_defaults(package: dict, callers: dict) -> list[str]:

@@ -304,6 +304,61 @@ def test_newton_empty_residual_returns_at_once():
     assert evaluate.calls == 2
 
 
+def test_newton_nan_residual_is_not_converged():
+    evaluate = _Counted(lambda x: np.full(2, np.nan))
+    with pytest.raises(NoConvergence, match="toy: Newton stalled at residual nan"):
+        newton(evaluate, lambda x, r, aux: r, np.zeros(2), 1e-10, 5, "toy")
+    assert evaluate.calls == 1 + 9
+
+
+# toy problem -> (residual of x, Newton step at x given r)
+_TOY = {"root": (lambda x: x ** 2 - 4.0, lambda x, r: r / (2 * x)),
+        "flat": (lambda x: np.ones_like(x), lambda x, r: r),
+        "slow": (lambda x: x, lambda x, r: 0.5 * r),
+        "broken": (lambda x: x, lambda x, r: r)}
+
+
+def _toy_batch(kinds):
+    """Batched evaluate and solve whose row i is the toy problem kinds[i]:
+    "root" (x^2 = 4 by exact Newton steps), "flat" (a constant residual: it
+    stalls), "slow" (half steps on r = x: it runs out of iterations) or
+    "broken" (its evaluation fails once x < 1).  A row's aux is its index."""
+    def evaluate(X, rows):
+        R = np.array([_TOY[kinds[i]][0](x) for i, x in zip(rows, X)])
+        bad = {j: NoConvergence("evaluation failed below x = 1")
+               for j, (i, x) in enumerate(zip(rows, X))
+               if kinds[i] == "broken" and x[0] < 1.0}
+        return R, (np.asarray(rows),), bad
+
+    def solve(X, R, aux):
+        return np.array([_TOY[kinds[i]][1](x, r)
+                         for i, x, r in zip(aux[0], X, R)]), None
+
+    return evaluate, solve
+
+
+def test_newton_batch_rows_fail_alone():
+    # each row of a batch ends as a batch of that row alone does, and the
+    # rows that fail leave the others' iterates bit-identical
+    kinds = ["root", "flat", "slow", "broken", "root"]
+    x0 = np.array([[3.0], [1.0], [1.0], [2.0], [-1.5]])
+    X, R, (rows,), failed = newton(*_toy_batch(kinds), x0, 1e-12, 6,
+                                   lambda i: f"row {i}")
+    assert sorted(failed) == [1, 2, 3]
+    assert str(failed[1]) == "row 1: Newton stalled at residual 1.000e+00"
+    assert str(failed[2]) == "row 2: residual 1.562e-02 after 6 iterations"
+    assert str(failed[3]) == "evaluation failed below x = 1"
+    assert np.max(np.abs(X[[0, 4], 0] - [2.0, -2.0])) <= 1e-12
+    assert list(rows[[0, 4]]) == [0, 4]
+    for i, kind in enumerate(kinds):
+        X1, R1, _, failed1 = newton(*_toy_batch([kind]), x0[i:i + 1], 1e-12, 6,
+                                    lambda j: f"row {i}")
+        assert {str(e) for e in failed1.values()} == (
+            {str(failed[i])} if i in failed else set())
+        if i not in failed:
+            assert np.array_equal(X1[0], X[i]) and np.array_equal(R1[0], R[i])
+
+
 def test_fd_jacobian_matches_polynomial_jacobian(rand_map):
     rng = np.random.default_rng(7)
     F = rand_map(rng, 3, 3)

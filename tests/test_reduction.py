@@ -1,4 +1,6 @@
 """q-fold lifts, the reduced map, and the determining equation."""
+import re
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from eqnf.errors import (InvariantViolation, InverseNewtonFailed, NoConvergence,
                          NonFinite, NotInU, SlopeTestFailed)
 from eqnf.groups import GroupData
 from eqnf.normalform import nilpotent_nf, semisimple_nf
-from eqnf.polymap import MapFamily
+from eqnf.polymap import MapFamily, TruncatedMap
 from eqnf.reduction import (_reduced_jacobian, bifurcation_fn, build_lift,
                             find_periodic, ghat_vstar_identity_check,
                             lifted_apply, nf_reduction_consistency,
@@ -220,21 +222,149 @@ def test_reduced_jacobian_singular_on_shear_line():
 
 def test_find_periodic_vstar_solves_block_swap(monkeypatch):
     # with central differences this search took 5,695 v* solves; the
-    # implicit-function-theorem Jacobian must cut that at least five-fold
+    # implicit-function-theorem Jacobian must cut that at least five-fold.
+    # Each call solves a batch of u (one row each), so the rows count the
+    # solves, and the batching must cut the calls ten-fold again
     inst = instance_block_swap(3)
     family = equivariant_family(inst, 3, np.random.default_rng(2))
     ctx = build_lift(inst.A0, inst.S0, inst.gd, 3)
-    calls = []
+    rows = []
     core = reduction._vstar_core
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return core(*args, **kwargs)
+    def counted(psi, ctx, U, *args):
+        rows.append(len(U))
+        return core(psi, ctx, U, *args)
 
     monkeypatch.setattr(reduction, "_vstar_core", counted)
     pts = find_periodic(family, ctx, [[0.01]], 0.02, seeds_per_axis=3)
     assert pts
-    assert len(calls) <= 5695 // 5
+    assert sum(rows) <= 5695 // 5
+    assert len(rows) <= 5695 // 50
+
+
+def _seed_newton_case(name, family_seed, lam):
+    """(psi, ctx, box, radius) of a periodic search as find_periodic sets it
+    up: the block-swap skeleton with a random family, or a planted family."""
+    if name == "block_swap":
+        inst = instance_block_swap(3)
+        family = equivariant_family(inst, 3, np.random.default_rng(family_seed))
+        ctx, box = build_lift(inst.A0, inst.S0, inst.gd, 3), 0.02
+    else:
+        p = planted_q4() if name == "planted_q4" else planted_q2()
+        family, box = p.family, 0.3
+        ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q, radius=0.6)
+    return family.at([lam]), ctx, box, max(ctx.radius, 2.0 * box)
+
+
+def _failure_kind(exc) -> str:
+    """The message of a failure without its numbers: a failing trajectory
+    amplifies round-off, so two runs fail alike at different points."""
+    return re.sub(r"\d[\d.e+-]*", "#", str(exc))
+
+
+def _assert_rows_match(batch, single, rows):
+    """Rows `rows` of the batched Newton `batch` against b = 1 runs `single`
+    (one per row): the same kind of failure, or x, r and v* within 1e-12."""
+    C, R, V, failed = batch
+    for i, (C1, R1, V1, failed1) in zip(rows, single):
+        assert (i in failed) == (0 in failed1)
+        if i in failed:
+            assert _failure_kind(failed[i]) == _failure_kind(failed1[0])
+        else:
+            for a, a1 in ((C, C1), (R, R1), (V, V1)):
+                assert np.max(np.abs(a[i] - a1[0]), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["block_swap", "planted_q4", "planted_q2"])
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(0.2, 2.5),
+       st.floats(-0.035, 0.01))
+def test_property_batched_seed_newton_matches_single_seeds(name, seed, count,
+                                                           spread, lam):
+    # each seed of one batched Newton ends as a batch of that seed alone
+    # does; seeds out to 2.5 box widths also exercise the trust radius and
+    # the stalls
+    psi, ctx, box, radius = _seed_newton_case(name, seed, lam)
+    seeds = np.random.default_rng(seed).uniform(-spread * box, spread * box,
+                                                (count, ctx.dim_u))
+    batch = reduction._periodic_newton(psi, ctx, seeds, radius)
+    single = [reduction._periodic_newton(psi, ctx, s[None], radius) for s in seeds]
+    _assert_rows_match(batch, single, range(count))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 4))
+def test_property_stacked_lstsq_matches_numpy(seed, m, rank):
+    # the determining step's stacked pseudo-inverse against np.linalg.lstsq
+    # with rcond=None, on full-rank and rank-deficient stacks
+    rng = np.random.default_rng(seed)
+    rank = min(rank, m)
+    J = rng.standard_normal((5, m, rank)) @ rng.standard_normal((5, rank, m))
+    R = rng.standard_normal((5, m))
+    x = reduction._lstsq_rows(J, R)
+    for Ji, ri, xi_ in zip(J, R, x):
+        ref = np.linalg.lstsq(Ji, ri, rcond=None)[0]
+        assert np.max(np.abs(xi_ - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+class _IdentityJacobianBeyond:
+    """psi, with D psi replaced by the identity wherever x_0 > cut.  On a
+    q = 1 lift sigma = I, so F_v = blend^-1 (D - I) Cb vanishes there."""
+
+    def __init__(self, psi, cut):
+        self.psi, self.cut = psi, cut
+
+    def evaluate(self, x):
+        return self.psi.evaluate(x)
+
+    def jacobian(self, x):
+        J = self.psi.jacobian(x)
+        J[np.asarray(x)[..., 0] > self.cut] = np.eye(self.psi.n)
+        return J
+
+
+@pytest.mark.parametrize("case", ["radius", "stall", "singular F_v"])
+def test_failed_seed_leaves_the_other_seeds_unchanged(case):
+    if case == "singular F_v":
+        p = planted_q1()
+        ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, 1, radius=0.6)
+        psi = _IdentityJacobianBeyond(p.family.at([0.02]), 0.35)
+        good = np.array([[-0.3], [-0.1], [0.05], [0.3]])
+        bad, radius, message = np.array([0.4]), 0.6, "singular complement Jacobian"
+    else:
+        psi, ctx, _, radius = _seed_newton_case("block_swap", 0, 0.01)
+        good = np.array([[-0.02, -0.02, -0.02, 0.02], [-0.02, -0.02, 0.02, 0.02],
+                         [-0.02, 0.0, 0.0, 0.0], [-0.02, 0.02, -0.02, -0.02]])
+        if case == "radius":
+            bad, message = np.array([0.2, 0.0, 0.0, 0.0]), "exceeds the trust radius"
+        else:
+            bad, message = np.array([-1.0, 1.0, 1.0, -1.0]) * 0.04 / 3, "Newton stalled"
+    seeds = np.insert(good, 2, bad, axis=0)
+    C, R, V, failed = reduction._periodic_newton(psi, ctx, seeds, radius)
+    assert list(failed) == [2] and message in str(failed[2])
+    alone = reduction._periodic_newton(psi, ctx, good, radius)
+    assert alone[3] == {}
+    rows = [0, 1, 3, 4]
+    for a, a_alone in zip((C, R, V), alone[:3]):
+        assert np.max(np.abs(a[rows] - a_alone)) <= 1e-12
+
+
+def test_find_periodic_order_survives_round_off():
+    # at lambda = 0 planted q4 has a degenerate zero at u = 0, and Newton
+    # stops at several near-trivial points that a 1e-12 change of the map
+    # moves by ~1e-8; listed by the seed that first reached them, they keep
+    # their places (sorted by rounded coordinates, two of them swapped)
+    p = planted_q4()
+    ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q, radius=0.6)
+    rng = np.random.default_rng(3)
+    noise = [1e-12 * rng.standard_normal(L.shape) for L in p.family.at([0.0]).layers]
+    nudged = MapFamily(lambda lam: TruncatedMap(2, 3, [
+        L + e for L, e in zip(p.family.at(lam).layers, noise)]), 2, 3, nparams=1)
+    pts = find_periodic(p.family, ctx, [[0.0]], 0.3)
+    moved = find_periodic(nudged, ctx, [[0.0]], 0.3)
+    assert len(pts) == len(moved) >= 4
+    for a, b in zip(pts, moved):
+        assert np.max(np.abs(a.u - b.u)) <= 1e-6
 
 
 def _planted_q4_setup():
