@@ -17,8 +17,8 @@ from .linalg import (AdaptedInnerProduct, JCDecomposition, SUDecomposition,
                      su_decomposition)
 from .normalform import (NormalFormResult, admissible_exponent_basis,
                          hk_projection, nilpotent_nf, semisimple_nf)
-from .polymap import (AffineMapFamily, MapFamily, TruncatedMap, ad_conjugate,
-                      adk_field, adk_operator, ck_operator, compose,
+from .polymap import (AffineMapFamily, MapFamily, TruncatedMap, adk_field,
+                      adk_operator, ck_operator, compose,
                       conjugate_linear, exp_vf, hk_dim, inverse_truncated,
                       log_map, monomial_index, monomials, num_monomials,
                       substitution_matrix)

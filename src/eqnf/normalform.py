@@ -5,11 +5,14 @@ then degree-by-degree removal of nonresonant terms.  Two targets are
 supported: the semisimple form A0 e^{X} with X commuting with S0, and the
 nilpotent form S0 e^{N0 + X} where X additionally satisfies the ad(N0*)
 kernel constraint (N0* is the adjoint with respect to the adapted inner
-product).  Every stage is a damped Newton iteration on projected residuals,
-preconditioned with the exact Frechet derivative frozen at (A0, lambda=0).
+product).  Every stage is a damped Newton iteration on projected residuals.
+The degree-j residual is affine in the degree-j generator, so its stage
+steps on the exact Jacobian J(A) at the map's linear part A and needs one
+step; the linear stage steps on J(A0), the same formula at degree 1.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +24,10 @@ from .groups import (GroupData, _resolve_char, extended_group, project_map,
 from .linalg import (AdaptedInnerProduct, image_basis, lu_solve, newton,
                      nullspace, rank_tolerance, real_log, require_invertible,
                      su_decomposition)
-from .polymap import (TruncatedMap, _LruMemo, _require_dense_fits,
-                      ad_conjugate, adk_field, adk_operator, ck_operator,
-                      compose, conjugate_linear, exp_vf, hk_dim, log_map,
-                      num_monomials)
+from .polymap import (TruncatedMap, _linear_part_data, _LruMemo,
+                      _require_dense_fits, adk_field, adk_operator,
+                      ck_operator, compose, conjugate_linear, exp_vf, hk_dim,
+                      log_map, num_monomials)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -98,7 +101,7 @@ def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
 
 
 # ---------------------------------------------------------------------------
-# per-degree data (lambda-independent, frozen at A0)
+# per-degree data (lambda-independent, at A0)
 
 @dataclass
 class _DegreeData:
@@ -107,7 +110,7 @@ class _DegreeData:
     n_kerim: int
     blend_lu: tuple
     unknown: np.ndarray
-    Jmat: np.ndarray
+    J0: np.ndarray  # J(A0); the linear stage steps on it
     jac_smin: float
     jac_smax: float
 
@@ -115,20 +118,17 @@ class _DegreeData:
         c = lu_solve(self.blend_lu, vec)
         return c[:self.n_im + self.n_kerim]
 
-    def lstsq_step(self, u, r, aux) -> np.ndarray:
-        """Newton step: least squares on the Jacobian frozen at A0."""
-        return np.linalg.lstsq(self.Jmat, r, rcond=None)[0]
 
-
-def _frozen_operator(S0, N0, A0, j: int, mode: str) -> np.ndarray:
-    """Exact derivative at (A0, phi=0) of the degree-j exponent layer with
-    respect to the degree-j transform generator."""
-    dim = hk_dim(S0.shape[0], j)
-    if mode == "semisimple":
-        return adk_operator(np.linalg.inv(A0), j) - np.eye(dim)
-    adN = adk_field(N0, j)
-    M = adk_operator(np.linalg.inv(S0), j) - scipy.linalg.expm(-adN)
-    return np.linalg.solve(ck_operator(-N0, j), M)
+def _jacobian(data: _DegreeData, A, ck_lu, j: int) -> np.ndarray:
+    """J(A) = unwanted C_j(X1)^-1 (Ad_j(A^-1) - I) unknown: the exact
+    derivative of the unwanted degree-j exponent coordinates with respect to
+    the degree-j generator coordinates, at a map whose linear part is
+    A = base e^{X1}.  A degree-j generator Y changes layer j of the map by
+    Y o A - A Y and no lower layer, so the derivative holds at every map
+    with that linear part.  ck_lu holds the LU factors of C_j(X1), or is
+    None for X1 = 0, where C_j(X1) = I."""
+    M = adk_operator(np.linalg.inv(A), j) @ data.unknown - data.unknown
+    return data.unwanted(M if ck_lu is None else lu_solve(ck_lu, M))
 
 
 def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str,
@@ -155,24 +155,20 @@ def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str,
         blend = np.hstack([im_b, ker_b])
         unknown = T_im
         n_kerim = 0
-    blend_lu = scipy.linalg.lu_factor(blend)
-
-    M = _frozen_operator(S0, N0, A0, j, mode)
-    n_res = rank + n_kerim
-    if unknown.shape[1]:
-        coords = lu_solve(blend_lu, M @ unknown)
-        Jmat = coords[:n_res]
-        s = np.linalg.svd(Jmat, compute_uv=False) if Jmat.size else np.array([0.0])
-        smin, smax = float(s[-1]), float(s[0])
-    else:
-        Jmat = np.zeros((n_res, 0))
-        smin = smax = 0.0
-    for a in (adm_b, *blend_lu, unknown, Jmat):
+    data = _DegreeData(admissible=adm_b, n_im=rank, n_kerim=n_kerim,
+                       blend_lu=scipy.linalg.lu_factor(blend), unknown=unknown,
+                       J0=None, jac_smin=0.0, jac_smax=0.0)
+    # A0 = A0 e^0 in semisimple mode and S0 e^{N0} in nilpotent mode
+    ck_lu = (scipy.linalg.lu_factor(ck_operator(N0, j))
+             if mode == "nilpotent" else None)
+    data.J0 = _jacobian(data, A0, ck_lu, j)
+    if data.J0.size:
+        s = np.linalg.svd(data.J0, compute_uv=False)
+        data.jac_smin, data.jac_smax = float(s[-1]), float(s[0])
+    for a in (adm_b, *data.blend_lu, unknown, data.J0):
         if a is not None:
             a.flags.writeable = False  # shared by every call on the skeleton
-    return _DegreeData(admissible=adm_b, n_im=rank, n_kerim=n_kerim,
-                       blend_lu=blend_lu, unknown=unknown, Jmat=Jmat,
-                       jac_smin=smin, jac_smax=smax)
+    return data
 
 
 # skeleton -> {j: _DegreeData}, filled one degree at a time
@@ -205,7 +201,10 @@ def _linear_newton(A, A0, S0, target_shift, data: _DegreeData, base,
         W = real_log(base_inv @ E @ A @ np.linalg.inv(E))
         return data.unwanted((W - target_shift).reshape(-1)), (phi, W)
 
-    _, _, (phi, W) = newton(eval_at, data.lstsq_step, np.zeros(data.unknown.shape[1]),
+    def step(u, r, aux):
+        return np.linalg.lstsq(data.J0, r, rcond=None)[0]
+
+    _, _, (phi, W) = newton(eval_at, step, np.zeros(data.unknown.shape[1]),
                             NEWTON_TOL * scale, NEWTON_MAX_ITER, what)
     return phi, W
 
@@ -240,23 +239,36 @@ class NormalFormResult:
 
 def _newton_degree(psi: TruncatedMap, j: int, data: _DegreeData, base_inv,
                    k: int):
-    """Degree-j Newton: returns (conjugated psi, transform factor, residual)."""
+    """Degree-j Newton: returns (conjugated psi, transform factor, residual).
+
+    The residual is affine in the generator, so a step on the exact
+    Jacobian J(A) at psi's linear part A solves it; J(A) is built on the
+    first step only, from the C_j factors log_map holds for base^-1 A.
+    """
     n = psi.n
     Mj = num_monomials(n, j)
     scale = max(1.0, psi.max_abs())
 
     def eval_at(u):
         if data.unknown.shape[1]:
-            layer = (data.unknown @ u).reshape(n, Mj)
-            Phi = exp_vf(TruncatedMap.zero(n, k).with_layer(j, layer))
-            psi_try = ad_conjugate(Phi, psi, k)
+            Y = TruncatedMap.zero(n, k).with_layer(j, (data.unknown @ u).reshape(n, Mj))
+            Phi = exp_vf(Y)
+            psi_try = compose(compose(Phi, psi, k), exp_vf(-Y), k)
         else:
             Phi = TruncatedMap.identity(n, k)
             psi_try = psi
         W = log_map(psi_try.linear_left(base_inv))
         return data.unwanted(W.layer(j).reshape(-1)), (Phi, psi_try)
 
-    _, r, (Phi, cur) = newton(eval_at, data.lstsq_step, np.zeros(data.unknown.shape[1]),
+    @functools.cache
+    def jacobian():
+        A = psi.linear()
+        return _jacobian(data, A, _linear_part_data(base_inv @ A).ck_factor(j), j)
+
+    def step(u, r, aux):
+        return np.linalg.lstsq(jacobian(), r, rcond=None)[0]
+
+    _, r, (Phi, cur) = newton(eval_at, step, np.zeros(data.unknown.shape[1]),
                               NEWTON_TOL * scale, NEWTON_MAX_ITER, f"degree {j}")
     return cur, Phi, float(np.max(np.abs(r), initial=0.0))
 

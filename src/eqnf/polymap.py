@@ -380,11 +380,6 @@ def compose(F: TruncatedMap, G: TruncatedMap, k: int | None = None) -> Truncated
     return TruncatedMap.from_flat(F.n, order, F.flat() @ _power_matrix(G))
 
 
-def ad_conjugate(T: TruncatedMap, F: TruncatedMap, k: int | None = None) -> TruncatedMap:
-    """Conjugation by a truncated map: T o F o T^{-1}."""
-    return compose(compose(T, F, k), inverse_truncated(T, k), k)
-
-
 def inverse_truncated(F: TruncatedMap, k: int | None = None) -> TruncatedMap:
     """Compositional inverse, degree by degree."""
     if k is not None:

@@ -2,14 +2,18 @@
 
 None of these has a caller in the package: `fd_jacobian` checks the exact
 Jacobians, `ch_compose` and `fischer_gram` check the combined-exponent
-operator C_k and the adjoint identity of the bracket operator, and
-`is_identity` checks compositions with inverses.
+operator C_k and the adjoint identity of the bracket operator,
+`is_identity` checks compositions with inverses, `ad_conjugate` conjugates
+by a truncated map through its compositional inverse, and `frozen_operator`
+is the degree-j normal-form Jacobian at A0 in its two per-mode forms.
 """
 import math
 
 import numpy as np
+import scipy.linalg
 
-from eqnf.polymap import (TruncatedMap, adk_operator, ck_operator, ck_solve,
+from eqnf.polymap import (TruncatedMap, adk_field, adk_operator, ck_operator,
+                          ck_solve, compose, hk_dim, inverse_truncated,
                           monomials)
 
 
@@ -53,3 +57,21 @@ def fischer_gram(n: int, k: int, gram) -> np.ndarray:
                      for al in monomials(n, k)], dtype=float)
     Ad = adk_operator(Q, k)
     return Ad.T @ np.kron(np.eye(n), np.diag(fact)) @ Ad
+
+
+def ad_conjugate(T: TruncatedMap, F: TruncatedMap, k: int | None = None) -> TruncatedMap:
+    """Conjugation by a truncated map: T o F o T^{-1}."""
+    return compose(compose(T, F, k), inverse_truncated(T, k), k)
+
+
+def frozen_operator(S0, N0, A0, j: int, mode: str) -> np.ndarray:
+    """Exact derivative at (A0, phi=0) of the degree-j exponent layer with
+    respect to the degree-j transform generator: Ad_j(A0^-1) - I in
+    semisimple mode, C_j(-N0)^-1 (Ad_j(S0^-1) - e^{-ad_j(N0)}) in nilpotent
+    mode."""
+    dim = hk_dim(S0.shape[0], j)
+    if mode == "semisimple":
+        return adk_operator(np.linalg.inv(A0), j) - np.eye(dim)
+    adN = adk_field(N0, j)
+    M = adk_operator(np.linalg.inv(S0), j) - scipy.linalg.expm(-adN)
+    return np.linalg.solve(ck_operator(-N0, j), M)

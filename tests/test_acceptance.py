@@ -13,12 +13,12 @@ from eqnf import corpus
 from eqnf.groups import invariant_inner_product, project_map
 from eqnf.linalg import jordan_chevalley, su_decomposition
 from eqnf.normalform import nilpotent_nf, semisimple_nf
-from eqnf.polymap import (TruncatedMap, ad_conjugate, adk_field, ck_operator,
-                          compose, conjugate_linear, exp_vf)
+from eqnf.polymap import (TruncatedMap, adk_field, ck_operator, compose,
+                          conjugate_linear, exp_vf)
 from eqnf.reduction import (bifurcation_fn, build_lift, find_periodic,
                             ghat_vstar_identity_check, nf_reduction_consistency,
                             reduced_map, solve_vstar)
-from oracles import ch_compose
+from oracles import ad_conjugate, ch_compose
 
 
 def _report(capsys, num, text):

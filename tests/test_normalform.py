@@ -1,4 +1,6 @@
 """Normal forms: splittings, admissible spaces, linear and map stages."""
+import functools
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -13,19 +15,20 @@ from eqnf.corpus import (equivariant_family, instance_block_swap,
                          instance_sign_z2, instance_swap2, nf_form_family,
                          planted_q2, planted_q4, random_group_with_characters,
                          random_semisimple_instance, rotation)
-from eqnf.errors import NotEquivariant, ProblemTooLarge, SplitFailure
+from eqnf.errors import (NoConvergence, NotEquivariant, ProblemTooLarge,
+                         SplitFailure)
 from eqnf.groups import (GroupData, extended_group, invariant_inner_product,
                          is_chi_equivariant_linear, project_map,
                          tilde_character)
 from eqnf.linalg import (AdaptedInnerProduct, image_basis, nullspace,
                          require_invertible, su_decomposition)
-from eqnf.normalform import (_degree_data, _frozen_operator, _linear_newton,
+from eqnf.normalform import (_degree_data, _jacobian, _linear_newton,
                              admissible_exponent_basis, hk_projection,
                              nilpotent_nf, semisimple_nf)
-from eqnf.polymap import (MapFamily, TruncatedMap, ad_conjugate, adk_field,
+from eqnf.polymap import (MapFamily, TruncatedMap, _linear_part_data, adk_field,
                           adk_operator, ck_operator, compose, exp_vf, hk_dim,
                           log_map, num_monomials)
-from oracles import is_identity
+from oracles import ad_conjugate, frozen_operator, is_identity
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -195,20 +198,20 @@ def test_linear_nilpotent_nf_planted_recovery():
     assert np.max(np.abs(phi0)) < 1e-12 and np.max(np.abs(C0)) < 1e-12
 
 
-def _fd_degree_derivative(psi, base, j, k, eps=1e-6):
+def _fd_degree_derivative(psi, base, j, k, directions=None, eps=1e-6):
     """Central-difference derivative of the degree-j exponent layer with
-    respect to a degree-j transform generator, at the given map."""
+    respect to a degree-j transform generator, at the given map, along the
+    columns of `directions` (every coordinate direction by default)."""
     n = psi.n
     dim = hk_dim(n, j)
     Mj = num_monomials(n, j)
     base_inv = np.linalg.inv(base)
-    T = np.zeros((dim, dim))
-    for c in range(dim):
+    directions = np.eye(dim) if directions is None else directions
+    T = np.zeros((dim, directions.shape[1]))
+    for c, d in enumerate(directions.T):
         sides = []
         for sgn in (eps, -eps):
-            layer = np.zeros(dim)
-            layer[c] = sgn
-            Phi = exp_vf(TruncatedMap.zero(n, k).with_layer(j, layer.reshape(n, Mj)))
+            Phi = exp_vf(TruncatedMap.zero(n, k).with_layer(j, (sgn * d).reshape(n, Mj)))
             W = log_map(ad_conjugate(Phi, psi, k).linear_left(base_inv))
             sides.append(W.layer(j).reshape(-1))
         T[:, c] = (sides[0] - sides[1]) / (2 * eps)
@@ -222,7 +225,7 @@ def test_frozen_operator_semisimple_fd_oracle():
     T_fd = _fd_degree_derivative(psi, inst.A0, j, k)
     expected = adk_operator(np.linalg.inv(inst.A0), j) - np.eye(hk_dim(2, j))
     assert np.max(np.abs(T_fd - expected)) < 1e-7
-    frozen = _frozen_operator(inst.S0, inst.N0, inst.A0, j, "semisimple")
+    frozen = frozen_operator(inst.S0, inst.N0, inst.A0, j, "semisimple")
     assert np.max(np.abs(T_fd - frozen)) < 1e-7
 
 
@@ -235,7 +238,7 @@ def test_frozen_operator_nilpotent_fd_oracle():
     M = (adk_operator(np.linalg.inv(inst.S0), j) - scipy.linalg.expm(-adN))
     expected = np.linalg.solve(ck_operator(-inst.N0, j), M)
     assert np.max(np.abs(T_fd - expected)) < 1e-7
-    frozen = _frozen_operator(inst.S0, inst.N0, inst.A0, j, "nilpotent")
+    frozen = frozen_operator(inst.S0, inst.N0, inst.A0, j, "nilpotent")
     assert np.max(np.abs(T_fd - frozen)) < 1e-7
 
 
@@ -254,6 +257,123 @@ def test_degree_derivative_off_the_linear_normal_form():
     uninverted = Cm @ AdA - np.linalg.inv(Cp)
     assert np.max(np.abs(T_fd - derived)) < 1e-7
     assert np.max(np.abs(T_fd - uninverted)) > 1e-3
+
+
+# the skeletons of the nf-sweep benchmark
+SWEEP_SKELETONS = {"block_swap3": lambda: instance_block_swap(3),
+                   "nilpotent_kron4": lambda: instance_nilpotent_kron(4),
+                   "swap2": instance_swap2,
+                   "rot_reflect3": lambda: instance_rot_reflect(3)}
+
+
+def _stage_data(inst, j, mode):
+    """Degree-j Newton data of a skeleton, and the base of its mode."""
+    data = _degree_data(j, inst.S0, inst.N0, inst.ip.adjoint(inst.N0),
+                        inst.A0, inst.gd, mode, None)
+    return data, (inst.A0 if mode == "semisimple" else inst.S0)
+
+
+def _jacobian_at(data, A, base, j):
+    """J(A) as a degree stage builds it: on the C_j factors of log_map's
+    data for base^-1 A."""
+    ck_lu = _linear_part_data(np.linalg.inv(base) @ A).ck_factor(j)
+    return _jacobian(data, A, ck_lu, j)
+
+
+@pytest.mark.parametrize("mode", ["nilpotent", "semisimple"])
+@pytest.mark.parametrize("name", sorted(SWEEP_SKELETONS))
+def test_jacobian_at_A0_matches_frozen_operator_oracle(name, mode):
+    # J(A0) is the old per-mode frozen operator restricted to the Newton
+    # coordinates; the stored J0 and the homological singular values are
+    # those of that J(A0)
+    inst = SWEEP_SKELETONS[name]()
+    for j in range(1, 5):
+        data, base = _stage_data(inst, j, mode)
+        J = _jacobian_at(data, inst.A0, base, j)
+        frozen = frozen_operator(inst.S0, inst.N0, inst.A0, j, mode)
+        ref = data.unwanted(frozen @ data.unknown)
+        assert J.shape == data.J0.shape == ref.shape
+        if not ref.size:
+            assert data.jac_smin == data.jac_smax == 0.0
+            continue
+        scale = float(np.max(np.abs(ref)))
+        assert np.max(np.abs(J - ref)) <= 1e-12 * scale
+        assert np.max(np.abs(data.J0 - ref)) <= 1e-12 * scale
+        s = np.linalg.svd(ref, compute_uv=False)
+        assert abs(data.jac_smin - s[-1]) <= 1e-12 * scale
+        assert abs(data.jac_smax - s[0]) <= 1e-12 * scale
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_family(name, k):
+    inst = SWEEP_SKELETONS[name]()
+    return inst, equivariant_family(inst, k, np.random.default_rng(3))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SWEEP_SKELETONS)),
+       st.sampled_from(["nilpotent", "semisimple"]), st.integers(2, 4),
+       st.floats(-0.05, 0.05), st.integers(0, 2**32 - 1))
+def test_property_degree_jacobian_is_exact(name, mode, j, lam, seed):
+    # at a map off A0, J(A) matches central differences along the Newton
+    # coordinates, and the residual is affine in them
+    k = 4
+    inst, fam = _sweep_family(name, k)
+    psi = fam.at([lam]).truncated(k)
+    data, base = _stage_data(inst, j, mode)
+    if not data.unknown.shape[1]:
+        return
+    J = _jacobian_at(data, psi.linear(), base, j)
+    T = _fd_degree_derivative(psi, base, j, k, data.unknown)
+    fd = data.unwanted(T)
+    assert np.max(np.abs(J - fd)) <= 1e-7 * max(1.0, float(np.max(np.abs(J))))
+
+    n, Mj = psi.n, num_monomials(psi.n, j)
+    base_inv = np.linalg.inv(base)
+
+    def residual(u):
+        Phi = exp_vf(TruncatedMap.zero(n, k).with_layer(j, (data.unknown @ u).reshape(n, Mj)))
+        W = log_map(ad_conjugate(Phi, psi, k).linear_left(base_inv))
+        return data.unwanted(W.layer(j).reshape(-1))
+
+    u = np.random.default_rng(seed).standard_normal(data.unknown.shape[1])
+    u *= 0.1 / np.linalg.norm(u)
+    r0, r1, r2 = residual(0 * u), residual(u), residual(2 * u)
+    size = max(1.0, *(float(np.max(np.abs(r))) for r in (r0, r1, r2)))
+    assert np.max(np.abs(r2 - 2 * r1 + r0)) <= 1e-12 * size
+    assert np.max(np.abs(r1 - r0)) >= 1e-4
+    assert np.max(np.abs(r1 - r0 - J @ u)) <= 1e-12 * size
+
+
+def test_degree_stages_take_one_exact_step(monkeypatch):
+    # one evaluation at the start of each degree stage and, where it has to
+    # step, one after its single step on J(A)
+    per_stage, calls = [], [0]
+    log_map_fn, stage = normalform.log_map, normalform._newton_degree
+
+    def counting_log_map(*args, **kwargs):
+        calls[0] += 1
+        return log_map_fn(*args, **kwargs)
+
+    def counting_stage(*args):
+        before = calls[0]
+        out = stage(*args)
+        per_stage.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(normalform, "log_map", counting_log_map)
+    monkeypatch.setattr(normalform, "_newton_degree", counting_stage)
+    rng = np.random.default_rng(5)
+    k, samples = 4, 4
+    for name in sorted(SWEEP_SKELETONS):
+        inst = SWEEP_SKELETONS[name]()
+        fam = equivariant_family(inst, k, rng)
+        runner = nilpotent_nf if np.any(inst.N0) else semisimple_nf
+        runner(fam, inst.A0, inst.gd, inst.ip, k,
+               lambdas=[[lam] for lam in rng.uniform(-0.05, 0.05, samples)])
+    assert len(per_stage) == len(SWEEP_SKELETONS) * samples * (k - 1)
+    assert max(per_stage) <= 2
+    assert 2 in per_stage  # the families are not already normal
 
 
 def test_semisimple_nf_recovers_planted_family():
@@ -340,6 +460,15 @@ def test_nilpotent_nf_swap2_k6_needs_log_map_refinement():
     fam = equivariant_family(inst, 6, np.random.default_rng(1))
     res = nilpotent_nf(fam, inst.A0, inst.gd, inst.ip, 6, lambdas=[[0.0]])
     assert res.residual <= 1e-9
+
+
+@pytest.mark.parametrize("rng", [0, 1, 2])
+def test_nilpotent_nf_swap2_k7_stalls_at_degree_7(rng):
+    # the round-off floor of the degree-7 stage lies above its tolerance
+    inst = instance_swap2()
+    fam = equivariant_family(inst, 7, np.random.default_rng(rng))
+    with pytest.raises(NoConvergence, match="^degree 7: "):
+        nilpotent_nf(fam, inst.A0, inst.gd, inst.ip, 7, lambdas=[[0.0]])
 
 
 def test_nf_diagnostics_contents():

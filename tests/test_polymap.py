@@ -15,12 +15,13 @@ from eqnf.errors import (CkSingular, DimensionMismatch, EqnfError, NonFinite,
                          NonInvertibleLinearPart)
 from eqnf.linalg import real_log
 from eqnf.polymap import (AffineMapFamily, MapFamily, TruncatedMap,
-                          _power_matrix, _transport_operator, ad_conjugate,
-                          adk_field, adk_operator, ck_operator, ck_solve,
-                          compose, conjugate_linear, exp_vf, hk_dim,
-                          inverse_truncated, log_map, monomials,
-                          num_monomials, substitution_matrix)
-from oracles import ch_compose, fd_jacobian, fischer_gram, is_identity
+                          _power_matrix, _transport_operator, adk_field,
+                          adk_operator, ck_operator, ck_solve, compose,
+                          conjugate_linear, exp_vf, hk_dim, inverse_truncated,
+                          log_map, monomials, num_monomials,
+                          substitution_matrix)
+from oracles import (ad_conjugate, ch_compose, fd_jacobian, fischer_gram,
+                     is_identity)
 
 
 # (n, order) pairs the table-driven kernels are checked at
