@@ -237,28 +237,30 @@ class NormalFormResult:
         return max(self.residuals) if self.residuals else 0.0
 
 
-def _newton_degree(psi: TruncatedMap, j: int, data: _DegreeData, base_inv,
-                   k: int):
-    """Degree-j Newton: returns (conjugated psi, transform factor, residual).
+def _newton_degree(psi: TruncatedMap, W: TruncatedMap, j: int,
+                   data: _DegreeData, base_inv, k: int):
+    """Degree-j Newton: returns (conjugated psi, its exponent
+    log(base^-1 psi), transform factor, residual).
 
-    The residual is affine in the generator, so a step on the exact
-    Jacobian J(A) at psi's linear part A solves it; J(A) is built on the
-    first step only, from the C_j factors log_map holds for base^-1 A.
+    W = log(base^-1 psi) is carried in from the previous stage, so the
+    evaluation at the generator u = 0 (Phi = identity, psi unchanged) takes
+    no log_map.  The residual is affine in the generator, so a step on the
+    exact Jacobian J(A) at psi's linear part A solves it; J(A) is built on
+    the first step only, from the C_j factors log_map holds for base^-1 A.
     """
     n = psi.n
     Mj = num_monomials(n, j)
     scale = max(1.0, psi.max_abs())
 
     def eval_at(u):
-        if data.unknown.shape[1]:
-            Y = TruncatedMap.zero(n, k).with_layer(j, (data.unknown @ u).reshape(n, Mj))
-            Phi = exp_vf(Y)
-            psi_try = compose(compose(Phi, psi, k), exp_vf(-Y), k)
-        else:
-            Phi = TruncatedMap.identity(n, k)
-            psi_try = psi
-        W = log_map(psi_try.linear_left(base_inv))
-        return data.unwanted(W.layer(j).reshape(-1)), (Phi, psi_try)
+        if not u.any():
+            return (data.unwanted(W.layer(j).reshape(-1)),
+                    (TruncatedMap.identity(n, k), psi, W))
+        Y = TruncatedMap.zero(n, k).with_layer(j, (data.unknown @ u).reshape(n, Mj))
+        Phi = exp_vf(Y)
+        psi_try = compose(compose(Phi, psi, k), exp_vf(-Y), k)
+        W_try = log_map(psi_try.linear_left(base_inv))
+        return data.unwanted(W_try.layer(j).reshape(-1)), (Phi, psi_try, W_try)
 
     @functools.cache
     def jacobian():
@@ -268,9 +270,11 @@ def _newton_degree(psi: TruncatedMap, j: int, data: _DegreeData, base_inv,
     def step(u, r, aux):
         return np.linalg.lstsq(jacobian(), r, rcond=None)[0]
 
-    _, r, (Phi, cur) = newton(eval_at, step, np.zeros(data.unknown.shape[1]),
-                              NEWTON_TOL * scale, NEWTON_MAX_ITER, f"degree {j}")
-    return cur, Phi, float(np.max(np.abs(r), initial=0.0))
+    _, r, (Phi, cur, W_cur) = newton(eval_at, step,
+                                     np.zeros(data.unknown.shape[1]),
+                                     NEWTON_TOL * scale, NEWTON_MAX_ITER,
+                                     f"degree {j}")
+    return cur, W_cur, Phi, float(np.max(np.abs(r), initial=0.0))
 
 
 def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
@@ -307,13 +311,15 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
         psi = conjugate_linear(T1, psi)
         transform = TruncatedMap.from_linear(T1, k)
 
+        # W = log(base^-1 psi) is carried through the degree stages
+        W = log_map(psi.linear_left(base_inv))
         per_deg = [0.0]
         for j in range(2, k + 1):
-            psi, Phi_j, rj = _newton_degree(psi, j, degree_data[j], base_inv, k)
+            psi, W, Phi_j, rj = _newton_degree(psi, W, j, degree_data[j],
+                                               base_inv, k)
             transform = compose(Phi_j, transform, k)
             per_deg.append(rj)
 
-        W = log_map(psi.linear_left(base_inv), k)
         recon = exp_vf(W).linear_left(base)
         residual = max(max(per_deg), (psi - recon).max_abs())
         transforms.append(transform)

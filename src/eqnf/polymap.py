@@ -430,13 +430,34 @@ def adk_operator(T, k: int) -> np.ndarray:
     return np.kron(T, substitution_matrix(np.linalg.inv(T), k).T)
 
 
+def _transport_block(N: np.ndarray, k: int) -> np.ndarray:
+    """D with D p = Dp . (N x) on degree-k scalar polynomials p: the
+    degree-k block of the transport operator of the linear field N x."""
+    return _diagonal_block(_transport_operator(TruncatedMap.from_linear(N, k)),
+                           N.shape[0], k, k)
+
+
 def adk_field(N, k: int) -> np.ndarray:
     """Bracket with the linear field N x on degree-k layers:
-    vec([N x, Y_k]) = adk_field(N,k) vec(Y_k), [N x, Y] = DY.(Nx) - N Y."""
+    vec([N x, Y_k]) = adk_field(N,k) vec(Y_k), [N x, Y] = DY.(Nx) - N Y.
+    The operator is I_n (x) D - N (x) I_M, with D = _transport_block(N, k)."""
     N = np.asarray(N, dtype=float)
-    n = N.shape[0]
-    D = _diagonal_block(_transport_operator(TruncatedMap.from_linear(N, k)), n, k, k)
-    return np.kron(np.eye(n), D) - np.kron(N, np.eye(num_monomials(n, k)))
+    return _kron_bracket(N, _transport_block(N, k))
+
+
+def _kron_bracket(N: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The dense I_n (x) D - N (x) I_M."""
+    return np.kron(np.eye(N.shape[0]), D) - np.kron(N, np.eye(D.shape[0]))
+
+
+def _bracket_times(N: np.ndarray, D: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """(I_n (x) D - N (x) I_M) P for an (n M) x c matrix P, through the
+    factors: D on each of the n row blocks of P, and N on the blocks as a
+    whole (Van Loan, J. Comput. Appl. Math. 123 (2000) 85-100)."""
+    n, M, c = N.shape[0], D.shape[0], P.shape[1]
+    out = np.matmul(D, P.reshape(n, M, c))
+    out -= (N @ P.reshape(n, M * c)).reshape(n, M, c)
+    return out.reshape(n * M, c)
 
 
 # phi1 is summed as a Taylor polynomial at L / 2^s, scaled to 1-norm <= this.
@@ -449,39 +470,47 @@ def ck_operator(X1, k: int) -> np.ndarray:
     Governs composition with near-identity degree-k factors:
     exp(X1 + W_k) = exp(X1) o exp(C_k(X1) W_k) modulo degrees > k.
 
-    Scaling and modified squaring of phi1 on the m x m bracket operator L
-    (Skaflestad & Wright, Appl. Numer. Math. 59 (2009) 783-799).  With
-    A = L / 2^s and a = ||A||_1 <= PHI1_THETA, the Taylor polynomial of the
-    least degree q with a^(q+1)/(q+2)! e^a <= 2^-53 is summed by Horner;
-    then s doublings phi1(2B) = phi1(B) (e^B + I) / 2 and e^2B = (e^B)^2,
-    with e^B - I carried from e^A - I = A phi1(A).
+    Scaling and modified squaring of phi1 on the m x m bracket operator
+    L = I_n (x) D - X1 (x) I_M of adk_field (Skaflestad & Wright, Appl. Numer.
+    Math. 59 (2009) 783-799).  With A = L / 2^s and a = ||A||_1 <= PHI1_THETA,
+    the Taylor polynomial of the least degree q with
+    a^(q+1)/(q+2)! e^a <= 2^-53 is summed by Horner, each product with A
+    applied through its Kronecker factors D / 2^s and X1 / 2^s, at about
+    (M + n) / (n M) of the flops of a dense m x m product; then s doublings
+    phi1(2B) = phi1(B) (e^B + I) / 2 and e^2B = (e^B)^2, with e^B - I
+    carried from e^A - I = A phi1(A).
     """
     X1 = np.asarray(X1, dtype=float)
     _require_finite("linear part", X1)
-    L = adk_field(X1, k)
+    D = _transport_block(X1, k)
+    L = _kron_bracket(X1, D)
     m = L.shape[0]
     a = float(np.linalg.norm(L, 1))
     if not math.isfinite(a):
         raise NonFinite("bracket operator has a non-finite 1-norm")
     s = max(0, math.ceil(math.log2(a / PHI1_THETA))) if a > PHI1_THETA else 0
     L *= 2.0 ** -s
+    D = D * 2.0 ** -s
+    X1 = X1 * 2.0 ** -s
     a *= 2.0 ** -s
     q = 0
     while a ** (q + 1) / math.factorial(q + 2) * math.exp(a) > 2.0 ** -53:
         q += 1
-    phi = np.zeros((m, m))
-    phi.flat[::m + 1] = 1.0 / math.factorial(q + 1)
-    for j in range(q, 0, -1):
-        phi = L @ phi
+    # the first Horner product A (I / (q+1)!) is a scaled copy of A; at
+    # q = 0 the sum is I = I / 0!
+    phi = L * (1.0 / math.factorial(q + 1)) if q else np.zeros((m, m))
+    phi.flat[::m + 1] += 1.0 / math.factorial(q)
+    for j in range(q - 1, 0, -1):
+        phi = _bracket_times(X1, D, phi)
         phi.flat[::m + 1] += 1.0 / math.factorial(j)
     if s:
-        D = L @ phi  # e^A - I
+        E = _bracket_times(X1, D, phi)  # e^A - I
     for i in range(s):
         if i:
-            P = D @ D  # e^2B - I = (e^B - I)^2 + 2 (e^B - I)
-            D *= 2.0
-            D += P
-        P = phi @ D  # phi1(2B) = phi1(B) + phi1(B) (e^B - I) / 2
+            P = E @ E  # e^2B - I = (e^B - I)^2 + 2 (e^B - I)
+            E *= 2.0
+            E += P
+        P = phi @ E  # phi1(2B) = phi1(B) + phi1(B) (e^B - I) / 2
         P *= 0.5
         phi += P
     return phi
@@ -627,16 +656,15 @@ def _linear_part_data(A: np.ndarray) -> _LinearPartData:
                                           lambda: _LinearPartData(A))
 
 
-def log_map(F: TruncatedMap, k: int | None = None) -> TruncatedMap:
-    """Inverse of exp_vf: the field X with exp_vf(X) = F, degree by degree.
+def log_map(F: TruncatedMap) -> TruncatedMap:
+    """Inverse of exp_vf: the field X with exp_vf(X) = F, degree by degree,
+    to F's order.
 
     The linear part of F must admit a real logarithm.  real_log, the inverse
     and the factorisations of C_d depend on the linear part alone; they are
     kept for the most recent linear part and reused while it repeats.  Up to
     8 sweeps refine X until max|F - exp_vf(X)| <= LOG_MAP_TOL * max(1, max|F|).
     """
-    if k is not None:
-        F = F.truncated(k)
     _require_finite("map", *F.layers)
     data = _linear_part_data(F.linear())
     X = TruncatedMap.from_linear(data.X1, F.order)

@@ -345,9 +345,9 @@ def test_property_degree_jacobian_is_exact(name, mode, j, lam, seed):
     assert np.max(np.abs(r1 - r0 - J @ u)) <= 1e-12 * size
 
 
-def test_degree_stages_take_one_exact_step(monkeypatch):
-    # one evaluation at the start of each degree stage and, where it has to
-    # step, one after its single step on J(A)
+def _count_log_maps(monkeypatch):
+    """Patch normalform's log_map and _newton_degree to count log_map calls:
+    returns (calls, per_stage), the running total and one entry per stage."""
     per_stage, calls = [], [0]
     log_map_fn, stage = normalform.log_map, normalform._newton_degree
 
@@ -363,6 +363,14 @@ def test_degree_stages_take_one_exact_step(monkeypatch):
 
     monkeypatch.setattr(normalform, "log_map", counting_log_map)
     monkeypatch.setattr(normalform, "_newton_degree", counting_stage)
+    return calls, per_stage
+
+
+def test_degree_stages_take_one_exact_step(monkeypatch):
+    # a stage answers its evaluation at the start from the carried exponent,
+    # and takes one more log_map where it has to step, after its single step
+    # on J(A)
+    calls, per_stage = _count_log_maps(monkeypatch)
     rng = np.random.default_rng(5)
     k, samples = 4, 4
     for name in sorted(SWEEP_SKELETONS):
@@ -372,8 +380,45 @@ def test_degree_stages_take_one_exact_step(monkeypatch):
         runner(fam, inst.A0, inst.gd, inst.ip, k,
                lambdas=[[lam] for lam in rng.uniform(-0.05, 0.05, samples)])
     assert len(per_stage) == len(SWEEP_SKELETONS) * samples * (k - 1)
-    assert max(per_stage) <= 2
-    assert 2 in per_stage  # the families are not already normal
+    assert max(per_stage) <= 1
+    assert 1 in per_stage  # the families are not already normal
+
+
+@pytest.mark.parametrize("make, k", [(instance_swap2, 4),
+                                     (lambda: instance_rot_reflect(3), 3)])
+def test_already_normal_family_takes_one_log_map_per_sample(monkeypatch, make, k):
+    # no stage steps, so the one log_map after the linear stage is the
+    # whole call's
+    inst = make()
+    fam, _ = nf_form_family(inst, k, np.random.default_rng(47), with_tail=False)
+    calls, per_stage = _count_log_maps(monkeypatch)
+    lambdas = [[-0.03], [0.02], [0.04]]
+    res = nilpotent_nf(fam, inst.A0, inst.gd, inst.ip, k, lambdas=lambdas)
+    assert res.residual < 1e-10
+    assert per_stage == [0] * (len(lambdas) * (k - 1))
+    assert calls[0] == len(lambdas)
+
+
+@pytest.mark.parametrize("mode", ["nilpotent", "semisimple"])
+def test_degree_stages_carry_the_exponent_of_their_map(monkeypatch, mode):
+    # each stage is handed W = log(base^-1 psi) of the very psi it is handed,
+    # bit for bit: the first from the driver, the others from the stage
+    # before
+    seen, stage = [], normalform._newton_degree
+
+    def recording_stage(psi, W, j, data, base_inv, k):
+        seen.append((psi.copy(), W.copy(), base_inv.copy()))
+        return stage(psi, W, j, data, base_inv, k)
+
+    monkeypatch.setattr(normalform, "_newton_degree", recording_stage)
+    k, lambdas = 4, [[-0.04], [0.03]]
+    for name in sorted(SWEEP_SKELETONS):
+        inst, fam = _sweep_family(name, k)
+        normalform._nf_driver(fam, inst.A0, inst.gd, inst.ip, k, lambdas, mode)
+    assert len(seen) == len(SWEEP_SKELETONS) * len(lambdas) * (k - 1)
+    for psi, W, base_inv in seen:
+        expected = log_map(psi.linear_left(base_inv))
+        assert all(np.array_equal(a, b) for a, b in zip(W.layers, expected.layers))
 
 
 def test_semisimple_nf_recovers_planted_family():

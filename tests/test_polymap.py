@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 
 from eqnf import polymap
-from eqnf.corpus import instance_swap2
+from eqnf.corpus import instance_nilpotent_kron, instance_swap2
 from eqnf.errors import (CkSingular, DimensionMismatch, EqnfError, NonFinite,
                          NonInvertibleLinearPart)
 from eqnf.linalg import real_log
@@ -212,6 +212,11 @@ def test_ck_operator_scalar_oracle():
                          - np.eye(hk_dim(2, 3)))) < 1e-14
 
 
+def _with_norm(X, radius):
+    """X scaled to spectral norm radius."""
+    return X * (radius / np.linalg.norm(X, 2))
+
+
 def test_ck_operator_quadrature_oracle():
     # C_k(X1) = integral over s in [0,1] of the conjugation action of e^{-s X1}
     rng = np.random.default_rng(30)
@@ -220,7 +225,13 @@ def test_ck_operator_quadrature_oracle():
              # nilpotent, max|C| = 146: the integrand is polynomial in s
              (instance_swap2().N0, 4),
              # rotation generator with |X1| = 2.1: trigonometric integrand
-             (np.array([[0.0, -theta], [theta, 0.0]]), 3)]
+             (np.array([[0.0, -theta], [theta, 0.0]]), 3),
+             # |X1| = 1.4 at n = 4: ||L||_1 > PHI1_THETA, so s > 0 squarings
+             (_with_norm(rng.standard_normal((4, 4)), 1.4), 4),
+             # |X1| = 0.01 at n = 6, nf-wide's regime: M = 126, n = 6
+             (_with_norm(rng.standard_normal((6, 6)), 0.01), 4),
+             # kron4's nilpotent N0, n = 4
+             (instance_nilpotent_kron(4).N0, 4)]
     nodes, weights = np.polynomial.legendre.leggauss(24)
     s = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
@@ -714,6 +725,17 @@ def test_property_ck_operator_matches_augmented_expm(case):
     ref = _ck_operator_augmented(X1, k)
     assert C.shape == ref.shape
     assert np.max(np.abs(C - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 5), st.integers(2, 4), st.floats(0.0, 2.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_property_ck_operator_commutes_with_bracket(n, k, radius, seed):
+    # C_k(X1) is a power series in L = adk_field(X1, k), so it commutes with L
+    X1 = _with_norm(np.random.default_rng(seed).standard_normal((n, n)), radius)
+    L, C = adk_field(X1, k), ck_operator(X1, k)
+    bound = np.linalg.norm(C, 1) * np.linalg.norm(L, 1)
+    assert np.max(np.abs(C @ L - L @ C)) <= 1e-14 * max(1.0, bound)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
