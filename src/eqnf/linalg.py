@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (DimensionMismatch, NoConvergence, NonFinite,
-                     NotUnipotent, SingularInput)
+                     NoRealLogarithm, NotUnipotent, SingularInput)
 
 # Singular values below max(n,1)*eps*max(smax,1)*RANK_TOL_FACTOR count as
 # zero.  The absolute floor of 1 keeps numerically-zero differences of
@@ -26,7 +26,16 @@ RANK_TOL_FACTOR = 1e3
 # Semisimplicity proxy: eigenvector-matrix condition number limit.
 EIGVEC_COND_LIMIT = 1e8
 UNIPOTENT_TOL = 1e-7  # (U - I)^n negligible, relative to max(1, |U - I|)^n
-REAL_LOG_TOL = 1e-9  # imaginary part of a real logarithm, relative
+# An eigenvalue within REAL_LOG_TOL * spectral radius of the closed negative
+# real axis has no real principal logarithm.
+REAL_LOG_TOL = 1e-9
+# real_log evaluates log(I + M) by the [16/16] Pade approximant once
+# |M|_1 <= PADE_THETA, the theta_16 of Higham (2001): there Kenney and Laub's
+# bound |r_16(-|M|) - log(1 - |M|)| on its error is the unit roundoff.
+PADE_THETA = 7.24e-1
+_GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(16)
+PADE_NODES, PADE_WEIGHTS = (_GAUSS_T + 1) / 2, _GAUSS_W / 2  # on [0, 1]
+SQRT_MAX_ITER = 60  # Denman-Beavers steps per square root in real_log
 JC_TOL = 1e-10  # Jordan-Chevalley postconditions, relative
 JC_CLUSTER_FACTORS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-3)  # x spectral radius
 SQUAREFREE_MAX_ITER = 60
@@ -102,23 +111,63 @@ def matrix_log_unipotent(U) -> np.ndarray:
     return out
 
 
+def _sqrt_denman_beavers(X: np.ndarray) -> np.ndarray:
+    """Principal square root of X by the product form of the Denman-Beavers
+    iteration, M <- (I + (M + M^-1)/2)/2 and Y <- Y (I + M^-1)/2 from
+    M = Y = X, which keeps M = X^-1 Y^2.  Since M' - I = (M - I)^2 M^-1 / 4,
+    the step taken once |M - I|^2 |M^-1| <= 4 eps leaves M' within eps of I,
+    and Y' = X^1/2 M'^1/2 equals X^1/2 to working precision."""
+    I = np.eye(X.shape[0])
+    M = Y = X
+    for _ in range(SQRT_MAX_ITER):
+        M_inv = np.linalg.inv(M)
+        Y = 0.5 * Y @ (I + M_inv)
+        if (np.linalg.norm(M - I, 1) ** 2 * np.linalg.norm(M_inv, 1)
+                <= 4 * np.finfo(float).eps):
+            return Y
+        M = 0.5 * I + 0.25 * (M + M_inv)
+    raise NoConvergence(
+        f"real_log: square root not converged in {SQRT_MAX_ITER} Denman-Beavers steps")
+
+
 def real_log(A) -> np.ndarray:
-    """Principal real logarithm of a matrix near the identity (or unipotent).
+    """Principal real logarithm of a real matrix.
 
-    Only the unipotent-compatible / near-identity case is supported; a
-    complex-valued principal log raises NoRealLogarithm.
+    A unipotent A takes the finite Mercator series.  Otherwise the
+    logarithm is the inverse scaling and squaring one of Cheng, Higham,
+    Kenney and Laub (SIAM J. Matrix Anal. Appl. 22 (2001) 1112-1125), in
+    real arithmetic: s principal square roots X = A^(1/2^s) by the product
+    form of the Denman-Beavers iteration, until |X - I|_1 <= PADE_THETA,
+    then log A = 2^s r_16(X - I), where the [16/16] Pade approximant r_16
+    is evaluated in partial fractions at the 16 Gauss-Legendre nodes on
+    [0, 1] (Higham, SIAM J. Matrix Anal. Appl. 22 (2001) 1126-1135).
+
+    The principal logarithm is real exactly when no eigenvalue lies on the
+    closed negative real axis; an eigenvalue within REAL_LOG_TOL (relative
+    to the spectral radius) of it raises NoRealLogarithm.  A square root
+    that does not converge raises NoConvergence.
     """
-    from .errors import NoRealLogarithm
-
     A = as_square(A)
     n = A.shape[0]
-    M = A - np.eye(n)
-    if np.linalg.norm(np.linalg.matrix_power(M, n)) <= 1e-13 * max(1.0, np.linalg.norm(M)) ** n:
+    I = np.eye(n)
+    M = A - I
+    # unipotent when M^n vanishes relative to |M|^n: a small M need not be
+    # nilpotent, and the series would drop its M^n / n
+    if np.linalg.norm(np.linalg.matrix_power(M, n)) <= 1e-13 * np.linalg.norm(M) ** n:
         return matrix_log_unipotent(A)
-    L = scipy.linalg.logm(A)
-    if np.max(np.abs(np.imag(L))) > REAL_LOG_TOL * max(1.0, np.max(np.abs(L))):
-        raise NoRealLogarithm("principal logarithm has a non-negligible imaginary part")
-    return np.real(L)
+    lam = np.linalg.eigvals(A)
+    gap = np.where(lam.real > 0, np.abs(lam), np.abs(lam.imag))
+    if np.any(gap <= REAL_LOG_TOL * np.max(np.abs(lam))):
+        raise NoRealLogarithm("an eigenvalue lies on the closed negative real axis; "
+                              "the principal logarithm is not real")
+    X, s = A, 0
+    while np.linalg.norm(M, 1) > PADE_THETA:
+        X = _sqrt_denman_beavers(X)
+        M, s = X - I, s + 1
+    # r_16(M) = sum_j w_j M (I + t_j M)^-1, one batched solve
+    Z = np.linalg.solve(I + PADE_NODES[:, None, None] * M,
+                        np.broadcast_to(M, (len(PADE_NODES), n, n)))
+    return 2.0 ** s * np.tensordot(PADE_WEIGHTS, Z, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 every module-level private function or class is referenced somewhere in
 the package, every public one (and every public method) somewhere in the
 package or the benchmark, factored systems are solved only by
-linalg.lu_solve, the damped-Newton constants live only in linalg.newton,
-every defaulted parameter is set by some call, and every callable the
-benchmark traces exists."""
+linalg.lu_solve, no scipy logm or sqrtm stands beside linalg.real_log, the
+damped-Newton constants live only in linalg.newton, every defaulted
+parameter is set by some call, and every callable the benchmark traces
+exists."""
 import ast
 import importlib
 import importlib.util
@@ -217,9 +218,9 @@ def test_scan_flags_public_methods_only_tests_reach():
         "a.Kept.recursive", "a.Kept.only_tests"]
 
 
-def _scipy_lu_solve_uses(source: str) -> list[int]:
-    """Lines of `source` that import or call scipy.linalg.lu_solve, under
-    any name the module binds to scipy.linalg."""
+def _scipy_linalg_uses(source: str, names) -> list[int]:
+    """Lines of `source` that import or call one of the scipy.linalg
+    functions `names`, under any name the module binds to scipy.linalg."""
     tree = ast.parse(source)
     modules = {"scipy.linalg"}
     for node in ast.walk(tree):
@@ -241,9 +242,9 @@ def _scipy_lu_solve_uses(source: str) -> list[int]:
     for node in ast.walk(tree):
         if (isinstance(node, ast.ImportFrom) and node.module
                 and node.module.startswith("scipy.linalg")
-                and any(a.name == "lu_solve" for a in node.names)):
+                and any(a.name in names for a in node.names)):
             lines.append(node.lineno)
-        elif (isinstance(node, ast.Attribute) and node.attr == "lu_solve"
+        elif (isinstance(node, ast.Attribute) and node.attr in names
               and dotted(node.value) in modules):
             lines.append(node.lineno)
     return sorted(lines)
@@ -252,7 +253,7 @@ def _scipy_lu_solve_uses(source: str) -> list[int]:
 def test_no_scipy_lu_solve():
     package = Path(eqnf.__file__).parent
     uses = [f"{path.stem}:{line}" for path in sorted(package.glob("*.py"))
-            for line in _scipy_lu_solve_uses(path.read_text(encoding="utf-8"))]
+            for line in _scipy_linalg_uses(path.read_text(encoding="utf-8"), ("lu_solve",))]
     assert uses == []
 
 
@@ -265,7 +266,29 @@ def test_scan_flags_scipy_lu_solve_under_any_name():
               "d = lu_solve\ne = linalg.lu_solve\n"
               "f = scipy.linalg.lu_factor\n"
               '"""scipy.linalg.lu_solve in a docstring is not a use"""\n')
-    assert _scipy_lu_solve_uses(source) == [4, 7, 8, 9]
+    assert _scipy_linalg_uses(source, ("lu_solve",)) == [4, 7, 8, 9]
+
+
+# linalg.real_log is the one real logarithm; scipy's logm and sqrtm serve
+# only as oracles in the tests.
+def test_no_scipy_logm_or_sqrtm():
+    package = Path(eqnf.__file__).parent
+    uses = [f"{path.stem}:{line}" for path in sorted(package.glob("*.py"))
+            for line in _scipy_linalg_uses(path.read_text(encoding="utf-8"),
+                                           ("logm", "sqrtm"))]
+    assert uses == []
+
+
+def test_scan_flags_scipy_logm_and_sqrtm_under_any_name():
+    source = ("import scipy.linalg\nimport scipy.linalg as sla\n"
+              "from scipy import linalg as spl\n"
+              "from scipy.linalg import logm as log\n"
+              "from scipy.linalg._matfuncs_sqrtm import sqrtm\n"
+              "from .linalg import real_log\n"
+              "a = scipy.linalg.logm(x)\nb = sla.sqrtm(x)\nc = spl.logm\n"
+              "d = real_log(x)\ne = scipy.linalg.expm(x)\n"
+              '"""scipy.linalg.logm in a docstring is not a use"""\n')
+    assert _scipy_linalg_uses(source, ("logm", "sqrtm")) == [4, 5, 7, 8, 9]
 
 
 NEWTON_CONSTANTS = ("NEWTON_MIN_STEP", "SUFFICIENT_DECREASE")

@@ -1,16 +1,20 @@
 """Dense linear-algebra layer: decompositions, bases, logs, inner products."""
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 
+from eqnf import linalg
+from eqnf.corpus import (binomial_shear_matrix, instance_nilpotent_kron,
+                         instance_swap2, rotation)
 from eqnf.errors import (DimensionMismatch, NoConvergence, NonFinite,
                          NoRealLogarithm, NotSemisimple, NotUnipotent,
                          SingularInput)
-from eqnf.linalg import (JC_CLUSTER_FACTORS, AdaptedInnerProduct,
-                         _cluster_means, _newton_squarefree, _validate_jc,
-                         image_basis, jordan_chevalley, kernel_basis, lu_solve,
+from eqnf.linalg import (JC_CLUSTER_FACTORS, PADE_NODES, PADE_THETA,
+                         PADE_WEIGHTS, AdaptedInnerProduct, _cluster_means,
+                         _newton_squarefree, _validate_jc, image_basis, jordan_chevalley, kernel_basis, lu_solve,
                          matrix_log_unipotent, newton, nullspace,
                          rank_tolerance, real_log, require_invertible,
                          su_decomposition)
@@ -202,6 +206,114 @@ def test_real_log_rotation():
 def test_real_log_rejects_unpaired_negative():
     with pytest.raises(NoRealLogarithm):
         real_log(np.diag([-1.0, 2.0]))
+
+
+@pytest.mark.parametrize("A", [-np.eye(2), scipy.linalg.block_diag(rotation(np.pi), np.eye(2))],
+                         ids=["minus-identity", "rotation-by-pi"])
+def test_real_log_rejects_eigenvalue_minus_one(A):
+    # a pair at -1 has a real logarithm, but no real principal one
+    with pytest.raises(NoRealLogarithm):
+        real_log(A)
+
+
+def test_real_log_square_root_cap_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "SQRT_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match="real_log"):
+        real_log(rotation(3.1))
+
+
+def _near_identity(n):
+    X = np.random.default_rng(n).standard_normal((n, n))
+    return scipy.linalg.expm(0.1 * X / np.linalg.norm(X, 1))
+
+
+def _perturbed_exp_nilpotent(inst, eps):
+    n = inst.N0.shape[0]
+    return scipy.linalg.expm(inst.N0 + eps * np.random.default_rng(n).standard_normal((n, n)))
+
+
+def _with_spectrum(logs):
+    V = np.eye(len(logs)) + 0.3 * np.random.default_rng(0).standard_normal((len(logs),) * 2)
+    return V @ np.diag(np.exp(logs)) @ np.linalg.inv(V)
+
+
+# scipy.linalg.logm is the oracle here and nowhere in the package
+LOGM_CASES = {
+    **{f"near-identity-n{n}": (lambda n=n: _near_identity(n)) for n in range(1, 7)},
+    **{f"{name}-eps{eps:g}": (lambda make=make, eps=eps:
+                              _perturbed_exp_nilpotent(make(), eps))
+       for name, make in (("kron4", instance_nilpotent_kron), ("swap2", instance_swap2))
+       for eps in (1e-3, 1e-6)},
+    **{f"rotation-{th}": (lambda th=th: rotation(th)) for th in (1.1, 2.0, 2.9, 3.1)},
+    "near-unipotent-shear": lambda: binomial_shear_matrix() + np.array([[0.0, 0.0],
+                                                                         [1e-6, 0.0]]),
+    "spread-spectrum": lambda: _with_spectrum([-3.0, 0.5, 2.0]),
+    # the last square root leaves M = A^(1/2^s) - I near -PADE_THETA
+    "contraction": lambda: 0.1 * rotation(0.1),
+}
+
+
+@pytest.mark.parametrize("case", LOGM_CASES)
+def test_real_log_matches_logm(case):
+    A = LOGM_CASES[case]()
+    ref = np.real(scipy.linalg.logm(A))
+    L = real_log(A)
+    assert np.linalg.norm(L - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
+
+
+@pytest.mark.parametrize("n, scale", [(3, 2e-5), (4, 5e-4)])
+def test_real_log_near_identity_is_not_truncated(n, scale):
+    # |M^n| below 1e-13 does not make M = A - I nilpotent: the finite
+    # Mercator series would drop M^n / n, 1e-11 or more of the logarithm
+    mp = pytest.importorskip("mpmath")
+    X = np.random.default_rng(n).standard_normal((n, n))
+    A = scipy.linalg.expm(scale * X / np.linalg.norm(X, 1))
+    with mp.workdps(40):
+        exact = np.array(mp.logm(mp.matrix(A.tolist())).tolist(), dtype=complex).real
+    assert np.linalg.norm(real_log(A) - exact, 1) <= 1e-14 * np.linalg.norm(exact, 1)
+
+
+def test_pade_theta_is_theta_16():
+    # theta_16 bounds Kenney and Laub's error bound |r_16(-x) - log(1 - x)|
+    # of the [16/16] Pade approximant by the unit roundoff, to its 3 digits
+    mp = pytest.importorskip("mpmath")
+
+    def dlegendre(t):
+        return 16 * (t * mp.legendre(16, t) - mp.legendre(15, t)) / (t * t - 1)
+
+    def bound(x):
+        r = sum(w * -x / (1 - t * x) for t, w in zip(nodes, weights))
+        return abs(r - mp.log(1 - x)) / mp.mpf(2) ** -53
+
+    with mp.workdps(40):
+        nodes, weights = [], []
+        for t in map(mp.mpf, np.polynomial.legendre.leggauss(16)[0]):
+            for _ in range(3):  # Newton steps on the Legendre polynomial
+                t -= mp.legendre(16, t) / dlegendre(t)
+            nodes.append((t + 1) / 2)
+            weights.append(1 / ((1 - t * t) * dlegendre(t) ** 2))
+        assert np.allclose(PADE_NODES, np.array(nodes, dtype=float), rtol=0, atol=1e-15)
+        assert np.allclose(PADE_WEIGHTS, np.array(weights, dtype=float), rtol=0, atol=1e-15)
+        assert bound(mp.mpf(PADE_THETA - 5e-4)) <= 1 < bound(mp.mpf(PADE_THETA + 5e-4))
+
+
+@st.composite
+def _log_inputs(draw):
+    n = draw(st.integers(1, 6))
+    E = draw(hnp.arrays(np.float64, (n, n),
+                        elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    norm = np.linalg.norm(E, 2)
+    return draw(st.floats(0.0, 3.0)) * E / norm if norm > 0 else E
+
+
+@PROPERTY_SETTINGS
+@given(_log_inputs())
+def test_property_real_log_inverts_expm(X):
+    # |X|_2 <= 3 < pi keeps every eigenvalue of X in the principal strip
+    A = scipy.linalg.expm(X)
+    L = real_log(A)
+    assert np.linalg.norm(L - X, 1) <= 1e-12 * max(1.0, np.linalg.norm(X, 1))
+    assert np.linalg.norm(scipy.linalg.expm(L) - A, 1) <= 1e-12 * np.linalg.norm(A, 1)
 
 
 def test_matrix_log_unipotent():
