@@ -24,8 +24,8 @@ from .groups import (GroupData, invariant_inner_product,
 from .linalg import jordan_chevalley, su_decomposition
 from .normalform import nilpotent_nf, semisimple_nf
 from .polymap import AffineMapFamily, TruncatedMap, _require_dense_fits
-from .reduction import (_reduced_jacobian, build_lift, find_periodic,
-                        ghat_vstar_identity_check, reduced_map, solve_vstar)
+from .reduction import (_reduced_jacobian, _vstar, build_lift, find_periodic,
+                        ghat_vstar_identity_check)
 
 DEFAULT_TOL = 1e-9
 TERM_CUTOFF = 1e-12  # reported map terms leave out smaller coefficients
@@ -196,13 +196,6 @@ def _matrix_obj(M):
     return [[float(v) for v in row] for row in np.atleast_2d(M)]
 
 
-def _map_terms_obj(F: TruncatedMap):
-    return [{"component": int(t["component"]),
-             "exponents": [int(e) for e in t["exponents"]],
-             "coefficient": float(t["coefficient"])}
-            for t in F.to_terms(TERM_CUTOFF)]
-
-
 def _emit(doc: dict, args) -> None:
     if args.format == "machine":
         text = json.dumps(doc, sort_keys=True, indent=2)
@@ -304,8 +297,8 @@ def cmd_normal_form(problem: Problem, args) -> int:
             "lambda": [float(v) for v in lam],
             "residual": float(result.residuals[i]),
             "admissible_coords": adm_coords,
-            "exponent_terms": _map_terms_obj(W),
-            "transform_terms": _map_terms_obj(result.transforms[i]),
+            "exponent_terms": W.to_terms(TERM_CUTOFF),
+            "transform_terms": result.transforms[i].to_terms(TERM_CUTOFF),
         })
     doc = {
         "command": "normal-form",
@@ -336,19 +329,14 @@ def _jsonable(value):
     return str(value)
 
 
-def _build_ctx(problem: Problem):
-    _, A, jc, su = _decomposition(problem)
-    return build_lift(A, su.S, problem.gd, problem.q, radius=problem.radius)
-
-
 def cmd_reduce(problem: Problem, args) -> int:
-    ctx = _build_ctx(problem)
-    lam0 = problem.lambda_grid[0]
+    _, A, _, su = _decomposition(problem)
+    ctx = build_lift(A, su.S, problem.gd, problem.q, radius=problem.radius)
+    psi0 = problem.family.at(problem.lambda_grid[0])
     m = ctx.dim_u
-    v0 = solve_vstar(problem.family, ctx, np.zeros(ctx.n), lam0)
-    pr0 = reduced_map(problem.family, ctx, np.zeros(ctx.n), lam0)
+    v0, pr0 = _vstar(psi0, ctx, np.zeros(ctx.n), ctx.radius)
     Ub = ctx.U_basis
-    J = _reduced_jacobian(problem.family.at(lam0), ctx, np.zeros(ctx.n), v0)
+    J = _reduced_jacobian(psi0, ctx, np.zeros(ctx.n), v0)
     AU = Ub.T @ ctx.A0 @ Ub
     doc = {
         "command": "reduce",
@@ -368,7 +356,8 @@ def cmd_reduce(problem: Problem, args) -> int:
 
 
 def cmd_periodic(problem: Problem, args) -> int:
-    ctx = _build_ctx(problem)
+    _, A, _, su = _decomposition(problem)
+    ctx = build_lift(A, su.S, problem.gd, problem.q, radius=problem.radius)
     points = find_periodic(problem.family, ctx, problem.lambda_grid,
                            problem.search_box)
     entries = []
@@ -419,27 +408,23 @@ def cmd_verify(problem: Problem, args) -> int:
            float(np.max(np.abs(su.S @ Sstar - Sstar @ su.S))), 1e-10)
 
     try:
-        ctx = _build_ctx(problem)
+        ctx = build_lift(A, su.S, problem.gd, problem.q, radius=problem.radius)
         record("lift identities", 0.0, 0.5)
         lam0 = problem.lambda_grid[0]
         rng = np.random.default_rng(0)
-        m = ctx.dim_u
-        worst_s0 = worst_g = worst_vs = worst_gv = 0.0
+        U = []
         for _ in range(3):
-            c = rng.standard_normal(m)
-            u = ctx.U_basis @ (1e-2 * c / max(1.0, np.linalg.norm(c)))
-            pr_s = reduced_map(problem.family, ctx, ctx.S0 @ u, lam0)
-            pr = reduced_map(problem.family, ctx, u, lam0)
-            worst_s0 = max(worst_s0, float(np.max(np.abs(pr_s - ctx.S0 @ pr))))
-            v_s = solve_vstar(problem.family, ctx, ctx.S0 @ u, lam0)
-            v = solve_vstar(problem.family, ctx, u, lam0)
-            worst_vs = max(worst_vs, float(np.max(np.abs(v_s - ctx.sigma @ v))))
-            for gi in range(problem.gd.order):
-                worst_gv = max(worst_gv, ghat_vstar_identity_check(
-                    problem.family, ctx, u, lam0, gi))
-        record("reduced map S0-equivariance", worst_s0, 1e-8)
-        record("vstar shift equivariance", worst_vs, 1e-8)
-        record("ghat vstar identity", worst_gv, 1e-8)
+            c = rng.standard_normal(ctx.dim_u)
+            U.append(ctx.U_basis @ (1e-2 * c / max(1.0, np.linalg.norm(c))))
+        U = np.array(U)
+        # rows 0-2 at u, rows 3-5 at S0 u
+        V, PR = _vstar(psi0, ctx, np.concatenate([U, U @ ctx.S0.T]), ctx.radius)
+        record("reduced map S0-equivariance",
+               float(np.max(np.abs(PR[3:] - PR[:3] @ ctx.S0.T))), 1e-8)
+        record("vstar shift equivariance",
+               float(np.max(np.abs(V[3:] - V[:3] @ ctx.sigma.T))), 1e-8)
+        record("ghat vstar identity", float(np.max(ghat_vstar_identity_check(
+            problem.family, ctx, U, lam0))), 1e-8)
     except InvariantViolation as exc:
         checks.append({"name": f"lift identities ({exc})", "defect": 1.0,
                        "tol": 0.5, "pass": False})
@@ -458,22 +443,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eqnf",
         description="Equivariant normal forms and Lyapunov-Schmidt reduction "
                     "for families of local diffeomorphisms.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("decompose", "normal-form", "reduce", "periodic", "verify"):
-        p = sub.add_parser(name)
-        p.add_argument("problem", help="problem file (JSON)")
-        p.add_argument("--order", type=int, default=None,
-                       help="truncation order k")
-        p.add_argument("--period", type=int, default=None, help="period q")
-        p.add_argument("--tol", type=float, default=None,
-                       help="acceptance tolerance")
-        p.add_argument("--radius", type=float, default=None,
-                       help="trust radius for v* Newton")
-        p.add_argument("--lambda-grid", dest="lambda_grid", default=None,
-                       help="comma list or start:stop:count")
-        p.add_argument("--output", default=None, help="write report to file")
-        p.add_argument("--format", choices=("text", "machine"),
-                       default="text", help="report format")
+    parser.add_argument("command", choices=tuple(_DISPATCH), help="what to run")
+    parser.add_argument("problem", help="problem file (JSON)")
+    parser.add_argument("--order", type=int, default=None,
+                        help="truncation order k")
+    parser.add_argument("--period", type=int, default=None, help="period q")
+    parser.add_argument("--tol", type=float, default=None,
+                        help="acceptance tolerance")
+    parser.add_argument("--radius", type=float, default=None,
+                        help="trust radius for v* Newton")
+    parser.add_argument("--lambda-grid", dest="lambda_grid", default=None,
+                        help="comma list or start:stop:count")
+    parser.add_argument("--output", default=None, help="write report to file")
+    parser.add_argument("--format", choices=("text", "machine"),
+                        default="text", help="report format")
     return parser
 
 

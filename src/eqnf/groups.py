@@ -81,8 +81,7 @@ class GroupData:
                    identity_index=ident, inverse_index=inv)
 
     @classmethod
-    def from_generators(cls, generators, gen_chars,
-                        max_order: int = MAX_GROUP_ORDER) -> "GroupData":
+    def from_generators(cls, generators, gen_chars) -> "GroupData":
         """Close the generator set under multiplication (breadth-first)."""
         generators = [as_square(G, "generator") for G in generators]
         n = generators[0].shape[0] if generators else None
@@ -103,10 +102,10 @@ class GroupData:
                         elements.append(P)
                         chars.append(pc)
                         new_frontier.append(len(elements) - 1)
-                        if len(elements) > max_order:
+                        if len(elements) > MAX_GROUP_ORDER:
                             raise NotClosed(
-                                f"closure exceeded {max_order} elements; generators "
-                                "likely generate an infinite group")
+                                f"closure exceeded {MAX_GROUP_ORDER} elements; "
+                                "generators likely generate an infinite group")
                     elif abs(chars[k] - pc) > 1e-9:
                         raise BadCharacter(
                             f"character value conflict at element {k}: "

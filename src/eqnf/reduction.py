@@ -25,6 +25,7 @@ VSTAR_MAX_ITER = 60
 DEFAULT_RADIUS = 0.1
 LIFT_CHECK_TOL = 1e-11
 INVERSE_TOL = 1e-11
+INVERSE_MAX_ITER = 40
 PERIODIC_TOL = 1e-10  # determining equation of find_periodic
 PERIODIC_MAX_ITER = 40
 ISOLATION_TOL = 1e-6  # non-isolated: s_min <= ISOLATION_TOL * max(1, s_max)
@@ -49,8 +50,6 @@ class LiftContext:
     S0: np.ndarray
     gd: GroupData
     sigma: np.ndarray
-    S0_hat: np.ndarray
-    A0_hat: np.ndarray
     g_hat: list
     U_basis: np.ndarray
     xi_matrix: np.ndarray
@@ -148,8 +147,7 @@ def build_lift(A0, S0, gd: GroupData, q: int,
     else:
         J0_lu = None
 
-    return LiftContext(q=q, n=n, A0=A0, S0=S0, gd=gd, sigma=sigma,
-                       S0_hat=S0_hat, A0_hat=A0_hat, g_hat=g_hat,
+    return LiftContext(q=q, n=n, A0=A0, S0=S0, gd=gd, sigma=sigma, g_hat=g_hat,
                        U_basis=U_basis, xi_matrix=xi_matrix,
                        complement_basis=complement_basis, xi_basis=Xi,
                        sigma_complement=sigma @ complement_basis,
@@ -174,8 +172,7 @@ def lifted_apply(psi: TruncatedMap, ctx: LiftContext, w) -> np.ndarray:
     return psi.evaluate(w.reshape(w.shape[:-1] + (ctx.q, ctx.n))).reshape(w.shape)
 
 
-def _vstar_core(psi: TruncatedMap, ctx: LiftContext, U, max_iter: int,
-                radius: float):
+def _vstar_core(psi: TruncatedMap, ctx: LiftContext, U, radius: float):
     """Chord Newton for the complement equation sigma v = Sigma(u, v) at
     every row u of U at once.
 
@@ -205,7 +202,8 @@ def _vstar_core(psi: TruncatedMap, ctx: LiftContext, U, max_iter: int,
         return lu_solve(ctx.J0_lu, R.T).T, None
 
     _, _, (A, V), bad = newton(split, step, np.zeros((live.size, Cb.shape[1])),
-                               VSTAR_TOL * np.maximum(1.0, unorm[live]), max_iter,
+                               VSTAR_TOL * np.maximum(1.0, unorm[live]),
+                               VSTAR_MAX_ITER,
                                lambda i: f"v* at |u| = {unorm[live[i]]:.3e}")
     solved = np.ones(live.size, dtype=bool)
     for j, exc in bad.items():
@@ -218,13 +216,14 @@ def _vstar_core(psi: TruncatedMap, ctx: LiftContext, U, max_iter: int,
     return V_all, PR, failed
 
 
-def _vstar(psi: TruncatedMap, ctx: LiftContext, u, max_iter: int,
-           radius: float):
-    """(v*, psi_r(u)) at one u; raises the NoConvergence of its solve."""
-    V, PR, failed = _vstar_core(psi, ctx, np.reshape(u, (1, -1)), max_iter, radius)
+def _vstar(psi: TruncatedMap, ctx: LiftContext, u, radius: float):
+    """(v*, psi_r(u)) at u or at each row of u, from one batched solve;
+    raises the NoConvergence of the first row whose solve failed."""
+    u = np.asarray(u, dtype=float)
+    V, PR, failed = _vstar_core(psi, ctx, u.reshape(-1, ctx.n), radius)
     if failed:
-        raise failed[0]
-    return V[0], PR[0]
+        raise failed[min(failed)]
+    return V.reshape(u.shape[:-1] + V.shape[1:]), PR.reshape(u.shape)
 
 
 def _reduced_jacobians(psi: TruncatedMap, ctx: LiftContext, U, V):
@@ -266,41 +265,36 @@ def _reduced_jacobians(psi: TruncatedMap, ctx: LiftContext, U, V):
 
 
 def _reduced_jacobian(psi: TruncatedMap, ctx: LiftContext, u, v) -> np.ndarray:
-    """D psi_r at one u, given v = v*(u); raises NoConvergence when F_v is
-    singular."""
-    J, failed = _reduced_jacobians(psi, ctx, np.reshape(u, (1, -1)),
-                                   np.reshape(v, (1, -1)))
+    """D psi_r at u or at each row of u, given v = v*(u); raises the
+    NoConvergence of the first row whose F_v is singular."""
+    u = np.asarray(u, dtype=float)
+    J, failed = _reduced_jacobians(psi, ctx, u.reshape(-1, ctx.n),
+                                   np.reshape(v, (-1, ctx.q * ctx.n)))
     if failed:
-        raise failed[0]
-    return J[0]
+        raise failed[min(failed)]
+    return J.reshape(u.shape[:-1] + J.shape[1:])
 
 
-def solve_vstar(family, ctx: LiftContext, u, lam,
-                max_iter: int = VSTAR_MAX_ITER,
-                radius: float | None = None) -> np.ndarray:
-    """The complement solution v*(u, lambda) in Im(S0_hat - sigma)."""
-    v, _ = _vstar(family.at(lam), ctx, u, max_iter,
-                  ctx.radius if radius is None else radius)
-    return v
+def solve_vstar(family, ctx: LiftContext, u, lam) -> np.ndarray:
+    """The complement solution v*(u, lambda) in Im(S0_hat - sigma), at u or
+    at each row of u."""
+    return _vstar(family.at(lam), ctx, u, ctx.radius)[0]
 
 
-def reduced_map(family, ctx: LiftContext, u, lam,
-                radius: float | None = None) -> np.ndarray:
-    """The reduced map psi_r(u) = Psi(u, v*(u, lambda)), a vector in U."""
-    _, pr = _vstar(family.at(lam), ctx, u, VSTAR_MAX_ITER,
-                   ctx.radius if radius is None else radius)
-    return pr
+def reduced_map(family, ctx: LiftContext, u, lam) -> np.ndarray:
+    """The reduced map psi_r(u) = Psi(u, v*(u, lambda)), a vector in U, at u
+    or at each row of u."""
+    return _vstar(family.at(lam), ctx, u, ctx.radius)[1]
 
 
 def xstar(family, ctx: LiftContext, u, lam) -> np.ndarray:
-    """The full-space point carried by u: block 0 of xi(u) + v*(u, lambda)."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    v = solve_vstar(family, ctx, u, lam)
-    return u + v[:ctx.n]
+    """The full-space point carried by u, or by each row of u: block 0 of
+    xi(u) + v*(u, lambda)."""
+    u = np.asarray(u, dtype=float)
+    return u + solve_vstar(family, ctx, u, lam)[..., :ctx.n]
 
 
-def reduced_inverse(family, ctx: LiftContext, u, lam,
-                    max_iter: int = 40) -> np.ndarray:
+def reduced_inverse(family, ctx: LiftContext, u, lam) -> np.ndarray:
     """Solve psi_r(w) = u for w in U by Newton, on the implicit-function
     Jacobian D psi_r at the v* that each residual's solve returns."""
     u = np.asarray(u, dtype=float).reshape(-1)
@@ -310,7 +304,7 @@ def reduced_inverse(family, ctx: LiftContext, u, lam,
     c0 = np.linalg.solve(AU, Ub.T @ u)
 
     def res(cv):
-        v, pr = _vstar(psi, ctx, Ub @ cv, VSTAR_MAX_ITER, ctx.radius)
+        v, pr = _vstar(psi, ctx, Ub @ cv, ctx.radius)
         return Ub.T @ pr - Ub.T @ u, v
 
     def step(cv, r, v):
@@ -321,7 +315,8 @@ def reduced_inverse(family, ctx: LiftContext, u, lam,
 
     try:
         c, _, _ = newton(res, step, c0,
-                         INVERSE_TOL * max(1.0, float(np.linalg.norm(u))), max_iter,
+                         INVERSE_TOL * max(1.0, float(np.linalg.norm(u))),
+                         INVERSE_MAX_ITER,
                          "reduced inverse")
     except NoConvergence as exc:
         raise InverseNewtonFailed(str(exc)) from exc
@@ -384,7 +379,7 @@ def _periodic_newton(psi: TruncatedMap, ctx: LiftContext, seeds, radius: float):
     SU = Ub.T @ ctx.S0 @ Ub
 
     def det_eq(C, rows):
-        V, PR, failed = _vstar_core(psi, ctx, C @ Ub.T, VSTAR_MAX_ITER, radius)
+        V, PR, failed = _vstar_core(psi, ctx, C @ Ub.T, radius)
         return PR @ Ub - C @ SU.T, (V,), failed
 
     def det_step(C, R, aux):
@@ -444,10 +439,8 @@ def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
 
         U, V = U[first], V[first]
         if m:
-            J, bad = _reduced_jacobians(psi, ctx, U, V)
-            if bad:
-                raise bad[min(bad)]
-            s = np.linalg.svd(J - SU, compute_uv=False)
+            s = np.linalg.svd(_reduced_jacobian(psi, ctx, U, V) - SU,
+                              compute_uv=False)
         else:
             s = np.ones((len(first), 1))
         orbits = (xi(U, ctx) + V).reshape(-1, ctx.q, ctx.n)
@@ -466,30 +459,37 @@ def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
     return found
 
 
-def ghat_vstar_identity_check(family, ctx: LiftContext, u, lam,
-                              g_index: int) -> float:
-    """Residual of the lifted equivariance identity of v*:
+def ghat_vstar_identity_check(family, ctx: LiftContext, u, lam) -> np.ndarray:
+    """Residual of the lifted equivariance identity of v*
 
-    g_hat v*(u) = sigma^e v*(g psi_r^e(u)) with e = (1 - chi(g)) / 2.
+    g_hat v*(u) = sigma^e v*(g psi_r^e(u)) with e = (1 - chi(g)) / 2
+
+    for each group element g, the largest over u or the rows of u; one v*
+    solve at the rows and one over all their g-images.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
     psi = family.at(lam)
-    v, pr = _vstar(psi, ctx, u, VSTAR_MAX_ITER, ctx.radius)
-    g = ctx.gd.elements[g_index]
-    chi = int(round(ctx.gd.char[g_index]))
-    lhs = ctx.g_hat[g_index] @ v
-    rhs, _ = _vstar(psi, ctx, g @ (u if chi == 1 else pr), VSTAR_MAX_ITER,
-                    ctx.radius)
-    if chi != 1:
-        rhs = ctx.sigma @ rhs
-    return float(np.max(np.abs(lhs - rhs)))
+    U = np.asarray(u, dtype=float).reshape(-1, ctx.n)
+    V, PR = _vstar(psi, ctx, U, ctx.radius)
+    chis = [int(round(c)) for c in ctx.gd.char]
+    images = [(U if chi == 1 else PR) @ g.T
+              for g, chi in zip(ctx.gd.elements, chis)]
+    rhs, _ = _vstar(psi, ctx, np.concatenate(images), ctx.radius)
+    defects = np.zeros(ctx.gd.order)
+    for gi, (G, chi, R) in enumerate(zip(ctx.g_hat, chis,
+                                         np.split(rhs, ctx.gd.order))):
+        if chi != 1:
+            R = R @ ctx.sigma.T
+        defects[gi] = np.max(np.abs(V @ G.T - R))
+    return defects
 
 
-def nf_reduction_consistency(result, ctx: LiftContext, k: int, family=None,
+def nf_reduction_consistency(result, ctx: LiftContext, k: int, family,
                              scales=None) -> dict:
-    """Check that the reduced map of a normal-formed family agrees with the
-    normal form itself on U to order k (log-log slope >= k+1-0.2), and that
-    D psi_r(0) carries the near-unit-circle eigenvalues of the linear part.
+    """Check that the reduced map of `family`, whose normal form is
+    `result`, agrees with the normal form itself on U to order k (log-log
+    slope >= k+1-0.2), and that D psi_r(0) carries the near-unit-circle
+    eigenvalues of the linear part.  Each lambda takes one v* solve over
+    all scales and directions.
     """
     if scales is None:
         scales = np.geomspace(1e-4, 1e-2, 9)
@@ -504,23 +504,18 @@ def nf_reduction_consistency(result, ctx: LiftContext, k: int, family=None,
         c = rng.standard_normal(m)
         c /= np.linalg.norm(c)
         dirs.append(Ub @ c)
+    # row (i, j) of U is scales[i] * dirs[j], all inside one trust radius
+    U = (scales[:, None, None] * np.array(dirs)).reshape(-1, ctx.n)
+    radius = max(ctx.radius, 10 * float(np.max(scales)))
 
     report = {"scales": scales.tolist(), "slopes": [], "max_diffs": [],
               "eig_mismatch": [], "passed": True}
     min_slope = k + 1 - 0.2
     for idx, lam in enumerate(result.lambdas):
         nf_map = exp_vf(result.exponents[idx], k).linear_left(base)
-        psi = family.at(lam) if family is not None else nf_map
-
-        diffs = np.zeros(len(scales))
-        for si, s in enumerate(scales):
-            worst = 0.0
-            for d in dirs:
-                u = s * d
-                _, pr = _vstar(psi, ctx, u, VSTAR_MAX_ITER,
-                               max(ctx.radius, 10 * s))
-                worst = max(worst, float(np.max(np.abs(pr - nf_map.evaluate(u)))))
-            diffs[si] = worst
+        psi = family.at(lam)
+        _, PR = _vstar(psi, ctx, U, radius)
+        diffs = np.abs(PR - nf_map.evaluate(U)).reshape(len(scales), -1).max(axis=1)
         report["max_diffs"].append(diffs.tolist())
 
         mask = diffs > SLOPE_NOISE_FLOOR

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from eqnf import cli
+from eqnf import cli, corpus, reduction
 
 SUBCOMMANDS = ("decompose", "normal-form", "reduce", "periodic", "verify")
 
@@ -51,6 +51,20 @@ def _swap_problem(terms=(1.0, 1.0), slope=0.0, character=1.0):
                                            "coefficient": slope}]]},
             "group": {"generators": [[[0.0, 1.0], [1.0, 0.0]]],
                       "characters": [character]}}
+
+
+def _planted_q4_problem(tmp_path):
+    """corpus.planted_q4 as an affine problem file on the grid 0, -0.03."""
+    p = corpus.planted_q4()
+    base = p.family.at([0.0])
+    return _write(tmp_path, {
+        "dimension": 2, "order": 3, "q": 4,
+        "map": {"terms": base.to_terms(),
+                "parameter_slopes": [(p.family.at([1.0]) - base).to_terms()]},
+        "group": {"generators": [g.tolist() for g in p.inst.gd.elements],
+                  "characters": [float(c) for c in p.inst.gd.char]},
+        "lambda_grid": [[0.0], [-0.03]], "search_box": 0.3, "radius": 0.6},
+        "planted_q4.json")
 
 
 def test_all_subcommands_succeed_on_builtin(tmp_path, capsys):
@@ -118,6 +132,27 @@ def test_reduce_machine_report(tmp_path, capsys):
     assert doc["vstar_at_zero"] == 0.0
     assert doc["reduced_at_zero"] <= 1e-12
     assert doc["linearization_defect"] <= 1e-8
+
+
+@pytest.mark.parametrize("command, solves", [("reduce", 1), ("verify", 3)])
+def test_reduction_commands_batch_their_vstar_solves(tmp_path, capsys,
+                                                     monkeypatch, command, solves):
+    # reduce takes v* and psi_r(0) from one solve; verify solves its u and
+    # S0 u rows at once, then the ghat identity takes two solves, where one
+    # solve per u took 2 and 36 calls
+    calls = []
+    core = reduction._vstar_core
+
+    def counted(*args):
+        calls.append(None)
+        return core(*args)
+
+    monkeypatch.setattr(reduction, "_vstar_core", counted)
+    rc = cli.main([command, _planted_q4_problem(tmp_path), "--format", "machine"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["command"] == command
+    assert doc.get("all_pass", True) is True
+    assert 1 <= len(calls) <= solves
 
 
 def test_periodic_reports_nonisolated_line(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from eqnf import groups
 from eqnf.corpus import (binomial_shear_group, binomial_shear_matrix,
                          binomial_shear_map, random_group_with_characters,
                          random_semisimple_instance, rotation)
@@ -29,9 +30,10 @@ def test_from_generators_dihedral_closure():
         assert np.max(np.abs(gd.elements[i] @ gd.inverse(i) - np.eye(2))) < 1e-9
 
 
-def test_from_generators_rejects_infinite_group():
-    with pytest.raises(NotClosed):
-        GroupData.from_generators([rotation(1.0)], [1.0], max_order=12)
+def test_from_generators_rejects_infinite_group(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 12)
+    with pytest.raises(NotClosed, match="closure exceeded 12 elements"):
+        GroupData.from_generators([rotation(1.0)], [1.0])
 
 
 def test_from_generators_rejects_inconsistent_character():

@@ -4,8 +4,8 @@ the package, every public one (and every public method) somewhere in the
 package or the benchmark, factored systems are solved only by
 linalg.lu_solve, no scipy logm or sqrtm stands beside linalg.real_log, the
 damped-Newton constants live only in linalg.newton, every defaulted
-parameter is set by some call, and every callable the benchmark traces
-exists."""
+parameter is set by some call, no iteration or size cap is a defaulted
+parameter, and every callable the benchmark traces exists."""
 import ast
 import importlib
 import importlib.util
@@ -430,6 +430,55 @@ def test_scan_flags_defaulted_parameters_no_call_sets():
                               "forwarded(0, **options)\n")}
     assert _unset_defaults(package, callers) == [
         "a.f(unset)", "a.f(kw_unset)", "a.C.__init__(b)"]
+
+
+CAP_PARAMETERS = ("max_iter", "max_order")
+
+
+def _defaulted_caps(package: dict) -> list[str]:
+    """module.function(parameter), with the class for a method, of each
+    defaulted parameter named max_iter or max_order of a function in
+    `package` (module -> source).  Such caps are module constants that the
+    function reads at call time, so a test can monkeypatch them."""
+    caps = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        methods = {id(stmt): cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for stmt in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args
+            defaulted = params[len(params) - len(args.defaults):] + [
+                p for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            cls = methods.get(id(node))
+            qualified = f"{module}.{cls + '.' if cls else ''}{node.name}"
+            caps += [f"{qualified}({p.arg})" for p in defaulted
+                     if p.arg in CAP_PARAMETERS]
+    return caps
+
+
+def test_no_defaulted_iteration_caps():
+    package = Path(eqnf.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert _defaulted_caps(sources) == []
+
+
+def test_scan_flags_defaulted_iteration_caps():
+    package = {"a": ("CAP = 3\n"
+                     "def f(x, max_iter=CAP):\n    return x\n"
+                     "def g(x, max_iter):\n    return x\n"
+                     "def h(x, tol=1e-9, *, max_order=None):\n    return x\n"
+                     "def k(x, *, max_iter):\n    return x\n"
+                     "class C:\n"
+                     "    @classmethod\n"
+                     "    def make(cls, gens, max_order: int = 12):\n"
+                     "        return cls()\n"
+                     "    def step(self, max_steps=4):\n        return self\n")}
+    assert _defaulted_caps(package) == [
+        "a.f(max_iter)", "a.h(max_order)", "a.C.make(max_order)"]
 
 
 def test_benchmark_trace_targets_resolve():

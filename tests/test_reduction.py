@@ -182,16 +182,16 @@ def _determining_case(name):
             lam, box)
 
 
-def _determining_jacobians(family, ctx, lam, c, radius):
+def _determining_jacobians(family, ctx, lam, c):
     """The implicit-function-theorem determining Jacobian at U coordinates c,
     and the central-difference one of the determining equation itself."""
     Ub = ctx.U_basis
     SU = Ub.T @ ctx.S0 @ Ub
 
     def det_eq(cc):
-        return Ub.T @ reduced_map(family, ctx, Ub @ cc, lam, radius=radius) - SU @ cc
+        return Ub.T @ reduced_map(family, ctx, Ub @ cc, lam) - SU @ cc
 
-    v = solve_vstar(family, ctx, Ub @ c, lam, radius=radius)
+    v = solve_vstar(family, ctx, Ub @ c, lam)
     return (_reduced_jacobian(family.at(lam), ctx, Ub @ c, v) - SU,
             fd_jacobian(det_eq, c))
 
@@ -200,10 +200,9 @@ def _determining_jacobians(family, ctx, lam, c, radius):
 def test_reduced_jacobian_matches_fd(name):
     family, ctx, lam, box = _determining_case(name)
     rng = np.random.default_rng(55)
-    radius = max(ctx.radius, 2.0 * box)
     for _ in range(3):
         c = rng.uniform(-box, box, ctx.dim_u)
-        J, J_fd = _determining_jacobians(family, ctx, lam, c, radius)
+        J, J_fd = _determining_jacobians(family, ctx, lam, c)
         assert np.max(np.abs(J - J_fd)) <= 1e-5 * np.max(np.abs(J_fd))
 
 
@@ -214,7 +213,7 @@ def test_reduced_jacobian_singular_on_shear_line():
     pts = find_periodic(family, ctx, [[0.0]], 0.06)
     assert len(pts) >= 3
     for pt in pts:
-        J, _ = _determining_jacobians(family, ctx, [0.0], pt.coords, 0.5)
+        J, _ = _determining_jacobians(family, ctx, [0.0], pt.coords)
         s = np.linalg.svd(J, compute_uv=False)
         assert s[-1] <= 1e-10 * s[0]
         assert pt.jacobian_smin == s[-1]
@@ -413,35 +412,39 @@ def test_reduced_inverse_roundtrip():
     assert np.max(np.abs(reduced_map(family, ctx, w, lam) - u)) < 1e-9
 
 
-def test_reduced_inverse_accepts_its_last_iterate():
+def test_reduced_inverse_accepts_its_last_iterate(monkeypatch):
     # two Newton steps reach the tolerance here; the residual after the
-    # last allowed step counts, so max_iter = 2 is enough
+    # last allowed step counts, so a cap of 2 is enough
     family, ctx = _planted_q4_setup()
     lam = [-0.03]
     u = np.array([0.05, 0.02])
-    w = reduced_inverse(family, ctx, u, lam, max_iter=2)
+    monkeypatch.setattr(reduction, "INVERSE_MAX_ITER", 2)
+    w = reduced_inverse(family, ctx, u, lam)
     assert np.max(np.abs(reduced_map(family, ctx, w, lam) - u)) < 1e-9
+    monkeypatch.setattr(reduction, "INVERSE_MAX_ITER", 1)
     with pytest.raises(InverseNewtonFailed,
                        match=r"reduced inverse: residual .* after 1 iterations"):
-        reduced_inverse(family, ctx, u, lam, max_iter=1)
+        reduced_inverse(family, ctx, u, lam)
 
 
-def test_inverse_newton_failed_is_caught_as_no_convergence():
+def test_inverse_newton_failed_is_caught_as_no_convergence(monkeypatch):
     family, ctx = _planted_q4_setup()
+    monkeypatch.setattr(reduction, "INVERSE_MAX_ITER", 1)
     try:
-        reduced_inverse(family, ctx, np.array([0.05, 0.02]), [-0.03], max_iter=1)
+        reduced_inverse(family, ctx, np.array([0.05, 0.02]), [-0.03])
     except NoConvergence as exc:
         assert isinstance(exc, InverseNewtonFailed)
     else:
         raise AssertionError("one iteration cannot reach the tolerance")
 
 
-def test_vstar_failure_names_the_stage():
+def test_vstar_failure_names_the_stage(monkeypatch):
     p = planted_q1()
     ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, 1, radius=0.3)
+    monkeypatch.setattr(reduction, "VSTAR_MAX_ITER", 0)
     with pytest.raises(NoConvergence,
                        match=r"v\* at \|u\| = 1\.000e-01: residual .* after 0 iterations"):
-        solve_vstar(p.family, ctx, np.array([0.1, 0.0]), [0.02], max_iter=0)
+        solve_vstar(p.family, ctx, np.array([0.1, 0.0]), [0.02])
 
 
 def test_vstar_rejects_non_finite_map():
@@ -465,6 +468,35 @@ def test_vstar_rejects_non_finite_map():
         find_periodic(family, ctx, [[0.01]], 0.02, seeds_per_axis=2)
 
 
+@pytest.mark.parametrize("name", ["planted q4", "planted q1"])
+def test_vstar_functions_take_rows_of_u(name):
+    # a (b, n) batch of u gives, row by row, what each u gives alone
+    p = planted_q4() if name == "planted q4" else planted_q1()
+    ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q, radius=0.3)
+    lam = [-0.03] if p.q == 4 else [0.02]
+    U = (ctx.U_basis @ np.random.default_rng(56).uniform(-0.1, 0.1, (ctx.dim_u, 5))).T
+    for fn in (solve_vstar, reduced_map, xstar):
+        batch = fn(p.family, ctx, U, lam)
+        assert batch.shape[0] == len(U)
+        for u, row in zip(U, batch):
+            assert np.max(np.abs(row - fn(p.family, ctx, u, lam))) <= 1e-13
+    psi, V = p.family.at(lam), solve_vstar(p.family, ctx, U, lam)
+    J = _reduced_jacobian(psi, ctx, U, V)
+    assert J.shape == (len(U), ctx.dim_u, ctx.dim_u)
+    for u, v, Ju in zip(U, V, J):
+        assert np.max(np.abs(Ju - _reduced_jacobian(psi, ctx, u, v))) <= 1e-13
+
+
+def test_batch_beyond_trust_radius_raises_that_rows_failure():
+    p = planted_q4()
+    ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q)  # default radius
+    U = np.array([[0.05, 0.0], [0.0, 0.15], [0.02, 0.02], [0.2, 0.0]])
+    for fn in (solve_vstar, reduced_map, xstar):
+        with pytest.raises(NoConvergence,
+                           match=r"\|u\| = 1\.500e-01 exceeds the trust radius"):
+            fn(p.family, ctx, U, [-0.03])
+
+
 def test_radius_guard_message():
     p = planted_q4()
     ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q)  # default radius
@@ -479,13 +511,36 @@ def test_ghat_vstar_identity():
     ctx = build_lift(inst.A0, inst.S0, inst.gd, 3, radius=0.3)
     u = 1e-3 * np.array([0.6, 0.8])
     lam = [0.05]
-    for gi in range(inst.gd.order):
-        val = ghat_vstar_identity_check(fam, ctx, u, lam, gi)
+    vals = ghat_vstar_identity_check(fam, ctx, u, lam)
+    assert vals.shape == (inst.gd.order,)
+    for gi, val in enumerate(vals):
         if inst.gd.char[gi] > 0:
             assert val < 1e-12
         else:
             # reversing side carries the degree-4 truncation defect
             assert val < 1e-9
+
+
+def test_ghat_vstar_identity_over_rows_is_the_worst_row(monkeypatch):
+    # one defect per group element, the largest over the rows of u, from
+    # two v* solves
+    inst = instance_rot_reflect(3)
+    fam = equivariant_family(inst, 3, np.random.default_rng(52))
+    ctx = build_lift(inst.A0, inst.S0, inst.gd, 3, radius=0.3)
+    U = (ctx.U_basis @ np.random.default_rng(57).uniform(-1e-2, 1e-2, (2, 4))).T
+    alone = np.array([ghat_vstar_identity_check(fam, ctx, u, [0.05]) for u in U])
+    calls = []
+    core = reduction._vstar_core
+
+    def counted(*args):
+        calls.append(None)
+        return core(*args)
+
+    monkeypatch.setattr(reduction, "_vstar_core", counted)
+    rows = ghat_vstar_identity_check(fam, ctx, U, [0.05])
+    assert len(calls) == 2
+    assert rows.shape == (inst.gd.order,)
+    assert np.max(np.abs(rows - alone.max(axis=0))) <= 1e-13
 
 
 VSTAR_SKELETONS = {"block_swap3": lambda: instance_block_swap(3),
@@ -514,9 +569,8 @@ def test_property_vstar_equivariance(name, seed, coeffs, lam):
     # a family truncated at order 3 is reversible only modulo degree 4, so
     # the identity for chi(g) = -1 carries a defect of order |u|^4
     reversing_tol = 1e-8 + float(np.linalg.norm(u)) ** 4
-    for gi in range(inst.gd.order):
-        tol = 1e-8 if inst.gd.char[gi] > 0 else reversing_tol
-        assert ghat_vstar_identity_check(fam, ctx, u, [lam], gi) <= tol
+    tols = np.where(inst.gd.char > 0, 1e-8, reversing_tol)
+    assert np.all(ghat_vstar_identity_check(fam, ctx, u, [lam]) <= tols)
 
 
 def test_nf_reduction_consistency_slopes():
@@ -547,6 +601,29 @@ def test_nf_reduction_consistency_slopes():
         2, k, nparams=1)
     rep_ok = nf_reduction_consistency(res0, ctx, k, family=fam_ok)
     assert rep_ok["slopes"][0] is None or rep_ok["slopes"][0] > k + 0.8
+
+
+def test_nf_reduction_consistency_takes_one_vstar_solve_per_sample(monkeypatch):
+    # all scales x directions of one lambda sample go into one v* solve,
+    # where one solve per u took 9 x 3 calls a sample
+    rng = np.random.default_rng(53)
+    inst = instance_rot_reflect(4)
+    k = 2
+    ctx = build_lift(inst.A0, inst.S0, inst.gd, 4, radius=0.3)
+    fam, _ = nf_form_family(inst, k, rng, tail_amp=4.0, with_tail=True)
+    res = semisimple_nf(fam, inst.A0, inst.gd, inst.ip, k,
+                        lambdas=[[0.1], [-0.05]])
+    rows = []
+    core = reduction._vstar_core
+
+    def counted(psi, ctx, U, *args):
+        rows.append(len(U))
+        return core(psi, ctx, U, *args)
+
+    monkeypatch.setattr(reduction, "_vstar_core", counted)
+    rep = nf_reduction_consistency(res, ctx, k, family=fam)
+    assert rep["passed"] and all(s > k + 0.8 for s in rep["slopes"])
+    assert rows == [9 * reduction.CONSISTENCY_DIRECTIONS] * 2
 
 
 def test_nf_reduction_consistency_detects_resonant_defect():
