@@ -24,8 +24,8 @@ from .groups import (GroupData, invariant_inner_product,
 from .linalg import jordan_chevalley, su_decomposition
 from .normalform import nilpotent_nf, semisimple_nf
 from .polymap import AffineMapFamily, TruncatedMap, _require_dense_fits
-from .reduction import (_reduced_jacobian, _vstar, build_lift, find_periodic,
-                        ghat_vstar_identity_check)
+from .reduction import (_ghat_defects, _reduced_jacobian, _vstar, build_lift,
+                        find_periodic)
 
 DEFAULT_TOL = 1e-9
 TERM_CUTOFF = 1e-12  # reported map terms leave out smaller coefficients
@@ -243,13 +243,12 @@ def _render_text(doc: dict) -> str:
 def _decomposition(problem: Problem):
     psi0 = problem.family.at(problem.lambda_grid[0])
     A = psi0.linear()
-    jc = jordan_chevalley(A)
-    su = su_decomposition(A)
-    return psi0, A, jc, su
+    return psi0, A, su_decomposition(A)
 
 
 def cmd_decompose(problem: Problem, args) -> int:
-    _, A, jc, su = _decomposition(problem)
+    _, A, su = _decomposition(problem)
+    jc = jordan_chevalley(A)
     res_sum = float(np.max(np.abs(A - jc.S - jc.N)))
     res_comm = float(np.max(np.abs(jc.S @ jc.N - jc.N @ jc.S)))
     import scipy.linalg as sla
@@ -270,7 +269,7 @@ def cmd_decompose(problem: Problem, args) -> int:
 
 
 def _run_nf(problem: Problem):
-    psi0, A, jc, su = _decomposition(problem)
+    _, A, su = _decomposition(problem)
     ip = invariant_inner_product(su.S, problem.gd)
     mode = problem.mode
     if mode is None:
@@ -330,9 +329,8 @@ def _jsonable(value):
 
 
 def cmd_reduce(problem: Problem, args) -> int:
-    _, A, _, su = _decomposition(problem)
+    psi0, A, su = _decomposition(problem)
     ctx = build_lift(A, su.S, problem.gd, problem.q, radius=problem.radius)
-    psi0 = problem.family.at(problem.lambda_grid[0])
     m = ctx.dim_u
     v0, pr0 = _vstar(psi0, ctx, np.zeros(ctx.n), ctx.radius)
     Ub = ctx.U_basis
@@ -356,7 +354,7 @@ def cmd_reduce(problem: Problem, args) -> int:
 
 
 def cmd_periodic(problem: Problem, args) -> int:
-    _, A, _, su = _decomposition(problem)
+    _, A, su = _decomposition(problem)
     ctx = build_lift(A, su.S, problem.gd, problem.q, radius=problem.radius)
     points = find_periodic(problem.family, ctx, problem.lambda_grid,
                            problem.search_box)
@@ -393,7 +391,8 @@ def cmd_verify(problem: Problem, args) -> int:
     problems = validate_group(problem.gd)
     record("group closure/character", 0.0 if not problems else 1.0, 0.5)
 
-    psi0, A, jc, su = _decomposition(problem)
+    psi0, A, su = _decomposition(problem)
+    jc = jordan_chevalley(A)
     record("jordan-chevalley sum", float(np.max(np.abs(A - jc.S - jc.N))), 1e-10)
     record("jordan-chevalley commute",
            float(np.max(np.abs(jc.S @ jc.N - jc.N @ jc.S))), 1e-10)
@@ -410,7 +409,6 @@ def cmd_verify(problem: Problem, args) -> int:
     try:
         ctx = build_lift(A, su.S, problem.gd, problem.q, radius=problem.radius)
         record("lift identities", 0.0, 0.5)
-        lam0 = problem.lambda_grid[0]
         rng = np.random.default_rng(0)
         U = []
         for _ in range(3):
@@ -423,8 +421,8 @@ def cmd_verify(problem: Problem, args) -> int:
                float(np.max(np.abs(PR[3:] - PR[:3] @ ctx.S0.T))), 1e-8)
         record("vstar shift equivariance",
                float(np.max(np.abs(V[3:] - V[:3] @ ctx.sigma.T))), 1e-8)
-        record("ghat vstar identity", float(np.max(ghat_vstar_identity_check(
-            problem.family, ctx, U, lam0))), 1e-8)
+        record("ghat vstar identity", float(np.max(_ghat_defects(
+            psi0, ctx, U, V[:3], PR[:3]))), 1e-8)
     except InvariantViolation as exc:
         checks.append({"name": f"lift identities ({exc})", "defect": 1.0,
                        "tol": 0.5, "pass": False})

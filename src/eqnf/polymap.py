@@ -403,22 +403,42 @@ def _diagonal_block(M: np.ndarray, n: int, order: int, d: int) -> np.ndarray:
     return M[s, s]
 
 
+def _substitution_blocks(T: np.ndarray, k: int) -> list[np.ndarray]:
+    """[S_1, ..., S_k]: S_d[a, b] = coefficient of x^b in (T x)^a over the
+    degree-d monomials, the only nonzero blocks of the power matrix of the
+    linear map T x.
+
+    Row alpha of S_d is (T x)_i0 (T x)^(alpha - e_i0), one scatter of the
+    products T[i0, i] S_{d-1}[alpha - e_i0, j] into x_i x^j; each entry sums
+    them in the order _power_matrix does, so the blocks are its own."""
+    n = T.shape[0]
+    blocks = [T.copy()]
+    for d in range(2, k + 1):
+        first, prev = _power_steps(n, d)
+        P = _prod_table(n, 1, d - 1)
+        a, b = np.indices(P.shape)
+        rows = len(first)
+        vals = T[first][:, a.ravel()] * blocks[-1][prev][:, b.ravel()]
+        bins = (np.arange(rows)[:, None] * rows + P.ravel()).ravel()
+        blocks.append(np.bincount(bins, weights=vals.ravel(),
+                                  minlength=rows * rows).reshape(rows, rows))
+    return blocks
+
+
 def substitution_matrix(T, k: int) -> np.ndarray:
     """S[a, b] = coefficient of x^b in (T x)^a, both of degree k."""
     T = np.asarray(T, dtype=float)
     if k < 1:
         raise ValueError("degree must be at least 1")
-    PW = _power_matrix(TruncatedMap.from_linear(T, k))
-    return _diagonal_block(PW, T.shape[0], k, k).copy()
+    return _substitution_blocks(T, k)[-1]
 
 
 def conjugate_linear(T, F: TruncatedMap) -> TruncatedMap:
     """T o F o T^{-1} for an invertible matrix T."""
     T = np.asarray(T, dtype=float)
-    PW = _power_matrix(TruncatedMap.from_linear(np.linalg.inv(T), F.order))
+    blocks = _substitution_blocks(np.linalg.inv(T), F.order)
     return TruncatedMap(F.n, F.order,
-                        [T @ F.layer(d) @ _diagonal_block(PW, F.n, F.order, d)
-                         for d in range(1, F.order + 1)])
+                        [T @ L @ S for L, S in zip(F.layers, blocks)])
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +617,25 @@ def _transport_operator(X: TruncatedMap) -> np.ndarray:
 def exp_vf(X: TruncatedMap, k: int | None = None) -> TruncatedMap:
     """Time-one flow of the polynomial vector field X, as a truncated map.
 
-    Computed as expm of the transport operator F -> DF.X on the truncated
-    coefficient space, applied to the coordinate functions.
+    The exponential of the transport operator L: F -> DF.X on the truncated
+    coefficient space, applied to the coordinate functions.  When X has no
+    linear part, L raises degree, so L^order = 0 there and the flow is the
+    finite Lie series sum_{i < order} L^i x / i! (Deprit, Celest. Mech. 1
+    (1969) 12-30), taken on the n coordinate columns; otherwise it is expm(L).
     """
     if k is not None:
         X = X.truncated(k)
-    offs, _ = _flat_layout(X.n, X.order)
-    E = scipy.linalg.expm(_transport_operator(X))
-    return TruncatedMap.from_flat(X.n, X.order, E[:, offs[1]:offs[1] + X.n].T)
+    n = X.n
+    L = _transport_operator(X)
+    if X.layers[0].any():
+        E = scipy.linalg.expm(L)[:, :n]
+    else:
+        term = L[:, :n]
+        E = np.eye(len(L), n) + term
+        for i in range(2, X.order):
+            term = L @ term / i
+            E += term
+    return TruncatedMap.from_flat(n, X.order, E.T)
 
 
 class _LruMemo(OrderedDict):
@@ -664,6 +695,8 @@ def log_map(F: TruncatedMap) -> TruncatedMap:
     and the factorisations of C_d depend on the linear part alone; they are
     kept for the most recent linear part and reused while it repeats.  Up to
     8 sweeps refine X until max|F - exp_vf(X)| <= LOG_MAP_TOL * max(1, max|F|).
+    Layer d of exp_vf(X) depends on X's layers up to d alone, so each
+    degree's update takes its residual on the order-d space.
     """
     _require_finite("map", *F.layers)
     data = _linear_part_data(F.linear())
@@ -671,7 +704,7 @@ def log_map(F: TruncatedMap) -> TruncatedMap:
     scale = max(1.0, F.max_abs())
     for _ in range(8):
         for d in range(2, F.order + 1):
-            r = (F - exp_vf(X)).layer(d)
+            r = F.layer(d) - exp_vf(X, d).layer(d)
             w = lu_solve(data.ck_factor(d), (data.Ainv @ r).reshape(-1))
             X.layers[d - 1] += w.reshape(r.shape)
         if (F - exp_vf(X)).max_abs() <= LOG_MAP_TOL * scale or F.order == 1:

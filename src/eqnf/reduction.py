@@ -469,7 +469,12 @@ def ghat_vstar_identity_check(family, ctx: LiftContext, u, lam) -> np.ndarray:
     """
     psi = family.at(lam)
     U = np.asarray(u, dtype=float).reshape(-1, ctx.n)
-    V, PR = _vstar(psi, ctx, U, ctx.radius)
+    return _ghat_defects(psi, ctx, U, *_vstar(psi, ctx, U, ctx.radius))
+
+
+def _ghat_defects(psi: TruncatedMap, ctx: LiftContext, U, V, PR) -> np.ndarray:
+    """ghat_vstar_identity_check's defects at the rows of U, given their
+    V = v*(U) and PR = psi_r(U); one v* solve over all their g-images."""
     chis = [int(round(c)) for c in ctx.gd.char]
     images = [(U if chi == 1 else PR) @ g.T
               for g, chi in zip(ctx.gd.elements, chis)]

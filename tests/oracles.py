@@ -6,15 +6,20 @@ operator C_k and the adjoint identity of the bracket operator,
 `is_identity` checks compositions with inverses, `ad_conjugate` conjugates
 by a truncated map through its compositional inverse, and `frozen_operator`
 is the degree-j normal-form Jacobian at A0 in its two per-mode forms.
+`exp_vf_expm` is the time-one flow as expm of the whole transport
+operator, and `power_matrix_blocks` the diagonal blocks of a linear map's
+full power matrix, the forms that `exp_vf`'s Lie series and
+`substitution_matrix` / `conjugate_linear` replace.
 """
 import math
 
 import numpy as np
 import scipy.linalg
 
-from eqnf.polymap import (TruncatedMap, adk_field, adk_operator, ck_operator,
-                          ck_solve, compose, hk_dim, inverse_truncated,
-                          monomials)
+from eqnf.polymap import (TruncatedMap, _diagonal_block, _power_matrix,
+                          _transport_operator, adk_field, adk_operator,
+                          ck_operator, ck_solve, compose, hk_dim,
+                          inverse_truncated, monomials)
 
 
 def fd_jacobian(f, x) -> np.ndarray:
@@ -75,3 +80,18 @@ def frozen_operator(S0, N0, A0, j: int, mode: str) -> np.ndarray:
     adN = adk_field(N0, j)
     M = adk_operator(np.linalg.inv(S0), j) - scipy.linalg.expm(-adN)
     return np.linalg.solve(ck_operator(-N0, j), M)
+
+
+def exp_vf_expm(X: TruncatedMap) -> TruncatedMap:
+    """Time-one flow of X: scipy's expm of the transport operator F -> DF.X
+    on all coefficients of degrees 1..order, applied to the coordinates."""
+    E = scipy.linalg.expm(_transport_operator(X))
+    return TruncatedMap.from_flat(X.n, X.order, E[:, :X.n].T)
+
+
+def power_matrix_blocks(T, k: int) -> list:
+    """[S_1, ..., S_k], sliced from the full power matrix of the linear map
+    T x truncated at degree k."""
+    T = np.asarray(T, dtype=float)
+    PW = _power_matrix(TruncatedMap.from_linear(T, k))
+    return [_diagonal_block(PW, T.shape[0], k, d).copy() for d in range(1, k + 1)]

@@ -134,12 +134,12 @@ def test_reduce_machine_report(tmp_path, capsys):
     assert doc["linearization_defect"] <= 1e-8
 
 
-@pytest.mark.parametrize("command, solves", [("reduce", 1), ("verify", 3)])
+@pytest.mark.parametrize("command, solves", [("reduce", 1), ("verify", 2)])
 def test_reduction_commands_batch_their_vstar_solves(tmp_path, capsys,
                                                      monkeypatch, command, solves):
     # reduce takes v* and psi_r(0) from one solve; verify solves its u and
-    # S0 u rows at once, then the ghat identity takes two solves, where one
-    # solve per u took 2 and 36 calls
+    # S0 u rows at once, and the ghat identity reuses the u rows and solves
+    # their g-images in one more, where one solve per u took 2 and 36 calls
     calls = []
     core = reduction._vstar_core
 

@@ -92,8 +92,10 @@ def test_scan_flags_unreferenced_private_helpers():
 # tests.
 SCANNED_MODULES = ("linalg", "groups", "polymap", "normalform", "reduction")
 # The paper's reduction API that no CLI command calls yet: the bifurcation
-# function B(u, lambda) and the full-space point x*(u, lambda).
-PAPER_API = ("bifurcation_fn", "xstar")
+# function B(u, lambda) and the full-space point x*(u, lambda); and the
+# lifted identity of v*, which `verify` checks through the private helper
+# behind it, on the v* solve it shares with its other checks.
+PAPER_API = ("bifurcation_fn", "xstar", "ghat_vstar_identity_check")
 
 
 def _test_only_public_defs(package: dict, callers: dict, scanned) -> list[str]:

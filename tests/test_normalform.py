@@ -507,6 +507,23 @@ def test_nilpotent_nf_swap2_k6_needs_log_map_refinement():
     assert res.residual <= 1e-9
 
 
+def test_nilpotent_nf_swap2_k6_census_of_stalls():
+    # The degree-6 stage of swap2 works at its round-off floor, and some
+    # cases stall there: 4 or 5 of these 36, depending on round-off.  A
+    # cheaper flow or logarithm must not raise that floor.
+    inst = instance_swap2()
+    stalls = []
+    for rng in range(12):
+        fam = equivariant_family(inst, 6, np.random.default_rng(rng))
+        for lam in (0.0, 0.02, -0.03):
+            try:
+                nilpotent_nf(fam, inst.A0, inst.gd, inst.ip, 6, lambdas=[[lam]])
+            except NoConvergence as exc:
+                assert str(exc).startswith("degree 6: "), exc
+                stalls.append((rng, lam))
+    assert len(stalls) <= 5, stalls
+
+
 @pytest.mark.parametrize("rng", [0, 1, 2])
 def test_nilpotent_nf_swap2_k7_stalls_at_degree_7(rng):
     # the round-off floor of the degree-7 stage lies above its tolerance

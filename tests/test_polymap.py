@@ -20,8 +20,8 @@ from eqnf.polymap import (AffineMapFamily, MapFamily, TruncatedMap,
                           conjugate_linear, exp_vf, hk_dim, inverse_truncated,
                           log_map, monomials, num_monomials,
                           substitution_matrix)
-from oracles import (ad_conjugate, ch_compose, fd_jacobian, fischer_gram,
-                     is_identity)
+from oracles import (ad_conjugate, ch_compose, exp_vf_expm, fd_jacobian,
+                     fischer_gram, is_identity, power_matrix_blocks)
 
 
 # (n, order) pairs the table-driven kernels are checked at
@@ -290,6 +290,63 @@ def test_exp_vf_inverse_and_naturality(rand_map):
     lhs = conjugate_linear(M, exp_vf(X))
     rhs = exp_vf(conjugate_linear(M, X))
     assert lhs.allclose(rhs, 1e-11)
+
+
+LIE_SERIES_SIZES = [(n, order) for n in range(1, 5) for order in range(1, 6)]
+
+
+@pytest.mark.parametrize("n,order", LIE_SERIES_SIZES)
+def test_exp_vf_without_linear_part_matches_expm_oracle(rand_map, n, order):
+    rng = np.random.default_rng(90 + 10 * n + order)
+    for amp in (0.3, 1.0, 3.0):
+        X = rand_map(rng, n, order, amp=amp, with_linear=False)
+        E = exp_vf_expm(X)
+        assert (exp_vf(X) - E).max_abs() <= 1e-13 * max(1.0, E.max_abs())
+
+
+def test_exp_vf_without_linear_part_takes_no_expm(monkeypatch, rand_map):
+    rng = np.random.default_rng(91)
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting_expm(A):
+        calls.append(A.shape)
+        return expm(A)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    X = rand_map(rng, 3, 4, with_linear=False)
+    exp_vf(X)
+    exp_vf(-X, 3)
+    assert calls == []
+    exp_vf(X.with_layer(1, 0.1 * np.eye(3)))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("with_linear", [False, True])
+@pytest.mark.parametrize("n,order", KERNEL_SIZES)
+def test_exp_vf_layer_d_needs_the_order_d_space_only(rand_map, n, order,
+                                                      with_linear):
+    # log_map takes its degree-d residual from exp_vf(X, d)
+    rng = np.random.default_rng(92 + 10 * n + order)
+    X = rand_map(rng, n, order, with_linear=with_linear)
+    full = exp_vf(X)
+    for d in range(1, order + 1):
+        assert (np.max(np.abs(exp_vf(X, d).layer(d) - full.layer(d)))
+                <= 1e-13 * max(1.0, full.max_abs()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_substitutions_equal_the_power_matrix_blocks(rand_map, n):
+    rng = np.random.default_rng(93 + n)
+    T = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+    blocks = power_matrix_blocks(T, 5)
+    for k in range(1, 6):
+        assert np.array_equal(substitution_matrix(T, k), blocks[k - 1])
+        F = rand_map(rng, n, k)
+        inv_blocks = power_matrix_blocks(np.linalg.inv(T), k)
+        C = conjugate_linear(T, F)
+        for d in range(1, k + 1):
+            assert np.array_equal(C.layer(d), T @ F.layer(d) @ inv_blocks[d - 1])
 
 
 def test_log_map_roundtrip(rand_map):
