@@ -65,11 +65,13 @@ def _count(value) -> int:
     return int(value)
 
 
-def _finite(value) -> float:
-    """float(value), refusing inf and NaN."""
+def _finite(value, low: float = -math.inf) -> float:
+    """float(value), refusing inf, NaN and values below low."""
     out = float(value)
     if not math.isfinite(out):
         raise ValueError(f"expected a finite number, got {out!r}")
+    if out < low:
+        raise ValueError(f"expected a number >= {low}, got {out!r}")
     return out
 
 
@@ -124,7 +126,6 @@ def load_problem(path: str, args) -> Problem:
     if builtin:
         family = corpus.binomial_shear_family(order)
         gd = corpus.binomial_shear_group()
-        default_q = 1
     else:
         base = _terms_to_map(n, order, map_spec.get("terms", []), "map.terms")
         slopes = _field("map.parameter_slopes", list,
@@ -145,10 +146,9 @@ def load_problem(path: str, args) -> Problem:
             gd = GroupData.from_generators(gens, chars)
         except (KeyError, TypeError, ValueError, EqnfError) as exc:
             raise ParseFailure(f"group: {exc}") from exc
-        default_q = 1
 
     q = _field("q", _count, args.period if args.period is not None
-               else doc.get("q", default_q))
+               else doc.get("q", 1))
 
     if args.lambda_grid is not None:
         grid = parse_lambda_grid(args.lambda_grid)
@@ -164,8 +164,8 @@ def load_problem(path: str, args) -> Problem:
             raise ParseFailure(
                 f"lambda grid entry {g} has {len(g)} values, expected {nparams}")
 
-    tol = _field("tol", _finite, args.tol if args.tol is not None
-                 else doc.get("tol", DEFAULT_TOL))
+    tol = _field("tol", lambda v: _finite(v, low=0.0),
+                 args.tol if args.tol is not None else doc.get("tol", DEFAULT_TOL))
     radius = _field("radius", _positive, args.radius if args.radius is not None
                     else doc.get("radius", 0.1))
     box = _field("search_box", _positive, doc.get("search_box", 0.05))
@@ -188,10 +188,6 @@ def parse_lambda_grid(spec: str):
         raise ParseFailure(f"--lambda-grid {spec!r}: {exc}") from exc
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _matrix_obj(M):
     return [[float(v) for v in row] for row in np.atleast_2d(M)]
 
@@ -200,7 +196,7 @@ def _emit(doc: dict, args) -> None:
     if args.format == "machine":
         text = json.dumps(doc, sort_keys=True, indent=2)
     else:
-        text = _render_text(doc)
+        text = "\n".join(_render_lines(doc))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -231,13 +227,7 @@ def _render_lines(value, indent=""):
 
 
 def _scalar_str(v):
-    if isinstance(v, float):
-        return _fmt(v)
-    return str(v)
-
-
-def _render_text(doc: dict) -> str:
-    return "\n".join(_render_lines(doc))
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def _decomposition(problem: Problem):

@@ -25,14 +25,14 @@ from .linalg import (AdaptedInnerProduct, image_basis, lu_solve, newton,
                      nullspace, rank_tolerance, real_log, require_invertible,
                      su_decomposition)
 from .polymap import (TruncatedMap, _linear_part_data, _LruMemo,
-                      _require_dense_fits, adk_field, adk_operator,
-                      ck_operator, compose, conjugate_linear, exp_vf, hk_dim,
-                      log_map, num_monomials)
+                      _require_dense_fits, _transport_operator, adk_field,
+                      adk_operator, ck_operator, compose, conjugate_linear,
+                      exp_vf, hk_dim, log_map, num_monomials)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-# Skeletons whose per-degree Newton data is kept across calls; the nf-sweep
-# benchmark cycles through five.
+# Skeletons (see _Skeleton) kept across calls; the nf-sweep benchmark cycles
+# through five.
 DEGREE_DATA_SKELETONS = 8
 
 
@@ -83,21 +83,6 @@ def _degree_spaces(S0, j: int, adNs=None, graded=None):
     adm_b = (None if graded is None
              else _restrict(res_b, hk_projection(graded[0], j, graded[1])))
     return u[:, :rank], ker_b, res_b, adm_b
-
-
-def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
-                              j: int, mode: str = "nilpotent") -> np.ndarray:
-    """Basis of the degree-j exponent space that the normal form cannot remove.
-
-    nilpotent mode: ker(Ad_j(S0)-I) and ker(ad_j(N0*)) and the chi-graded
-    part under the group; semisimple mode: ker(Ad_j(S0)-I) and the
-    tilde-chi-graded part under the extended group.
-    """
-    A0 = require_invertible(A0, "A0")
-    su = su_decomposition(A0)
-    graded = _grading(gd, A0, mode)
-    adNs = adk_field(ip.adjoint(su.nil_log), j) if mode == "nilpotent" else None
-    return _degree_spaces(su.S, j, adNs, graded)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +156,74 @@ def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str,
     return data
 
 
-# skeleton -> {j: _DegreeData}, filled one degree at a time
+class _Skeleton:
+    """All that the normal forms of one (mode, A0, G, chi, ip) share: the
+    split A0 = S0 e^{N0}, N0* = ip.adjoint(N0), the grading (group, char),
+    the base (A0 in semisimple mode, S0 in nilpotent mode), and per degree
+    the Newton data and the admissible basis, each built on first use.
+    Every array it hands out is read-only."""
+
+    def __init__(self, mode: str, A0, gd: GroupData, ip: AdaptedInnerProduct):
+        su = su_decomposition(A0)
+        self.mode, self.A0, self.gd = mode, A0.copy(), gd
+        self.S0, self.N0, self.Nstar = su.S, su.nil_log, ip.adjoint(su.nil_log)
+        self.graded = _grading(gd, self.A0, mode)
+        self.base = self.A0 if mode == "semisimple" else self.S0
+        self.base_inv = np.linalg.inv(self.base)
+        for a in (self.A0, self.S0, self.N0):
+            a.flags.writeable = False
+        self.degrees, self.admissible = {}, {}
+
+    def degree(self, j: int) -> _DegreeData:
+        """Newton data of degree j; a degree j >= 2 with no admissible basis
+        yet stores the one it builds."""
+        if j not in self.degrees:
+            graded = self.graded if 1 < j and j not in self.admissible else None
+            self.degrees[j] = _degree_data(j, self.S0, self.N0, self.Nstar,
+                                           self.A0, self.gd, self.mode, graded)
+            if graded is not None:
+                self.admissible[j] = self.degrees[j].admissible
+        return self.degrees[j]
+
+    def admissible_basis(self, j: int) -> np.ndarray:
+        """The degree-j admissible basis; one SVD if no stage stored it."""
+        if j not in self.admissible:
+            adNs = adk_field(self.Nstar, j) if self.mode == "nilpotent" else None
+            B = self.admissible[j] = _degree_spaces(self.S0, j, adNs, self.graded)[3]
+            B.flags.writeable = False
+        return self.admissible[j]
+
+
+# skeleton key -> _Skeleton
 _DEGREE_DATA_MEMO = _LruMemo(DEGREE_DATA_SKELETONS)
 
 
-def _skeleton_key(mode: str, A0, gd: GroupData, ip: AdaptedInnerProduct):
-    """Everything the per-degree data depends on, by content."""
+def _skeleton(mode: str, A0, gd, ip, k: int) -> _Skeleton:
+    """The stored skeleton, keyed on everything it depends on by content,
+    after the checks that A0 is invertible and that degree k fits."""
+    A0 = require_invertible(A0, "A0")
+    _require_dense_fits(A0.shape[0], k)
     arrays = map(np.asarray, (A0, *gd.elements, gd.char, ip.gram))
-    return (mode,) + tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+    key = (mode,) + tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+    return _DEGREE_DATA_MEMO.get_or_build(key, lambda: _Skeleton(mode, A0, gd, ip))
+
+
+def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
+                              j: int, mode: str = "nilpotent") -> np.ndarray:
+    """Basis of the degree-j exponent space that the normal form cannot
+    remove, read-only and shared with the normal forms of the skeleton.
+
+    nilpotent mode: ker(Ad_j(S0)-I) and ker(ad_j(N0*)) and the chi-graded
+    part under the group; semisimple mode: ker(Ad_j(S0)-I) and the
+    tilde-chi-graded part under the extended group.
+    """
+    return _skeleton(mode, A0, gd, ip, j).admissible_basis(j)
 
 
 # ---------------------------------------------------------------------------
 # linear stage
 
-def _linear_newton(A, A0, S0, target_shift, data: _DegreeData, base,
-                   what: str):
+def _linear_newton(A, target_shift, data: _DegreeData, base, what: str):
     """Shared Newton for the linear normal forms.
 
     Drives the unwanted components of W(phi) = log(base^-1 e^phi A e^-phi)
@@ -279,109 +317,77 @@ def _newton_degree(psi: TruncatedMap, W: TruncatedMap, j: int,
 
 def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
                lambdas, mode: str) -> NormalFormResult:
-    A0 = require_invertible(A0, "A0")
-    n = A0.shape[0]
-    _require_dense_fits(n, k)
-    su = su_decomposition(A0)
-    S0, N0 = su.S, su.nil_log
-    Nstar = ip.adjoint(N0)
-    graded = _grading(gd, A0, mode)
-    base = A0 if mode == "semisimple" else S0
-    base_inv = np.linalg.inv(base)
-
-    degree_data = _DEGREE_DATA_MEMO.get_or_build(
-        _skeleton_key(mode, A0, gd, ip), dict)
+    sk = _skeleton(mode, A0, gd, ip, k)
+    degrees = range(2, k + 1)
     # degrees 2..k, then the linear stage, which reports no admissible basis
-    for j in (*range(2, k + 1), 1):
-        if j not in degree_data:
-            degree_data[j] = _degree_data(j, S0, N0, Nstar, A0, gd, mode,
-                                          graded if j > 1 else None)
-    gl_data = degree_data[1]
+    for j in (*degrees, 1):
+        sk.degree(j)
 
     lambdas = [np.atleast_1d(np.asarray(lam, dtype=float)) for lam in lambdas]
     transforms, exponents, residuals = [], [], []
+    shift = sk.N0 if mode == "nilpotent" else np.zeros_like(sk.N0)
 
     for idx, lam in enumerate(lambdas):
         psi = family.at(lam).truncated(k)
-        A_lam = psi.linear()
-        shift = np.zeros((n, n)) if mode == "semisimple" else N0
-        phi_lin, _ = _linear_newton(A_lam, A0, S0, shift, gl_data, base,
+        phi_lin, _ = _linear_newton(psi.linear(), shift, sk.degree(1), sk.base,
                                     f"linear stage at sample {idx}")
         T1 = scipy.linalg.expm(phi_lin)
         psi = conjugate_linear(T1, psi)
         transform = TruncatedMap.from_linear(T1, k)
 
         # W = log(base^-1 psi) is carried through the degree stages
-        W = log_map(psi.linear_left(base_inv))
+        W = log_map(psi.linear_left(sk.base_inv))
         per_deg = [0.0]
-        for j in range(2, k + 1):
-            psi, W, Phi_j, rj = _newton_degree(psi, W, j, degree_data[j],
-                                               base_inv, k)
+        for j in degrees:
+            psi, W, Phi_j, rj = _newton_degree(psi, W, j, sk.degree(j),
+                                               sk.base_inv, k)
             transform = compose(Phi_j, transform, k)
             per_deg.append(rj)
 
-        recon = exp_vf(W).linear_left(base)
-        residual = max(max(per_deg), (psi - recon).max_abs())
+        residual = max(*per_deg, (psi - exp_vf(W).linear_left(sk.base)).max_abs())
         transforms.append(transform)
         exponents.append(W)
         residuals.append(float(residual))
 
-    admissible = {j: degree_data[j].admissible for j in range(2, k + 1)}
-    diagnostics = _nf_diagnostics(mode, S0, N0, Nstar, gd, graded, k,
-                                  transforms, exponents)
-    diagnostics["homological_smin"] = {j: degree_data[j].jac_smin
-                                       for j in range(2, k + 1)}
-    diagnostics["homological_smax"] = {j: degree_data[j].jac_smax
-                                       for j in range(2, k + 1)}
-    return NormalFormResult(mode=mode, S0=S0, N0=N0, order=k, lambdas=lambdas,
-                            transforms=transforms, exponents=exponents,
-                            residuals=residuals, admissible=admissible,
+    diagnostics = _nf_diagnostics(sk, transforms, exponents)
+    diagnostics["homological_smin"] = {j: sk.degrees[j].jac_smin for j in degrees}
+    diagnostics["homological_smax"] = {j: sk.degrees[j].jac_smax for j in degrees}
+    return NormalFormResult(mode=mode, S0=sk.S0, N0=sk.N0, order=k,
+                            lambdas=lambdas, transforms=transforms,
+                            exponents=exponents, residuals=residuals,
+                            admissible={j: sk.admissible[j] for j in degrees},
                             diagnostics=diagnostics)
 
 
-def _nf_diagnostics(mode, S0, N0, Nstar, gd, graded, k, transforms,
-                    exponents) -> dict:
-    """Defects of the result; the tilde-chi defect, on graded = (extended
-    group, tilde-chi), is reported in semisimple mode only."""
-    n = S0.shape[0]
-    d: dict = {}
+def _worst(defect, maps) -> float:
+    return max((float(defect(F)) for F in maps), default=0.0)
 
-    equiv = 0.0
-    for Phi in transforms:
-        for g in gd.elements:
-            equiv = max(equiv, (conjugate_linear(g, Phi) - Phi).max_abs())
-    d["transform_equivariance_defect"] = equiv
 
-    resonant = []
-    for W in exponents:
-        X = W.copy()
-        if mode == "nilpotent":
-            X.layers[0] = X.layers[0] - N0
-        resonant.append(X)
+def _nf_diagnostics(sk: _Skeleton, transforms, exponents) -> dict:
+    """Defects of the result, on the maps themselves: the ad(N0*) defect is
+    reported in nilpotent mode, the tilde-chi defect in semisimple mode."""
+    nilpotent = sk.mode == "nilpotent"
+    resonant = [W.with_layer(1, W.linear() - sk.N0) if nilpotent else W
+                for W in exponents]
+    d = {"transform_equivariance_defect": _worst(
+        lambda Phi: max((conjugate_linear(g, Phi) - Phi).max_abs()
+                        for g in sk.gd.elements), transforms)}
+    d["exponent_kernel_defect"] = _worst(
+        lambda X: (conjugate_linear(sk.S0, X) - X).max_abs(), resonant)
 
-    kernel_defect = 0.0
-    ad_defect = 0.0
-    for j in range(1, k + 1):
-        K = adk_operator(S0, j) - np.eye(hk_dim(n, j))
-        adNs = adk_field(Nstar, j) if mode == "nilpotent" and j >= 2 else None
-        for X in resonant:
-            vec = X.layer(j).reshape(-1)
-            kernel_defect = max(kernel_defect, float(np.max(np.abs(K @ vec))))
-            if adNs is not None:
-                ad_defect = max(ad_defect, float(np.max(np.abs(adNs @ vec))))
-    chi_defect = 0.0
-    for W in exponents:
-        chi_defect = max(chi_defect, (W - project_map(W, gd, "chi")).max_abs())
-    d["exponent_kernel_defect"] = kernel_defect
-    if mode == "nilpotent":
-        d["exponent_ad_defect"] = ad_defect
-    d["exponent_chi_defect"] = chi_defect
+    def ad_defect(X):
+        # the layers of degree >= 2 of [N0* x, X] = DX.(N0* x) - N0* X
+        L = _transport_operator(TruncatedMap.from_linear(sk.Nstar, X.order))
+        F = X.flat()
+        return np.max(np.abs((F @ L.T - sk.Nstar @ F)[:, X.n:]), initial=0.0)
 
-    if mode == "semisimple":
-        til_defect = 0.0
-        for X in resonant:
-            til_defect = max(til_defect, (X - project_map(X, *graded)).max_abs())
-        d["exponent_chitilde_defect"] = til_defect
+    if nilpotent:
+        d["exponent_ad_defect"] = _worst(ad_defect, resonant)
+    d["exponent_chi_defect"] = _worst(
+        lambda W: (W - project_map(W, sk.gd, "chi")).max_abs(), exponents)
+    if not nilpotent:
+        d["exponent_chitilde_defect"] = _worst(
+            lambda X: (X - project_map(X, *sk.graded)).max_abs(), resonant)
     return d
 
 

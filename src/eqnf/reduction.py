@@ -397,16 +397,20 @@ def find_periodic(family, ctx: LiftContext, lam_grid, search_box,
     batched Newton over all seeds per lambda.
 
     search_box is a finite, non-negative half-width (scalar or
-    per-U-coordinate array; ValueError otherwise).  Orbits are
-    deduplicated under u -> S0 u in seed order, listed in the order of the
-    seed that first reached them, and flagged non-isolated when the
-    determining Jacobian is rank deficient.
+    per-U-coordinate array) and seeds_per_axis an integer >= 1; ValueError
+    otherwise.  Orbits are deduplicated under u -> S0 u in seed order,
+    listed in the order of the seed that first reached them, and flagged
+    non-isolated when the determining Jacobian is rank deficient.
     """
     Ub = ctx.U_basis
     m = Ub.shape[1]
     box = np.asarray(search_box, dtype=float)
     if not np.all(np.isfinite(box) & (box >= 0)):
         raise ValueError(f"search_box must be finite and >= 0, got {search_box!r}")
+    if (not isinstance(seeds_per_axis, (int, np.integer))
+            or isinstance(seeds_per_axis, bool) or seeds_per_axis < 1):
+        raise ValueError(
+            f"seeds_per_axis must be an integer >= 1, got {seeds_per_axis!r}")
     box = np.broadcast_to(box.reshape(-1) if box.ndim else np.full(m, float(box)),
                           (m,)).copy()
     radius = max(ctx.radius, 2.0 * float(np.max(box, initial=0.0)))

@@ -264,6 +264,7 @@ def test_parse_failures_exit_2(tmp_path, capsys):
     ("group", _swap_problem(character=float("nan"))),
     ("map.terms", {"map": {"terms": [{"component": 0, "exponents": [1e400, 0],
                                       "coefficient": 1.0}]}, "dimension": 2}),
+    ("tol", {"tol": -1}),
 ])
 def test_malformed_field_is_a_parse_error(tmp_path, capsys, field, extra):
     rc = cli.main(["decompose", _builtin(tmp_path, **extra)])
@@ -278,7 +279,8 @@ def test_non_finite_flag_is_a_parse_error(tmp_path, capsys, command):
     for flags, name in ((["--lambda-grid", "inf"], "--lambda-grid"),
                         (["--lambda-grid", "0:inf:3"], "--lambda-grid"),
                         (["--lambda-grid", "nan,0"], "--lambda-grid"),
-                        (["--tol", "nan"], "tol")):
+                        (["--tol", "nan"], "tol"),
+                        (["--tol", "-1"], "tol")):
         rc = cli.main([command, path, *flags])
         err = capsys.readouterr().err
         assert rc == 2, flags

@@ -155,7 +155,7 @@ def _linear_nf(A, A0, gd, ip, mode="semisimple"):
     S0, N0 = su.S, su.nil_log
     data = _degree_data(1, S0, N0, ip.adjoint(N0), A0, gd, mode, None)
     shift, base = (np.zeros_like(A), A0) if mode == "semisimple" else (N0, S0)
-    phi, W = _linear_newton(A, A0, S0, shift, data, base, "linear stage")
+    phi, W = _linear_newton(A, shift, data, base, "linear stage")
     return phi, W - shift
 
 
@@ -641,8 +641,9 @@ def test_degree_data_memo_is_read_only():
     make, runner, k = MEMO_CASES[1]
     normalform._DEGREE_DATA_MEMO.clear()
     first = _memo_run(make, runner, k)
-    with pytest.raises(ValueError):
-        first.admissible[2][0, 0] += 1.0
+    for array in (first.admissible[2], first.S0, first.N0):
+        with pytest.raises(ValueError):
+            array[0, 0] += 1.0
     _assert_same_result(first, _memo_run(make, runner, k))
 
 
@@ -657,8 +658,9 @@ def test_degree_data_memo_keeps_no_split_failure(monkeypatch):
     for _ in range(2):
         with pytest.raises(SplitFailure):
             _memo_run(make, runner, k)
-    stores = list(normalform._DEGREE_DATA_MEMO.values())
-    assert stores == [{}]
+    # the skeleton is kept, without the degree data of the failed build
+    (skeleton,) = normalform._DEGREE_DATA_MEMO.values()
+    assert skeleton.degrees == {} and skeleton.admissible == {}
     monkeypatch.undo()
     _assert_same_result(good, _memo_run(make, runner, k))
 
@@ -671,6 +673,112 @@ def test_degree_data_memo_size_is_bounded():
         _memo_run(lambda: instance_rot_reflect(q), semisimple_nf, 2)
         assert len(normalform._DEGREE_DATA_MEMO) <= limit
     assert len(normalform._DEGREE_DATA_MEMO) == limit
+
+
+def _count_calls(monkeypatch, module, *names):
+    """Wrap module.<name> for each name; returns the live {name: calls}."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("make, runner, k", MEMO_CASES)
+def test_warm_call_derives_no_skeleton(monkeypatch, make, runner, k):
+    inst = make()
+    fam = equivariant_family(inst, k, np.random.default_rng(48))
+
+    def run():
+        return runner(fam, inst.A0, inst.gd, inst.ip, k, lambdas=[[0.02]])
+
+    normalform._DEGREE_DATA_MEMO.clear()
+    first = run()
+    counts = _count_calls(monkeypatch, normalform, "su_decomposition",
+                          "extended_group", "tilde_character")
+    _assert_same_result(first, run())
+    assert counts == {"su_decomposition": 0, "extended_group": 0,
+                      "tilde_character": 0}
+    # the counters see a cold call
+    normalform._DEGREE_DATA_MEMO.clear()
+    _assert_same_result(first, run())
+    semisimple = runner is semisimple_nf
+    assert counts == {"su_decomposition": 1, "extended_group": int(semisimple),
+                      "tilde_character": int(semisimple)}
+
+
+@pytest.mark.parametrize("make, mode", [
+    (lambda: instance_nilpotent_kron(4), "nilpotent"),
+    (lambda: instance_rot_reflect(3), "nilpotent"),
+    (lambda: instance_block_swap(3), "semisimple")])
+def test_exponent_defects_match_the_dense_operators(rand_map, make, mode):
+    # exponents far from the resonant space, so the defects are O(1); the
+    # oracle is the per-degree dense Ad_j(S0) - I and ad_j(N0*).  A large
+    # linear layer shows whether the ad defect leaves degree 1 out.
+    inst, k = make(), 3
+    sk = normalform._skeleton(mode, inst.A0, inst.gd, inst.ip, k)
+    rng = np.random.default_rng(49)
+    exponents = [W.with_layer(1, 20 * W.linear()) for W in
+                 (rand_map(rng, inst.A0.shape[0], k) for _ in range(2))]
+    d = normalform._nf_diagnostics(sk, [], exponents)
+    kernel = ad = 0.0
+    for W in exponents:
+        X = W.with_layer(1, W.linear() - sk.N0) if mode == "nilpotent" else W
+        for j in range(1, k + 1):
+            vec = X.layer(j).reshape(-1)
+            K = adk_operator(sk.S0, j) - np.eye(vec.size)
+            kernel = max(kernel, np.max(np.abs(K @ vec)))
+            if j >= 2:
+                ad = max(ad, np.max(np.abs(adk_field(sk.Nstar, j) @ vec)))
+    assert kernel > 0.1 and abs(d["exponent_kernel_defect"] - kernel) <= 1e-12 * kernel
+    if mode == "nilpotent":
+        assert abs(d["exponent_ad_defect"] - ad) <= 1e-12 * max(ad, 1.0)
+    # no samples, no defects
+    empty = normalform._nf_diagnostics(sk, [], [])
+    assert all(v == 0.0 for v in empty.values())
+
+
+def _wide_instance():
+    """The nf-wide benchmark's n = 6 skeleton: planar rotations by 2 pi/3,
+    2 pi/5 and 2.0, G generated by diag(1,-1,1,-1,1,-1) with chi = -1."""
+    S0 = scipy.linalg.block_diag(*(rotation(theta) for theta in
+                                   (2 * np.pi / 3, 2 * np.pi / 5, 2.0)))
+    gd = GroupData.from_generators([np.diag([1.0, -1.0] * 3)], [-1.0])
+    return corpus.Instance(name="wide6", A0=S0.copy(), S0=S0,
+                           N0=np.zeros((6, 6)), gd=gd, q=1,
+                           ip=invariant_inner_product(S0, gd))
+
+
+def test_nf_form_family_derives_each_space_once(monkeypatch):
+    # k = 3, then k = 4: one split, and one SVD per degree 1..4
+    normalform._DEGREE_DATA_MEMO.clear()
+    counts = _count_calls(monkeypatch, normalform, "su_decomposition",
+                          "_degree_spaces")
+    inst = _wide_instance()
+    for k in (3, 4):
+        nf_form_family(inst, k, np.random.default_rng(k), with_tail=False)
+    assert counts == {"su_decomposition": 1, "_degree_spaces": 4}
+
+
+@pytest.mark.parametrize("make, runner, k", MEMO_CASES)
+def test_admissible_basis_reads_the_normal_forms_store(monkeypatch, make,
+                                                       runner, k):
+    inst = make()
+    normalform._DEGREE_DATA_MEMO.clear()
+    res = _memo_run(make, runner, k)
+    counts = _count_calls(monkeypatch, normalform, "_degree_spaces")
+    for j in range(2, k + 1):
+        B = admissible_exponent_basis(inst.A0, inst.gd, inst.ip, j, res.mode)
+        assert np.array_equal(B, res.admissible[j]) and not B.flags.writeable
+    assert counts == {"_degree_spaces": 0}
+    # bases read first leave the normal form as it was
+    monkeypatch.undo()
+    normalform._DEGREE_DATA_MEMO.clear()
+    for j in range(1, k + 1):
+        admissible_exponent_basis(inst.A0, inst.gd, inst.ip, j, res.mode)
+    _assert_same_result(res, _memo_run(make, runner, k))
 
 
 def test_nf_refuses_oversized_order_without_allocating(monkeypatch):

@@ -122,6 +122,14 @@ def test_find_periodic_rejects_bad_search_box(box):
         find_periodic(p.family, ctx, [[-0.03]], box)
 
 
+@pytest.mark.parametrize("seeds", [0, -1, 2.5, 3.0, True, "3"])
+def test_find_periodic_rejects_bad_seeds_per_axis(seeds):
+    p = planted_q4()
+    ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q, radius=0.6)
+    with pytest.raises(ValueError, match="seeds_per_axis"):
+        find_periodic(p.family, ctx, [[-0.03]], 0.3, seeds_per_axis=seeds)
+
+
 def test_find_periodic_planted_q2_orbit_dedup():
     p = planted_q2()
     ctx = build_lift(p.inst.A0, p.inst.S0, p.inst.gd, p.q, radius=0.8)
