@@ -21,12 +21,11 @@ MAX_GROUP_ORDER = 10_000
 EQUIVARIANCE_TOL = 1e-9  # GL^chi and map equivariance tests, relative
 
 
-def _find_match(elements: list[np.ndarray], M: np.ndarray, tol: float) -> int | None:
+def _find_match(stack: np.ndarray, M: np.ndarray, tol: float) -> int | None:
+    """Index of the first matrix of the stack (m, n, n) that matches M."""
     scale = 1.0 + np.max(np.abs(M))
-    for i, E in enumerate(elements):
-        if np.max(np.abs(E - M)) <= tol * scale:
-            return i
-    return None
+    hits = np.flatnonzero(np.max(np.abs(stack - M), axis=(1, 2)) <= tol * scale)
+    return int(hits[0]) if hits.size else None
 
 
 @dataclass
@@ -61,14 +60,15 @@ class GroupData:
         for E in elements:
             if E.shape[0] != n:
                 raise DimensionMismatch("group elements of mixed dimension")
+        stack = np.stack(elements)
         table = np.empty((order, order), dtype=np.intp)
         for i in range(order):
             for j in range(order):
-                k = _find_match(elements, elements[i] @ elements[j], MATCH_TOL)
+                k = _find_match(stack, elements[i] @ elements[j], MATCH_TOL)
                 if k is None:
                     raise NotClosed(f"product of elements {i} and {j} is not in the set")
                 table[i, j] = k
-        ident = _find_match(elements, np.eye(n), MATCH_TOL)
+        ident = _find_match(stack, np.eye(n), MATCH_TOL)
         if ident is None:
             raise NotClosed("identity matrix missing from the element list")
         inv = np.full(order, -1, dtype=np.intp)
@@ -82,12 +82,18 @@ class GroupData:
 
     @classmethod
     def from_generators(cls, generators, gen_chars) -> "GroupData":
-        """Close the generator set under multiplication (breadth-first)."""
+        """Close the generator set under multiplication (breadth-first).
+
+        A product with a non-finite entry, or more than MAX_GROUP_ORDER
+        elements, raises NotClosed: the generators generate an infinite
+        group."""
         generators = [as_square(G, "generator") for G in generators]
         n = generators[0].shape[0] if generators else None
         if n is None:
             raise ValueError("at least one generator required (use np.eye for trivial)")
-        elements = [np.eye(n)]
+        # the elements found so far are stack[:len(chars)]
+        stack = np.empty((MAX_GROUP_ORDER, n, n))
+        stack[0] = np.eye(n)
         chars = [1.0]
         frontier = [0]
         gens = list(zip(generators, [float(c) for c in gen_chars]))
@@ -95,23 +101,28 @@ class GroupData:
             new_frontier = []
             for i in frontier:
                 for G, c in gens:
-                    P = elements[i] @ G
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        P = stack[i] @ G
                     pc = chars[i] * c
-                    k = _find_match(elements, P, MATCH_TOL)
+                    if not np.all(np.isfinite(P)):
+                        raise NotClosed(f"a product of the generators has non-finite "
+                                        f"entries after {len(chars)} elements; they "
+                                        "generate an infinite group")
+                    k = _find_match(stack[:len(chars)], P, MATCH_TOL)
                     if k is None:
-                        elements.append(P)
-                        chars.append(pc)
-                        new_frontier.append(len(elements) - 1)
-                        if len(elements) > MAX_GROUP_ORDER:
+                        if len(chars) == MAX_GROUP_ORDER:
                             raise NotClosed(
                                 f"closure exceeded {MAX_GROUP_ORDER} elements; "
                                 "generators likely generate an infinite group")
+                        new_frontier.append(len(chars))
+                        stack[len(chars)] = P
+                        chars.append(pc)
                     elif abs(chars[k] - pc) > 1e-9:
                         raise BadCharacter(
                             f"character value conflict at element {k}: "
                             f"{chars[k]} vs {pc}")
             frontier = new_frontier
-        return cls.from_elements(elements, chars)
+        return cls.from_elements([E.copy() for E in stack[:len(chars)]], chars)
 
 
 @dataclass

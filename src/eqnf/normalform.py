@@ -68,20 +68,18 @@ def _grading(gd: GroupData, A0, mode: str):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _degree_spaces(S0, j: int, adNs=None, graded=None):
+def _degree_spaces(S0, j: int, graded, adNs=None):
     """Orthonormal bases (image, kernel, resonant, admissible) on degree-j
     layers, from one SVD of Ad_j(S0) - I.  The resonant space is the kernel,
     cut by ker adNs when the operator adNs = ad_j(N0*) is given.  The
     admissible space is the resonant space restricted to the range of
-    hk_projection(group, j, char) for graded = (group, char); it is None
-    when graded is."""
+    hk_projection(group, j, char) for graded = (group, char)."""
     dim = hk_dim(S0.shape[0], j)
     u, s, vh = np.linalg.svd(adk_operator(S0, j) - np.eye(dim))
     rank = int(np.sum(s > rank_tolerance(s, dim)))
     ker_b = vh[rank:].T
     res_b = ker_b if adNs is None else ker_b @ nullspace(adNs @ ker_b)
-    adm_b = (None if graded is None
-             else _restrict(res_b, hk_projection(graded[0], j, graded[1])))
+    adm_b = _restrict(res_b, hk_projection(graded[0], j, graded[1]))
     return u[:, :rank], ker_b, res_b, adm_b
 
 
@@ -90,7 +88,7 @@ def _degree_spaces(S0, j: int, adNs=None, graded=None):
 
 @dataclass
 class _DegreeData:
-    admissible: np.ndarray | None
+    admissible: np.ndarray
     n_im: int
     n_kerim: int
     blend_lu: tuple
@@ -116,19 +114,18 @@ def _jacobian(data: _DegreeData, A, ck_lu, j: int) -> np.ndarray:
     return data.unwanted(M if ck_lu is None else lu_solve(ck_lu, M))
 
 
-def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str,
-                 graded) -> _DegreeData:
-    """Newton data of degree j; its admissible basis is graded by graded =
-    (group, char), or left out when graded is None."""
-    adNs = adk_field(Nstar, j) if mode == "nilpotent" else None
-    im_b, ker_b, res_b, adm_b = _degree_spaces(S0, j, adNs, graded)
+def _degree_data(j: int, sk: "_Skeleton") -> _DegreeData:
+    """Newton data of degree j on the skeleton sk, with its admissible basis."""
+    nilpotent = sk.mode == "nilpotent"
+    adNs = adk_field(sk.Nstar, j) if nilpotent else None
+    im_b, ker_b, res_b, adm_b = _degree_spaces(sk.S0, j, sk.graded, adNs)
     rank = im_b.shape[1]
 
-    P_triv = hk_projection(gd, j, "trivial")
+    P_triv = hk_projection(sk.gd, j, "trivial")
     T_im = _restrict(im_b, P_triv)
 
-    if mode == "nilpotent":
-        kerim_b = image_basis(adk_field(N0, j) @ ker_b)
+    if nilpotent:
+        kerim_b = image_basis(adk_field(sk.N0, j) @ ker_b)
         if kerim_b.shape[1] + res_b.shape[1] != ker_b.shape[1]:
             raise SplitFailure(
                 f"degree {j}: ad(N0)/ad(N0*) split of the resonant space failed")
@@ -144,24 +141,22 @@ def _degree_data(j: int, S0, N0, Nstar, A0, gd: GroupData, mode: str,
                        blend_lu=scipy.linalg.lu_factor(blend), unknown=unknown,
                        J0=None, jac_smin=0.0, jac_smax=0.0)
     # A0 = A0 e^0 in semisimple mode and S0 e^{N0} in nilpotent mode
-    ck_lu = (scipy.linalg.lu_factor(ck_operator(N0, j))
-             if mode == "nilpotent" else None)
-    data.J0 = _jacobian(data, A0, ck_lu, j)
+    ck_lu = scipy.linalg.lu_factor(ck_operator(sk.N0, j)) if nilpotent else None
+    data.J0 = _jacobian(data, sk.A0, ck_lu, j)
     if data.J0.size:
         s = np.linalg.svd(data.J0, compute_uv=False)
         data.jac_smin, data.jac_smax = float(s[-1]), float(s[0])
     for a in (adm_b, *data.blend_lu, unknown, data.J0):
-        if a is not None:
-            a.flags.writeable = False  # shared by every call on the skeleton
+        a.flags.writeable = False  # shared by every call on the skeleton
     return data
 
 
 class _Skeleton:
     """All that the normal forms of one (mode, A0, G, chi, ip) share: the
     split A0 = S0 e^{N0}, N0* = ip.adjoint(N0), the grading (group, char),
-    the base (A0 in semisimple mode, S0 in nilpotent mode), and per degree
-    the Newton data and the admissible basis, each built on first use.
-    Every array it hands out is read-only."""
+    the base (A0 in semisimple mode, S0 in nilpotent mode) and its inverse,
+    and per degree the Newton data and the admissible basis, each built on
+    first use.  Every array it hands out is read-only."""
 
     def __init__(self, mode: str, A0, gd: GroupData, ip: AdaptedInnerProduct):
         su = su_decomposition(A0)
@@ -175,21 +170,18 @@ class _Skeleton:
         self.degrees, self.admissible = {}, {}
 
     def degree(self, j: int) -> _DegreeData:
-        """Newton data of degree j; a degree j >= 2 with no admissible basis
-        yet stores the one it builds."""
+        """Newton data of degree j; the admissible basis stored first for j
+        is the one kept."""
         if j not in self.degrees:
-            graded = self.graded if 1 < j and j not in self.admissible else None
-            self.degrees[j] = _degree_data(j, self.S0, self.N0, self.Nstar,
-                                           self.A0, self.gd, self.mode, graded)
-            if graded is not None:
-                self.admissible[j] = self.degrees[j].admissible
+            self.degrees[j] = _degree_data(j, self)
+            self.admissible.setdefault(j, self.degrees[j].admissible)
         return self.degrees[j]
 
     def admissible_basis(self, j: int) -> np.ndarray:
         """The degree-j admissible basis; one SVD if no stage stored it."""
         if j not in self.admissible:
             adNs = adk_field(self.Nstar, j) if self.mode == "nilpotent" else None
-            B = self.admissible[j] = _degree_spaces(self.S0, j, adNs, self.graded)[3]
+            B = self.admissible[j] = _degree_spaces(self.S0, j, self.graded, adNs)[3]
             B.flags.writeable = False
         return self.admissible[j]
 
@@ -223,28 +215,28 @@ def admissible_exponent_basis(A0, gd: GroupData, ip: AdaptedInnerProduct,
 # ---------------------------------------------------------------------------
 # linear stage
 
-def _linear_newton(A, target_shift, data: _DegreeData, base, what: str):
-    """Shared Newton for the linear normal forms.
+def _linear_newton(A, sk: _Skeleton, what: str):
+    """Shared Newton for the linear normal forms: returns (phi, e^phi, W).
 
-    Drives the unwanted components of W(phi) = log(base^-1 e^phi A e^-phi)
-    minus target_shift to zero over the admissible generator space.
+    Drives the unwanted components of W(phi) = log(base^-1 e^phi A e^-phi),
+    less N0 in nilpotent mode, to zero over the admissible generator space.
     """
     n = A.shape[0]
-    base_inv = np.linalg.inv(base)
+    data = sk.degree(1)
+    nilpotent = sk.mode == "nilpotent"
     scale = max(1.0, float(np.linalg.norm(A)))
 
     def eval_at(u):
         phi = (data.unknown @ u).reshape(n, n) if data.unknown.shape[1] else np.zeros((n, n))
         E = scipy.linalg.expm(phi)
-        W = real_log(base_inv @ E @ A @ np.linalg.inv(E))
-        return data.unwanted((W - target_shift).reshape(-1)), (phi, W)
+        W = real_log(sk.base_inv @ E @ A @ np.linalg.inv(E))
+        return data.unwanted((W - sk.N0 if nilpotent else W).reshape(-1)), (phi, E, W)
 
     def step(u, r, aux):
         return np.linalg.lstsq(data.J0, r, rcond=None)[0]
 
-    _, _, (phi, W) = newton(eval_at, step, np.zeros(data.unknown.shape[1]),
-                            NEWTON_TOL * scale, NEWTON_MAX_ITER, what)
-    return phi, W
+    return newton(eval_at, step, np.zeros(data.unknown.shape[1]),
+                  NEWTON_TOL * scale, NEWTON_MAX_ITER, what)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +267,8 @@ class NormalFormResult:
         return max(self.residuals) if self.residuals else 0.0
 
 
-def _newton_degree(psi: TruncatedMap, W: TruncatedMap, j: int,
-                   data: _DegreeData, base_inv, k: int):
+def _newton_degree(psi: TruncatedMap, W: TruncatedMap, j: int, sk: _Skeleton,
+                   k: int):
     """Degree-j Newton: returns (conjugated psi, its exponent
     log(base^-1 psi), transform factor, residual).
 
@@ -288,6 +280,7 @@ def _newton_degree(psi: TruncatedMap, W: TruncatedMap, j: int,
     """
     n = psi.n
     Mj = num_monomials(n, j)
+    data = sk.degree(j)
     scale = max(1.0, psi.max_abs())
 
     def eval_at(u):
@@ -296,14 +289,14 @@ def _newton_degree(psi: TruncatedMap, W: TruncatedMap, j: int,
                     (TruncatedMap.identity(n, k), psi, W))
         Y = TruncatedMap.zero(n, k).with_layer(j, (data.unknown @ u).reshape(n, Mj))
         Phi = exp_vf(Y)
-        psi_try = compose(compose(Phi, psi, k), exp_vf(-Y), k)
-        W_try = log_map(psi_try.linear_left(base_inv))
+        psi_try = compose(compose(Phi, psi), exp_vf(-Y))
+        W_try = log_map(psi_try.linear_left(sk.base_inv))
         return data.unwanted(W_try.layer(j).reshape(-1)), (Phi, psi_try, W_try)
 
     @functools.cache
     def jacobian():
         A = psi.linear()
-        return _jacobian(data, A, _linear_part_data(base_inv @ A).ck_factor(j), j)
+        return _jacobian(data, A, _linear_part_data(sk.base_inv @ A).ck_factor(j), j)
 
     def step(u, r, aux):
         return np.linalg.lstsq(jacobian(), r, rcond=None)[0]
@@ -319,19 +312,18 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
                lambdas, mode: str) -> NormalFormResult:
     sk = _skeleton(mode, A0, gd, ip, k)
     degrees = range(2, k + 1)
-    # degrees 2..k, then the linear stage, which reports no admissible basis
+    # every degree is built before the first sample: built inside it, the
+    # degree-k temporaries would stack on the C_k factors that log_map keeps
+    # for the sample, and raise the peak memory
     for j in (*degrees, 1):
         sk.degree(j)
 
     lambdas = [np.atleast_1d(np.asarray(lam, dtype=float)) for lam in lambdas]
     transforms, exponents, residuals = [], [], []
-    shift = sk.N0 if mode == "nilpotent" else np.zeros_like(sk.N0)
 
     for idx, lam in enumerate(lambdas):
         psi = family.at(lam).truncated(k)
-        phi_lin, _ = _linear_newton(psi.linear(), shift, sk.degree(1), sk.base,
-                                    f"linear stage at sample {idx}")
-        T1 = scipy.linalg.expm(phi_lin)
+        _, T1, _ = _linear_newton(psi.linear(), sk, f"linear stage at sample {idx}")
         psi = conjugate_linear(T1, psi)
         transform = TruncatedMap.from_linear(T1, k)
 
@@ -339,9 +331,8 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
         W = log_map(psi.linear_left(sk.base_inv))
         per_deg = [0.0]
         for j in degrees:
-            psi, W, Phi_j, rj = _newton_degree(psi, W, j, sk.degree(j),
-                                               sk.base_inv, k)
-            transform = compose(Phi_j, transform, k)
+            psi, W, Phi_j, rj = _newton_degree(psi, W, j, sk, k)
+            transform = compose(Phi_j, transform)
             per_deg.append(rj)
 
         residual = max(*per_deg, (psi - exp_vf(W).linear_left(sk.base)).max_abs())

@@ -120,16 +120,11 @@ def _mul_pairs(n: int, order: int, dmin: int):
 @lru_cache(maxsize=None)
 def _power_steps(n: int, d: int):
     """For each degree-d monomial alpha: its first variable i0 with a
-    nonzero exponent, and the index of alpha - e_i0 among degree d - 1."""
-    idx_prev = monomial_index(n, d - 1)
-    first, prev = [], []
-    for al in monomials(n, d):
-        i0 = next(i for i, e in enumerate(al) if e)
-        al2 = list(al)
-        al2[i0] -= 1
-        first.append(i0)
-        prev.append(idx_prev[tuple(al2)])
-    return np.array(first, dtype=np.intp), np.array(prev, dtype=np.intp)
+    nonzero exponent, and the index of alpha - e_i0 among degree d - 1,
+    the first entry of alpha's row in _derivative_table."""
+    rows, cols, _, prev = _derivative_table(n, d)
+    _, first = np.unique(rows, return_index=True)
+    return cols[first], prev[first]
 
 
 @lru_cache(maxsize=None)
@@ -222,8 +217,11 @@ class TruncatedMap:
             i = int(t["component"])
             al = tuple(int(e) for e in t["exponents"])
             d = sum(al)
-            if len(al) != n:
-                raise DimensionMismatch(f"exponent tuple {al} has wrong length")
+            if not 0 <= i < n:
+                raise DimensionMismatch(f"component {i} outside 0..{n - 1}")
+            if len(al) != n or min(al) < 0:
+                raise DimensionMismatch(f"exponent tuple {al} has wrong length "
+                                        "or a negative entry")
             if not 1 <= d <= order:
                 raise DimensionMismatch(f"term of degree {d} outside 1..{order}")
             out.layers[d - 1][i, monomial_index(n, d)[al]] += float(t["coefficient"])
@@ -371,19 +369,18 @@ def _power_matrix(G: TruncatedMap) -> np.ndarray:
     return PW
 
 
-def compose(F: TruncatedMap, G: TruncatedMap, k: int | None = None) -> TruncatedMap:
-    """Truncated composition F o G (both maps fix the origin)."""
+def compose(F: TruncatedMap, G: TruncatedMap) -> TruncatedMap:
+    """Truncated composition F o G (both maps fix the origin), to the lower
+    of their orders."""
     if F.n != G.n:
         raise DimensionMismatch("composition needs maps on the same space")
-    order = min(F.order, G.order) if k is None else k
+    order = min(F.order, G.order)
     F, G = F.truncated(order), G.truncated(order)
     return TruncatedMap.from_flat(F.n, order, F.flat() @ _power_matrix(G))
 
 
-def inverse_truncated(F: TruncatedMap, k: int | None = None) -> TruncatedMap:
+def inverse_truncated(F: TruncatedMap) -> TruncatedMap:
     """Compositional inverse, degree by degree."""
-    if k is not None:
-        F = F.truncated(k)
     A = F.linear()
     smin = np.linalg.svd(A, compute_uv=False)[-1]
     if smin <= 1e-12 * max(1.0, np.linalg.norm(A)):
@@ -586,21 +583,14 @@ def _transport_triples(n: int, order: int):
         pos.append(np.arange(size))
         coef.append(np.ones(size))
     for d in range(2, order + 1):
-        idx_prev = monomial_index(n, d - 1)
-        for c, al in enumerate(monomials(n, d)):
-            for j in range(n):
-                if al[j] == 0:
-                    continue
-                be = list(al)
-                be[j] -= 1
-                b = idx_prev[tuple(be)]
-                for d1 in range(1, order - d + 2):
-                    M1 = num_monomials(n, d1)
-                    target = offs[d1 + d - 1] + _prod_table(n, d1, d - 1)[:, b]
-                    bins.append(target * size + offs[d] + c)
-                    var.append(np.full(M1, j))
-                    pos.append(offs[d1] + np.arange(M1))
-                    coef.append(np.full(M1, float(al[j])))
+        for c, j, e, b in zip(*_derivative_table(n, d)):
+            for d1 in range(1, order - d + 2):
+                M1 = num_monomials(n, d1)
+                target = offs[d1 + d - 1] + _prod_table(n, d1, d - 1)[:, b]
+                bins.append(target * size + offs[d] + c)
+                var.append(np.full(M1, j))
+                pos.append(offs[d1] + np.arange(M1))
+                coef.append(np.full(M1, e))
     return (np.concatenate(bins), np.concatenate(var), np.concatenate(pos),
             np.concatenate(coef))
 

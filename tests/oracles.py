@@ -64,9 +64,9 @@ def fischer_gram(n: int, k: int, gram) -> np.ndarray:
     return Ad.T @ np.kron(np.eye(n), np.diag(fact)) @ Ad
 
 
-def ad_conjugate(T: TruncatedMap, F: TruncatedMap, k: int | None = None) -> TruncatedMap:
+def ad_conjugate(T: TruncatedMap, F: TruncatedMap) -> TruncatedMap:
     """Conjugation by a truncated map: T o F o T^{-1}."""
-    return compose(compose(T, F, k), inverse_truncated(T, k), k)
+    return compose(compose(T, F), inverse_truncated(T))
 
 
 def frozen_operator(S0, N0, A0, j: int, mode: str) -> np.ndarray:

@@ -71,9 +71,9 @@ def test_criterion_2_shear_normal_form_k2(capsys):
     A0map = TruncatedMap.from_linear(A0, 2)
     T0 = TruncatedMap.identity(2, 2).with_layer(
         2, np.array([[-0.5, 0.0, 0.0], [0.0, 0.0, -0.5]]))
-    resid_c0 = (ad_conjugate(T0, psi0, 2) - A0map).max_abs()
+    resid_c0 = (ad_conjugate(T0, psi0) - A0map).max_abs()
     assert resid_c0 <= 1e-9
-    resid_rec = (ad_conjugate(res.transforms[0], psi0, 2) - A0map).max_abs()
+    resid_rec = (ad_conjugate(res.transforms[0], psi0) - A0map).max_abs()
     assert resid_rec <= 1e-9
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -134,7 +134,7 @@ def test_criterion_5_combined_exponent_suite(capsys):
         Ymap = TruncatedMap.zero(n, k).with_layer(k, Yk)
         for side, order in (("right", (X, Ymap)), ("left", (Ymap, X))):
             Z = ch_compose(X, Yk, k, side=side)
-            rhs = compose(exp_vf(order[0]), exp_vf(order[1]), k)
+            rhs = compose(exp_vf(order[0]), exp_vf(order[1]))
             worst_ch = max(worst_ch, (exp_vf(Z) - rhs).max_abs())
         C0 = ck_operator(np.zeros((n, n)), k)
         worst_c0 = max(worst_c0, np.max(np.abs(C0 - np.eye(C0.shape[0]))))

@@ -4,12 +4,13 @@ Everything runs in-process through cli.main so coverage tooling and
 capsys see the output.  Problem files live in tmp_path.
 """
 import json
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from eqnf import cli, corpus, reduction
+from eqnf import cli, corpus, linalg, reduction
 
 SUBCOMMANDS = ("decompose", "normal-form", "reduce", "periodic", "verify")
 
@@ -51,6 +52,13 @@ def _swap_problem(terms=(1.0, 1.0), slope=0.0, character=1.0):
                                            "coefficient": slope}]]},
             "group": {"generators": [[[0.0, 1.0], [1.0, 0.0]]],
                       "characters": [character]}}
+
+
+def _one_term_problem(component=0, exponents=(1, 0)):
+    """Fields of a map on R^2 given by the one term record with these
+    component and exponents."""
+    return {"dimension": 2, "map": {"terms": [
+        {"component": component, "exponents": list(exponents), "coefficient": 1.0}]}}
 
 
 def _planted_q4_problem(tmp_path):
@@ -265,6 +273,13 @@ def test_parse_failures_exit_2(tmp_path, capsys):
     ("map.terms", {"map": {"terms": [{"component": 0, "exponents": [1e400, 0],
                                       "coefficient": 1.0}]}, "dimension": 2}),
     ("tol", {"tol": -1}),
+    ("map.terms", _one_term_problem(component=2)),
+    ("map.terms", _one_term_problem(component=-1)),
+    ("map.terms", _one_term_problem(component=1.5)),
+    ("map.terms", _one_term_problem(component=True)),
+    ("map.terms", _one_term_problem(exponents=[-1, 3])),
+    ("map.terms", _one_term_problem(exponents=[1.5, 0.5])),
+    ("map.terms", _one_term_problem(exponents=[True, 0])),
 ])
 def test_malformed_field_is_a_parse_error(tmp_path, capsys, field, extra):
     rc = cli.main(["decompose", _builtin(tmp_path, **extra)])
@@ -285,6 +300,34 @@ def test_non_finite_flag_is_a_parse_error(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert rc == 2, flags
         assert err.startswith("parse error:") and name in err
+
+
+def test_infinite_group_is_a_parse_error(tmp_path, capsys):
+    doc = _swap_problem()
+    doc["group"]["generators"] = [[[2.0, 0.0], [0.0, 1.0]]]
+    rc = cli.main(["decompose", _write(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("parse error: group:") and "non-finite" in err
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_report_takes_one_jordan_chevalley_split(tmp_path, capsys, monkeypatch,
+                                                 command):
+    # the reported S and N are those of the split su_decomposition takes
+    original, calls = linalg.jordan_chevalley, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "eqnf" or name.startswith("eqnf."):
+            for attr in [a for a, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, attr, counted)
+    assert cli.main([command, _builtin(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_help_exits_zero(capsys):

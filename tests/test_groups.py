@@ -36,6 +36,26 @@ def test_from_generators_rejects_infinite_group(monkeypatch):
         GroupData.from_generators([rotation(1.0)], [1.0])
 
 
+def test_from_generators_rejects_unipotent_generator(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 50)
+    with pytest.raises(NotClosed, match="closure exceeded 50 elements"):
+        GroupData.from_generators([np.array([[1.0, 1.0], [0.0, 1.0]])], [1.0])
+
+
+def test_from_generators_rejects_overflowing_powers():
+    # 2^1024 overflows to inf, and inf would match the inf of the next
+    # power; the closure stops at the first non-finite product instead
+    with pytest.raises(NotClosed, match="non-finite entries after 1024 elements"):
+        GroupData.from_generators([np.diag([2.0, 1.0])], [1.0])
+
+
+def test_from_generators_elements_own_their_data():
+    # no element is a view into the closure's working stack
+    gd = GroupData.from_generators([rotation(math.pi / 2), np.diag([1.0, -1.0])],
+                                   [1.0, -1.0])
+    assert all(E.base is None for E in gd.elements)
+
+
 def test_from_generators_rejects_inconsistent_character():
     # an order-3 generator cannot carry chi = -1: g^3 = e forces (-1)^3 = +1
     with pytest.raises(BadCharacter):

@@ -23,7 +23,7 @@ from eqnf.groups import (GroupData, extended_group, invariant_inner_product,
 from eqnf.linalg import (AdaptedInnerProduct, image_basis, nullspace,
                          require_invertible, su_decomposition)
 from eqnf.normalform import (_degree_data, _jacobian, _linear_newton,
-                             admissible_exponent_basis, hk_projection,
+                             _Skeleton, admissible_exponent_basis, hk_projection,
                              nilpotent_nf, semisimple_nf)
 from eqnf.polymap import (MapFamily, TruncatedMap, _linear_part_data, adk_field,
                           adk_operator, ck_operator, compose, exp_vf, hk_dim,
@@ -151,12 +151,9 @@ def _linear_nf(A, A0, gd, ip, mode="semisimple"):
     A0 = require_invertible(A0, "A0")
     if not is_chi_equivariant_linear(A, gd, tol=1e-8):
         raise NotEquivariant("A is not chi-equivariant for the given group")
-    su = su_decomposition(A0)
-    S0, N0 = su.S, su.nil_log
-    data = _degree_data(1, S0, N0, ip.adjoint(N0), A0, gd, mode, None)
-    shift, base = (np.zeros_like(A), A0) if mode == "semisimple" else (N0, S0)
-    phi, W = _linear_newton(A, shift, data, base, "linear stage")
-    return phi, W - shift
+    sk = _Skeleton(mode, A0, gd, ip)
+    phi, _, W = _linear_newton(A, sk, "linear stage")
+    return phi, (W - sk.N0 if mode == "nilpotent" else W)
 
 
 def test_linear_nf_planted_recovery():
@@ -212,7 +209,7 @@ def _fd_degree_derivative(psi, base, j, k, directions=None, eps=1e-6):
         sides = []
         for sgn in (eps, -eps):
             Phi = exp_vf(TruncatedMap.zero(n, k).with_layer(j, (sgn * d).reshape(n, Mj)))
-            W = log_map(ad_conjugate(Phi, psi, k).linear_left(base_inv))
+            W = log_map(ad_conjugate(Phi, psi).linear_left(base_inv))
             sides.append(W.layer(j).reshape(-1))
         T[:, c] = (sides[0] - sides[1]) / (2 * eps)
     return T
@@ -268,9 +265,8 @@ SWEEP_SKELETONS = {"block_swap3": lambda: instance_block_swap(3),
 
 def _stage_data(inst, j, mode):
     """Degree-j Newton data of a skeleton, and the base of its mode."""
-    data = _degree_data(j, inst.S0, inst.N0, inst.ip.adjoint(inst.N0),
-                        inst.A0, inst.gd, mode, None)
-    return data, (inst.A0 if mode == "semisimple" else inst.S0)
+    sk = _Skeleton(mode, inst.A0, inst.gd, inst.ip)
+    return _degree_data(j, sk), sk.base
 
 
 def _jacobian_at(data, A, base, j):
@@ -333,7 +329,7 @@ def test_property_degree_jacobian_is_exact(name, mode, j, lam, seed):
 
     def residual(u):
         Phi = exp_vf(TruncatedMap.zero(n, k).with_layer(j, (data.unknown @ u).reshape(n, Mj)))
-        W = log_map(ad_conjugate(Phi, psi, k).linear_left(base_inv))
+        W = log_map(ad_conjugate(Phi, psi).linear_left(base_inv))
         return data.unwanted(W.layer(j).reshape(-1))
 
     u = np.random.default_rng(seed).standard_normal(data.unknown.shape[1])
@@ -406,9 +402,9 @@ def test_degree_stages_carry_the_exponent_of_their_map(monkeypatch, mode):
     # before
     seen, stage = [], normalform._newton_degree
 
-    def recording_stage(psi, W, j, data, base_inv, k):
-        seen.append((psi.copy(), W.copy(), base_inv.copy()))
-        return stage(psi, W, j, data, base_inv, k)
+    def recording_stage(psi, W, j, sk, k):
+        seen.append((psi.copy(), W.copy(), sk.base_inv.copy()))
+        return stage(psi, W, j, sk, k)
 
     monkeypatch.setattr(normalform, "_newton_degree", recording_stage)
     k, lambdas = 4, [[-0.04], [0.03]]
@@ -448,13 +444,13 @@ def test_semisimple_nf_undoes_conjugation():
     vec = hk_projection(inst.gd, 2, "trivial") @ (K @ rng.standard_normal(dim))
     vec *= 0.3 / max(1.0, np.max(np.abs(vec)))
     E = exp_vf(TruncatedMap.zero(2, k).with_layer(2, vec.reshape(2, -1)))
-    conj = MapFamily(lambda l: ad_conjugate(E, fam.at(l), k), 2, k, nparams=1)
+    conj = MapFamily(lambda l: ad_conjugate(E, fam.at(l)), 2, k, nparams=1)
 
     res = semisimple_nf(conj, inst.A0, inst.gd, inst.ip, k, lambdas=[lam])
     assert res.residual < 1e-10
     assert (res.exponents[0] - nf_field(lam)).max_abs() < 1e-10
     # the transform must undo the planted conjugation modulo degree k+1
-    num = compose(res.transforms[0], E, k)
+    num = compose(res.transforms[0], E)
     assert is_identity(num, 1e-9)
 
 
@@ -779,6 +775,23 @@ def test_admissible_basis_reads_the_normal_forms_store(monkeypatch, make,
     for j in range(1, k + 1):
         admissible_exponent_basis(inst.A0, inst.gd, inst.ip, j, res.mode)
     _assert_same_result(res, _memo_run(make, runner, k))
+
+
+@pytest.mark.parametrize("bases_first", [False, True])
+@pytest.mark.parametrize("make, runner, k", MEMO_CASES)
+def test_newton_data_carry_the_admissible_basis(make, runner, k, bases_first):
+    # every degree's Newton data carry its graded admissible basis, the
+    # linear stage's too, and the store keeps the one stored first
+    inst = make()
+    mode = runner.__name__.split("_")[0]
+    normalform._DEGREE_DATA_MEMO.clear()
+    first = ([admissible_exponent_basis(inst.A0, inst.gd, inst.ip, j, mode)
+              for j in range(1, k + 1)] if bases_first else [])
+    _memo_run(make, runner, k)
+    sk = normalform._skeleton(mode, inst.A0, inst.gd, inst.ip, k)
+    for j in range(1, k + 1):
+        assert np.array_equal(sk.degrees[j].admissible, sk.admissible[j])
+    assert all(B is sk.admissible[j] for j, B in enumerate(first, start=1))
 
 
 def test_nf_refuses_oversized_order_without_allocating(monkeypatch):

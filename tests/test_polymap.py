@@ -62,6 +62,14 @@ def test_from_terms_evaluate_jacobian():
     assert np.max(np.abs(vals[0] - fx)) < 1e-14
 
 
+@pytest.mark.parametrize("component, exponents", [(2, (1, 0)), (-1, (1, 0)),
+                                                   (0, (-1, 3)), (0, (1,))])
+def test_from_terms_rejects_terms_outside_the_space(component, exponents):
+    with pytest.raises(DimensionMismatch):
+        TruncatedMap.from_terms(2, 3, [{"component": component,
+                                        "exponents": exponents, "coefficient": 1.0}])
+
+
 def test_terms_roundtrip(rand_map):
     rng = np.random.default_rng(20)
     F = rand_map(rng, 3, 3)
