@@ -18,7 +18,8 @@ from .groups import (GroupData, invariant_inner_product,
                      is_chi_equivariant_map, project_map)
 from .linalg import AdaptedInnerProduct
 from .normalform import _degree_spaces, _grading, admissible_exponent_basis
-from .polymap import MapFamily, TruncatedMap, exp_vf, num_monomials
+from .polymap import (MapFamily, TruncatedMap, _require_dense_fits, exp_vf,
+                      num_monomials)
 
 
 FIELD_AMP = 0.25  # scale of the random coefficients of a family's fields
@@ -182,6 +183,7 @@ def nf_form_family(inst: Instance, k: int, rng, tail_amp: float = 0.5,
     """
     n = inst.A0.shape[0]
     order = k + 1 if with_tail else k
+    _require_dense_fits(n, order)  # the tail's degree-(k+1) spaces too
 
     def draw(B, amp):
         v = amp * rng.standard_normal(B.shape[0])

@@ -13,11 +13,17 @@ import numpy as np
 
 from .errors import (BadCharacter, DimensionMismatch, InvariantViolation,
                      NotClosed, NotEquivariant, NotSemisimple)
-from .linalg import (AdaptedInnerProduct, as_square, kernel_basis,
-                     require_invertible, _cluster_means)
+from .linalg import (EIGVEC_COND_LIMIT, AdaptedInnerProduct, as_square,
+                     kernel_basis, require_invertible, _cluster_means)
 
 MATCH_TOL = 1e-9  # two matrices match to MATCH_TOL * (1 + max|M|)
 MAX_GROUP_ORDER = 10_000
+# A generator's eigenvalue mu counts as a root of unity when ||mu| - 1| and,
+# for some m <= MAX_GROUP_ORDER, the distance of m arg(mu) to a multiple of
+# 2 pi are at most ROOT_OF_UNITY_TOL.  The closure matches products to
+# MATCH_TOL, so a generator it closes has |mu^m - 1| near MATCH_TOL cond(V);
+# a rotation by 1 rad comes closest at m = 710, 6.0e-5 away.
+ROOT_OF_UNITY_TOL = 1e-6
 EQUIVARIANCE_TOL = 1e-9  # GL^chi and map equivariance tests, relative
 
 
@@ -26,6 +32,28 @@ def _find_match(stack: np.ndarray, M: np.ndarray, tol: float) -> int | None:
     scale = 1.0 + np.max(np.abs(M))
     hits = np.flatnonzero(np.max(np.abs(stack - M), axis=(1, 2)) <= tol * scale)
     return int(hits[0]) if hits.size else None
+
+
+def _require_finite_order(G: np.ndarray) -> None:
+    """Raise NotClosed unless G can have an order of at most MAX_GROUP_ORDER:
+    an element of finite order m is diagonalizable, with m-th roots of unity
+    as eigenvalues."""
+    mu, V = np.linalg.eig(G)
+    if np.linalg.cond(V) > EIGVEC_COND_LIMIT:
+        raise NotClosed("a generator is not diagonalizable; it has infinite order")
+    off = np.abs(np.abs(mu) - 1.0) > ROOT_OF_UNITY_TOL
+    if off.any():
+        raise NotClosed(f"a generator has an eigenvalue of modulus "
+                        f"{abs(mu[off][0]):.6g}; it has infinite order")
+    # one of each conjugate pair; a real mu on the unit circle is +-1
+    mu = mu[mu.imag > 0]
+    if not mu.size:
+        return
+    turns = np.outer(np.angle(mu) / (2 * np.pi), np.arange(1, MAX_GROUP_ORDER + 1))
+    far = 2 * np.pi * np.min(np.abs(turns - np.rint(turns)), axis=1) > ROOT_OF_UNITY_TOL
+    if far.any():
+        raise NotClosed(f"a generator has the eigenvalue {mu[far][0]:.6g}, no "
+                        f"root of unity of order <= {MAX_GROUP_ORDER}")
 
 
 @dataclass
@@ -84,13 +112,16 @@ class GroupData:
     def from_generators(cls, generators, gen_chars) -> "GroupData":
         """Close the generator set under multiplication (breadth-first).
 
-        A product with a non-finite entry, or more than MAX_GROUP_ORDER
-        elements, raises NotClosed: the generators generate an infinite
-        group."""
+        A generator of infinite order (see _require_finite_order) raises
+        NotClosed before the closure starts; a product with a non-finite
+        entry, or more than MAX_GROUP_ORDER elements, raises it during the
+        closure: the generators generate an infinite group."""
         generators = [as_square(G, "generator") for G in generators]
         n = generators[0].shape[0] if generators else None
         if n is None:
             raise ValueError("at least one generator required (use np.eye for trivial)")
+        for G in generators:
+            _require_finite_order(G)
         # the elements found so far are stack[:len(chars)]
         stack = np.empty((MAX_GROUP_ORDER, n, n))
         stack[0] = np.eye(n)

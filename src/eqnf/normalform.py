@@ -21,13 +21,14 @@ import scipy.linalg
 from .errors import SplitFailure
 from .groups import (GroupData, _resolve_char, extended_group, project_map,
                      tilde_character)
-from .linalg import (AdaptedInnerProduct, image_basis, lu_solve, newton,
-                     nullspace, rank_tolerance, real_log, require_invertible,
-                     su_decomposition)
+from .linalg import (EIGVEC_COND_LIMIT, AdaptedInnerProduct, image_basis,
+                     lu_solve, newton, nullspace, rank_tolerance, real_log,
+                     require_invertible, su_decomposition)
 from .polymap import (TruncatedMap, _linear_part_data, _LruMemo,
                       _require_dense_fits, _transport_operator, adk_field,
                       adk_operator, ck_operator, compose, conjugate_linear,
-                      exp_vf, hk_dim, log_map, num_monomials)
+                      exp_vf, hk_dim, log_map, monomials, num_monomials,
+                      substitution_matrix)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -68,19 +69,53 @@ def _grading(gd: GroupData, A0, mode: str):
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _real_span(Z: np.ndarray, r: int) -> np.ndarray:
+    """Orthonormal basis (columns) of the real span of the r complex rows of
+    Z, for a span closed under conjugation: the leading r left singular
+    vectors of its m x 2r real and imaginary parts."""
+    Z = Z / np.linalg.norm(Z, axis=1, keepdims=True)
+    return np.linalg.svd(np.vstack([Z.real, Z.imag]).T, full_matrices=False)[0][:, :r]
+
+
 def _degree_spaces(S0, j: int, graded, adNs=None):
     """Orthonormal bases (image, kernel, resonant, admissible) on degree-j
-    layers, from one SVD of Ad_j(S0) - I.  The resonant space is the kernel,
-    cut by ker adNs when the operator adNs = ad_j(N0*) is given.  The
-    admissible space is the resonant space restricted to the range of
-    hk_projection(group, j, char) for graded = (group, char)."""
-    dim = hk_dim(S0.shape[0], j)
-    u, s, vh = np.linalg.svd(adk_operator(S0, j) - np.eye(dim))
-    rank = int(np.sum(s > rank_tolerance(s, dim)))
-    ker_b = vh[rank:].T
+    layers, from the eigenvalues of S0.
+
+    With S0 = V diag(mu) V^-1 and Sub = substitution_matrix, Ad_j(S0) is
+    diagonal on the pairs x^alpha e_i in S0's eigencoordinates: the pair
+    (i, alpha) has the right eigenvector kron(V[:, i], Sub(V^-1, j)[alpha])
+    and the left one kron(V^-1[i], Sub(V, j)[:, alpha]), with eigenvalue
+    mu_i mu^-alpha.  A pair is resonant when |mu_i mu^-alpha - 1| <= tau =
+    m eps max(1, max |mu_i mu^-alpha|) RANK_TOL_FACTOR, m = hk_dim(n, j); on
+    the nf-wide skeleton at j = 4 the resonant values are at most 1.3e-15
+    and the others at least 0.076.  The kernel of Ad_j(S0) - I is the real
+    span of the resonant right eigenvectors, and its image the orthogonal
+    complement of the resonant left ones: one complete QR of their m x r
+    basis, and no factorization of the m x m operator.  S0 must be
+    semisimple: SplitFailure when cond(V) exceeds EIGVEC_COND_LIMIT.
+
+    The resonant space is the kernel, cut by ker adNs when the operator
+    adNs = ad_j(N0*) is given.  The admissible space is the resonant space
+    restricted to the range of hk_projection(group, j, char) for graded =
+    (group, char)."""
+    n = S0.shape[0]
+    mu, V = np.linalg.eig(S0)
+    if np.linalg.cond(V) > EIGVEC_COND_LIMIT:
+        raise SplitFailure(f"degree {j}: S0 is not semisimple to working precision")
+    Vinv = np.linalg.inv(V)
+    alpha = np.array(monomials(n, j))
+    values = mu[:, None] * np.prod(mu ** -alpha, axis=1)  # mu_i mu^-alpha
+    m = values.size
+    tau = rank_tolerance([np.max(np.abs(values))], m)
+    i, a = np.nonzero(np.abs(values - 1) <= tau)
+    r = i.size
+    right = V[:, i].T[:, :, None] * substitution_matrix(Vinv, j)[a][:, None, :]
+    left = Vinv[i][:, :, None] * substitution_matrix(V, j)[:, a].T[:, None, :]
+    ker_b = _real_span(right.reshape(r, m), r)
+    im_b = np.linalg.qr(_real_span(left.reshape(r, m), r), mode="complete")[0][:, r:]
     res_b = ker_b if adNs is None else ker_b @ nullspace(adNs @ ker_b)
     adm_b = _restrict(res_b, hk_projection(graded[0], j, graded[1]))
-    return u[:, :rank], ker_b, res_b, adm_b
+    return im_b, ker_b, res_b, adm_b
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +213,7 @@ class _Skeleton:
         return self.degrees[j]
 
     def admissible_basis(self, j: int) -> np.ndarray:
-        """The degree-j admissible basis; one SVD if no stage stored it."""
+        """The degree-j admissible basis, derived if no stage stored it."""
         if j not in self.admissible:
             adNs = adk_field(self.Nstar, j) if self.mode == "nilpotent" else None
             B = self.admissible[j] = _degree_spaces(self.S0, j, self.graded, adNs)[3]

@@ -407,7 +407,9 @@ def _substitution_blocks(T: np.ndarray, k: int) -> list[np.ndarray]:
 
     Row alpha of S_d is (T x)_i0 (T x)^(alpha - e_i0), one scatter of the
     products T[i0, i] S_{d-1}[alpha - e_i0, j] into x_i x^j; each entry sums
-    them in the order _power_matrix does, so the blocks are its own."""
+    them in the order _power_matrix does, so the blocks are its own.  A
+    complex T scatters its real and imaginary parts apart, as np.bincount
+    takes real weights only."""
     n = T.shape[0]
     blocks = [T.copy()]
     for d in range(2, k + 1):
@@ -415,16 +417,20 @@ def _substitution_blocks(T: np.ndarray, k: int) -> list[np.ndarray]:
         P = _prod_table(n, 1, d - 1)
         a, b = np.indices(P.shape)
         rows = len(first)
-        vals = T[first][:, a.ravel()] * blocks[-1][prev][:, b.ravel()]
+        vals = (T[first][:, a.ravel()] * blocks[-1][prev][:, b.ravel()]).ravel()
         bins = (np.arange(rows)[:, None] * rows + P.ravel()).ravel()
-        blocks.append(np.bincount(bins, weights=vals.ravel(),
-                                  minlength=rows * rows).reshape(rows, rows))
+        S = np.bincount(bins, weights=vals.real, minlength=rows * rows)
+        if np.iscomplexobj(vals):
+            S = S + 1j * np.bincount(bins, weights=vals.imag, minlength=rows * rows)
+        blocks.append(S.reshape(rows, rows))
     return blocks
 
 
 def substitution_matrix(T, k: int) -> np.ndarray:
-    """S[a, b] = coefficient of x^b in (T x)^a, both of degree k."""
-    T = np.asarray(T, dtype=float)
+    """S[a, b] = coefficient of x^b in (T x)^a, both of degree k, for a real
+    or complex T."""
+    T = np.asarray(T)
+    T = T.astype(np.result_type(T, float), copy=False)
     if k < 1:
         raise ValueError("degree must be at least 1")
     return _substitution_blocks(T, k)[-1]

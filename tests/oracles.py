@@ -9,13 +9,17 @@ is the degree-j normal-form Jacobian at A0 in its two per-mode forms.
 `exp_vf_expm` is the time-one flow as expm of the whole transport
 operator, and `power_matrix_blocks` the diagonal blocks of a linear map's
 full power matrix, the forms that `exp_vf`'s Lie series and
-`substitution_matrix` / `conjugate_linear` replace.
+`substitution_matrix` / `conjugate_linear` replace.  `dense_degree_spaces`
+takes a degree's spaces from one dense SVD of Ad_j(S0) - I, the form that
+`normalform._degree_spaces`' eigenvalue enumeration replaces.
 """
 import math
 
 import numpy as np
 import scipy.linalg
 
+from eqnf.linalg import nullspace, rank_tolerance
+from eqnf.normalform import _restrict, hk_projection
 from eqnf.polymap import (TruncatedMap, _diagonal_block, _power_matrix,
                           _transport_operator, adk_field, adk_operator,
                           ck_operator, ck_solve, compose, hk_dim,
@@ -95,3 +99,16 @@ def power_matrix_blocks(T, k: int) -> list:
     T = np.asarray(T, dtype=float)
     PW = _power_matrix(TruncatedMap.from_linear(T, k))
     return [_diagonal_block(PW, T.shape[0], k, d).copy() for d in range(1, k + 1)]
+
+
+def dense_degree_spaces(S0, j: int, graded, adNs=None):
+    """Orthonormal bases (image, kernel, resonant, admissible) on degree-j
+    layers, as normalform._degree_spaces defines them, from one SVD of the
+    dense m x m operator Ad_j(S0) - I."""
+    dim = hk_dim(S0.shape[0], j)
+    u, s, vh = np.linalg.svd(adk_operator(S0, j) - np.eye(dim))
+    rank = int(np.sum(s > rank_tolerance(s, dim)))
+    ker_b = vh[rank:].T
+    res_b = ker_b if adNs is None else ker_b @ nullspace(adNs @ ker_b)
+    adm_b = _restrict(res_b, hk_projection(graded[0], j, graded[1]))
+    return u[:, :rank], ker_b, res_b, adm_b

@@ -1,12 +1,16 @@
 """Finite matrix groups, characters, projections, and adapted products."""
 import math
+import time
 
 import numpy as np
 import pytest
 
 from eqnf import groups
 from eqnf.corpus import (binomial_shear_group, binomial_shear_matrix,
-                         binomial_shear_map, random_group_with_characters,
+                         binomial_shear_map, instance_block_swap,
+                         instance_nilpotent_kron, instance_rot_reflect,
+                         instance_sign_z2, instance_swap2, planted_q1,
+                         planted_q2, planted_q4, random_group_with_characters,
                          random_semisimple_instance, rotation)
 from eqnf.errors import BadCharacter, NotClosed, NotEquivariant, NotSemisimple
 from eqnf.groups import (GroupData, _resolve_char, extended_group,
@@ -31,22 +35,66 @@ def test_from_generators_dihedral_closure():
 
 
 def test_from_generators_rejects_infinite_group(monkeypatch):
+    # two reflections, each of order 2, whose product is a rotation by 1 rad
     monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 12)
+    refl = np.diag([1.0, -1.0])
     with pytest.raises(NotClosed, match="closure exceeded 12 elements"):
-        GroupData.from_generators([rotation(1.0)], [1.0])
+        GroupData.from_generators([refl, rotation(1.0) @ refl], [1.0, 1.0])
 
 
-def test_from_generators_rejects_unipotent_generator(monkeypatch):
-    monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 50)
-    with pytest.raises(NotClosed, match="closure exceeded 50 elements"):
+def test_from_generators_rejects_unipotent_generator():
+    with pytest.raises(NotClosed, match="not diagonalizable"):
         GroupData.from_generators([np.array([[1.0, 1.0], [0.0, 1.0]])], [1.0])
 
 
 def test_from_generators_rejects_overflowing_powers():
-    # 2^1024 overflows to inf, and inf would match the inf of the next
-    # power; the closure stops at the first non-finite product instead
-    with pytest.raises(NotClosed, match="non-finite entries after 1024 elements"):
-        GroupData.from_generators([np.diag([2.0, 1.0])], [1.0])
+    # two involutions whose product diag(2^-16, 2^16) overflows at its 64th
+    # power; inf would match the inf of the next power, so the closure stops
+    # at the first non-finite product instead
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    skew = np.array([[0.0, 2.0**16], [2.0**-16, 0.0]])
+    with pytest.raises(NotClosed, match="non-finite entries after 254 elements"):
+        GroupData.from_generators([swap, skew], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("generator, message", [
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), "not diagonalizable"),
+    (rotation(1.0), r"eigenvalue 0\.540302\+0\.841471j, no root of unity"),
+    (np.diag([2.0, 1.0]), "modulus 2;"),
+])
+def test_from_generators_refuses_infinite_order_at_once(generator, message):
+    # a generator of infinite order is refused before the closure starts;
+    # the shear and the rotation each took about 4.5 s to reach the
+    # 10,000-element cap before
+    start = time.perf_counter()
+    with pytest.raises(NotClosed, match=message):
+        GroupData.from_generators([generator], [1.0])
+    assert time.perf_counter() - start < 0.1
+
+
+def _corpus_groups():
+    groups_ = [binomial_shear_group()]
+    groups_ += [make().gd for make in (
+        instance_swap2, lambda: instance_rot_reflect(3),
+        lambda: instance_rot_reflect(4), instance_sign_z2, instance_block_swap,
+        instance_nilpotent_kron, lambda: planted_q4().inst,
+        lambda: planted_q2().inst, lambda: planted_q1().inst)]
+    for seed in range(40):
+        groups_ += random_group_with_characters(np.random.default_rng(seed))
+    for seed in range(20):
+        groups_.append(random_semisimple_instance(np.random.default_rng(seed))[1])
+    return groups_
+
+
+def test_finite_order_check_leaves_corpus_groups_unchanged(monkeypatch):
+    checked = _corpus_groups()
+    monkeypatch.setattr(groups, "_require_finite_order", lambda G: None)
+    for gd, ref in zip(checked, _corpus_groups(), strict=True):
+        assert len(gd.elements) == len(ref.elements)
+        assert all(np.array_equal(a, b) for a, b in zip(gd.elements, ref.elements))
+        for name in ("char", "mult_table", "inverse_index"):
+            assert np.array_equal(getattr(gd, name), getattr(ref, name))
+        assert gd.identity_index == ref.identity_index
 
 
 def test_from_generators_elements_own_their_data():

@@ -1,5 +1,6 @@
 """Normal forms: splittings, admissible spaces, linear and map stages."""
 import functools
+import math
 
 import hypothesis.strategies as st
 import numpy as np
@@ -13,7 +14,8 @@ from eqnf import corpus, normalform, polymap
 from eqnf.corpus import (equivariant_family, instance_block_swap,
                          instance_nilpotent_kron, instance_rot_reflect,
                          instance_sign_z2, instance_swap2, nf_form_family,
-                         planted_q2, planted_q4, random_group_with_characters,
+                         planted_q1, planted_q2, planted_q4,
+                         random_group_with_characters,
                          random_semisimple_instance, rotation)
 from eqnf.errors import (NoConvergence, NotEquivariant, ProblemTooLarge,
                          SplitFailure)
@@ -28,7 +30,8 @@ from eqnf.normalform import (_degree_data, _jacobian, _linear_newton,
 from eqnf.polymap import (MapFamily, TruncatedMap, _linear_part_data, adk_field,
                           adk_operator, ck_operator, compose, exp_vf, hk_dim,
                           log_map, num_monomials)
-from oracles import ad_conjugate, frozen_operator, is_identity
+from oracles import (ad_conjugate, dense_degree_spaces, frozen_operator,
+                     is_identity)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -121,6 +124,82 @@ def test_property_admissible_basis_random_skeletons(seed, j, mode):
     S0, gd = random_semisimple_instance(np.random.default_rng(seed))
     ip = invariant_inner_product(S0, gd)
     _check_admissible_against_oracle(S0, gd, ip, j, mode)
+
+
+def _sin_max_angle(A, B) -> float:
+    """Sine of the largest principal angle between the column spans of the
+    orthonormal A and B, of equal dimension."""
+    return float(np.linalg.norm(A - B @ (B.T @ A), 2)) if A.size else 0.0
+
+
+def _check_degree_spaces_against_dense(sk: _Skeleton, j: int):
+    # image, kernel, resonant and admissible spaces: the enumeration's bases
+    # are orthonormal and span the dense SVD's spaces
+    adNs = adk_field(sk.Nstar, j) if sk.mode == "nilpotent" else None
+    new = normalform._degree_spaces(sk.S0, j, sk.graded, adNs)
+    old = dense_degree_spaces(sk.S0, j, sk.graded, adNs)
+    for B, ref in zip(new, old):
+        assert B.shape == ref.shape
+        assert np.max(np.abs(B.T @ B - np.eye(B.shape[1])), initial=0.0) <= 1e-12
+        assert _sin_max_angle(B, ref) <= 1e-12
+    return new[1].shape[1]
+
+
+CORPUS_SKELETONS = {**ORACLE_SKELETONS, "planted_q1": lambda: planted_q1().inst}
+
+
+@pytest.mark.parametrize("mode", ["nilpotent", "semisimple"])
+@pytest.mark.parametrize("name", sorted(CORPUS_SKELETONS))
+def test_degree_spaces_match_the_dense_svd(name, mode):
+    inst = CORPUS_SKELETONS[name]()
+    sk = _Skeleton(mode, inst.A0, inst.gd, inst.ip)
+    assert any([_check_degree_spaces_against_dense(sk, j) for j in range(1, 6)])
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
+def test_degree_spaces_match_the_dense_svd_wide6(j):
+    inst = _wide_instance()
+    sk = _Skeleton("semisimple", inst.A0, inst.gd, inst.ip)
+    _check_degree_spaces_against_dense(sk, j)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5),
+       st.sampled_from(["nilpotent", "semisimple"]))
+def test_property_degree_spaces_match_the_dense_svd(seed, j, mode):
+    S0, gd = random_semisimple_instance(np.random.default_rng(seed))
+    _check_degree_spaces_against_dense(
+        _Skeleton(mode, S0, gd, invariant_inner_product(S0, gd)), j)
+
+
+def test_degree_spaces_factor_no_operator_sized_matrix(monkeypatch):
+    # wide6 at j = 4 has r = 18 resonant pairs among m = 756: its spaces
+    # take factorizations of at most 2 r columns, where a dense SVD of the
+    # 756 x 756 operator Ad_4(S0) - I was taken before
+    inst = _wide_instance()
+    normalform._DEGREE_DATA_MEMO.clear()
+    shapes = []
+    for name in ("svd", "qr"):
+        def record(a, *args, _factor=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _factor(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
+    admissible_exponent_basis(inst.A0, inst.gd, inst.ip, 4, "semisimple")
+    monkeypatch.undo()
+    r = dense_degree_spaces(inst.S0, 4, (inst.gd, "chi"))[1].shape[1]
+    assert r == 18
+    assert (hk_dim(6, 4), r) in shapes  # the image's complete QR
+    assert max(cols for _, cols in shapes) <= 2 * r, shapes
+    normalform._DEGREE_DATA_MEMO.clear()
+
+
+def test_degree_spaces_refuse_a_non_semisimple_s0():
+    # a Jordan block has no eigenvector basis; the dense SVD would have
+    # returned its one-dimensional kernel
+    J = np.array([[1.0, 1.0], [0.0, 1.0]])
+    gd = GroupData.from_elements([np.eye(2)], [1.0])
+    with pytest.raises(SplitFailure, match="not semisimple"):
+        normalform._degree_spaces(J, 2, (gd, "chi"))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -748,7 +827,7 @@ def _wide_instance():
 
 
 def test_nf_form_family_derives_each_space_once(monkeypatch):
-    # k = 3, then k = 4: one split, and one SVD per degree 1..4
+    # k = 3, then k = 4: one split, and each degree's spaces derived once
     normalform._DEGREE_DATA_MEMO.clear()
     counts = _count_calls(monkeypatch, normalform, "su_decomposition",
                           "_degree_spaces")
@@ -792,6 +871,18 @@ def test_newton_data_carry_the_admissible_basis(make, runner, k, bases_first):
     for j in range(1, k + 1):
         assert np.array_equal(sk.degrees[j].admissible, sk.admissible[j])
     assert all(B is sk.admissible[j] for j, B in enumerate(first, start=1))
+
+
+def test_nf_form_family_tail_is_within_the_budget(monkeypatch):
+    # the tail builds degree-(k+1) spaces: a budget that order k fits and
+    # order k + 1 does not refuses the family with its tail
+    inst, k = instance_swap2(), 3
+    side = max(hk_dim(2, k), math.comb(2 + k, k) - 1)
+    monkeypatch.setattr(polymap, "DENSE_BYTES_BUDGET", 8 * side**2)
+    normalform._DEGREE_DATA_MEMO.clear()
+    nf_form_family(inst, k, np.random.default_rng(5), with_tail=False)
+    with pytest.raises(ProblemTooLarge, match=f"order {k + 1}"):
+        nf_form_family(inst, k, np.random.default_rng(5), with_tail=True)
 
 
 def test_nf_refuses_oversized_order_without_allocating(monkeypatch):
