@@ -14,13 +14,16 @@ import numpy as np
 from .errors import (BadCharacter, DimensionMismatch, InvariantViolation,
                      NotClosed, NotEquivariant, NotSemisimple)
 from .linalg import (EIGVEC_COND_LIMIT, AdaptedInnerProduct, as_square,
-                     kernel_basis, require_invertible, _cluster_means)
+                     kernel_basis, rank_tolerance, require_invertible,
+                     _cluster_means)
 
 MATCH_TOL = 1e-9  # two matrices match to MATCH_TOL * (1 + max|M|)
 MAX_GROUP_ORDER = 10_000
-# A generator's eigenvalue mu counts as a root of unity when ||mu| - 1| and,
-# for some m <= MAX_GROUP_ORDER, the distance of m arg(mu) to a multiple of
-# 2 pi are at most ROOT_OF_UNITY_TOL.  The closure matches products to
+# A generator's eigenvalue mu counts as a root of unity when ||mu| - 1| is at
+# most ROOT_OF_UNITY_TOL + e and, for some m <= MAX_GROUP_ORDER, the distance
+# of m arg(mu) to a multiple of 2 pi is at most ROOT_OF_UNITY_TOL + m e / |mu|,
+# where e = RANK_TOL_FACTOR eps |G| kappa bounds the error of eig(G) in mu,
+# whose condition number is kappa.  The closure matches products to
 # MATCH_TOL, so a generator it closes has |mu^m - 1| near MATCH_TOL cond(V);
 # a rotation by 1 rad comes closest at m = 710, 6.0e-5 away.
 ROOT_OF_UNITY_TOL = 1e-6
@@ -41,16 +44,22 @@ def _require_finite_order(G: np.ndarray) -> None:
     mu, V = np.linalg.eig(G)
     if np.linalg.cond(V) > EIGVEC_COND_LIMIT:
         raise NotClosed("a generator is not diagonalizable; it has infinite order")
-    off = np.abs(np.abs(mu) - 1.0) > ROOT_OF_UNITY_TOL
+    # eig normalizes V's columns, so |V^-1[i]| is mu_i's condition number
+    err = rank_tolerance([1.0], 1) * np.linalg.norm(G) * np.linalg.norm(
+        np.linalg.inv(V), axis=1)
+    off = np.abs(np.abs(mu) - 1.0) > ROOT_OF_UNITY_TOL + err
     if off.any():
         raise NotClosed(f"a generator has an eigenvalue of modulus "
                         f"{abs(mu[off][0]):.6g}; it has infinite order")
     # one of each conjugate pair; a real mu on the unit circle is +-1
-    mu = mu[mu.imag > 0]
+    upper = mu.imag > 0
+    mu, err = mu[upper], err[upper] / np.abs(mu[upper])
     if not mu.size:
         return
-    turns = np.outer(np.angle(mu) / (2 * np.pi), np.arange(1, MAX_GROUP_ORDER + 1))
-    far = 2 * np.pi * np.min(np.abs(turns - np.rint(turns)), axis=1) > ROOT_OF_UNITY_TOL
+    m = np.arange(1, MAX_GROUP_ORDER + 1)
+    turns = np.outer(np.angle(mu) / (2 * np.pi), m)
+    slack = 2 * np.pi * np.abs(turns - np.rint(turns)) - np.outer(err, m)
+    far = np.min(slack, axis=1) > ROOT_OF_UNITY_TOL
     if far.any():
         raise NotClosed(f"a generator has the eigenvalue {mu[far][0]:.6g}, no "
                         f"root of unity of order <= {MAX_GROUP_ORDER}")

@@ -12,6 +12,8 @@ full power matrix, the forms that `exp_vf`'s Lie series and
 `substitution_matrix` / `conjugate_linear` replace.  `dense_degree_spaces`
 takes a degree's spaces from one dense SVD of Ad_j(S0) - I, the form that
 `normalform._degree_spaces`' eigenvalue enumeration replaces.
+`conjugator` draws the non-orthogonal changes of basis that carry the
+normal test cases to non-normal ones.
 """
 import math
 
@@ -112,3 +114,10 @@ def dense_degree_spaces(S0, j: int, graded, adNs=None):
     res_b = ker_b if adNs is None else ker_b @ nullspace(adNs @ ker_b)
     adm_b = _restrict(res_b, hk_projection(graded[0], j, graded[1]))
     return u[:, :rank], ker_b, res_b, adm_b
+
+
+def conjugator(n: int, cond: float, seed: int) -> np.ndarray:
+    """Random n x n matrix with singular values log-spaced over [1, cond]."""
+    rng = np.random.default_rng(seed)
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return Q1 @ np.diag(np.logspace(0.0, math.log10(cond), n)) @ Q2

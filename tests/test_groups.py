@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eqnf import groups
 from eqnf.corpus import (binomial_shear_group, binomial_shear_matrix,
@@ -18,6 +19,7 @@ from eqnf.groups import (GroupData, _resolve_char, extended_group,
                          is_chi_equivariant_map, project_map, tilde_character,
                          validate_group)
 from eqnf.polymap import TruncatedMap, conjugate_linear
+from oracles import conjugator
 
 
 def test_from_generators_dihedral_closure():
@@ -86,15 +88,33 @@ def _corpus_groups():
     return groups_
 
 
-def test_finite_order_check_leaves_corpus_groups_unchanged(monkeypatch):
-    checked = _corpus_groups()
-    monkeypatch.setattr(groups, "_require_finite_order", lambda G: None)
-    for gd, ref in zip(checked, _corpus_groups(), strict=True):
-        assert len(gd.elements) == len(ref.elements)
-        assert all(np.array_equal(a, b) for a, b in zip(gd.elements, ref.elements))
-        for name in ("char", "mult_table", "inverse_index"):
-            assert np.array_equal(getattr(gd, name), getattr(ref, name))
-        assert gd.identity_index == ref.identity_index
+def test_finite_order_check_passes_every_corpus_element():
+    # every element of a finite group has finite order, generators included
+    for gd in _corpus_groups():
+        for E in gd.elements:
+            groups._require_finite_order(E)
+
+
+FINITE_ORDER_BASES = {"reflection": (np.diag([1.0, -1.0]), 2),
+                      "rotation3": (rotation(2 * math.pi / 3), 3),
+                      "rotation5+1": (scipy.linalg.block_diag(
+                          rotation(2 * math.pi / 5), 1.0), 5)}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", sorted(FINITE_ORDER_BASES))
+def test_non_orthogonal_generators_of_finite_order(name, seed):
+    # P B P^-1 has B's order whatever cond(P); eig(G) is off by up to about
+    # eps |G| cond(P), so the root-of-unity test allows for that error: at
+    # cond(P) = 1e6 a fixed 1e-6 tolerance refused most of these generators
+    B, order = FINITE_ORDER_BASES[name]
+    P = conjugator(B.shape[0], 1e6, seed)
+    groups._require_finite_order(P @ B @ np.linalg.inv(P))
+    # at a conditioning the closure's match tolerance resolves, the
+    # closure finds the order
+    P = conjugator(B.shape[0], 1e2, seed)
+    gd = GroupData.from_generators([P @ B @ np.linalg.inv(P)], [1.0])
+    assert gd.order == order
 
 
 def test_from_generators_elements_own_their_data():

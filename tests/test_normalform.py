@@ -30,8 +30,8 @@ from eqnf.normalform import (_degree_data, _jacobian, _linear_newton,
 from eqnf.polymap import (MapFamily, TruncatedMap, _linear_part_data, adk_field,
                           adk_operator, ck_operator, compose, exp_vf, hk_dim,
                           log_map, num_monomials)
-from oracles import (ad_conjugate, dense_degree_spaces, frozen_operator,
-                     is_identity)
+from oracles import (ad_conjugate, conjugator, dense_degree_spaces,
+                     frozen_operator, is_identity)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -170,6 +170,46 @@ def test_property_degree_spaces_match_the_dense_svd(seed, j, mode):
     S0, gd = random_semisimple_instance(np.random.default_rng(seed))
     _check_degree_spaces_against_dense(
         _Skeleton(mode, S0, gd, invariant_inner_product(S0, gd)), j)
+
+
+def _check_degree_spaces_of_a_conjugate(S, P, j: int):
+    # Ad_j(P S P^-1) - I = Ad_j(P) (Ad_j(S) - I) Ad_j(P)^-1 has the kernel
+    # and image dimensions of the operator at the normal S, which the dense
+    # SVD gives; taken on the conjugated operator, the dense SVD itself
+    # misses some of them from cond(P) = 10 on.  The bases span a kernel
+    # and an image of the conjugated operator to a residual that grows
+    # like cond(P)^2.
+    n = S.shape[0]
+    graded = (GroupData.from_elements([np.eye(n)], [1.0]), "chi")
+    S1 = P @ S @ np.linalg.inv(P)
+    im_b, ker_b, _, _ = normalform._degree_spaces(S1, j, graded)
+    ref_im, ref_ker, _, _ = dense_degree_spaces(S, j, graded)
+    assert (im_b.shape, ker_b.shape) == (ref_im.shape, ref_ker.shape)
+    M = adk_operator(S1, j) - np.eye(hk_dim(n, j))
+    tol = 1e-13 * np.linalg.cond(P) ** 2 * max(1.0, np.linalg.norm(M, 2))
+    for B, residual in ((ker_b, M @ ker_b), (im_b, M - im_b @ (im_b.T @ M))):
+        if B.size:
+            assert np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) <= 1e-12
+            assert np.linalg.norm(residual, 2) <= tol
+
+
+@pytest.mark.parametrize("cond", [1e1, 1e2, 1e4])
+@pytest.mark.parametrize("q", [3, 4, 6])
+def test_degree_spaces_of_a_conjugated_rotation(q, cond):
+    # S0 = P R(2 pi / q) P^-1 is semisimple but not normal: its eigenvalues
+    # carry errors of about eps |S0| cond(P), which the resonance test allows
+    # for
+    P = conjugator(2, cond, q)
+    for j in range(1, 7):
+        _check_degree_spaces_of_a_conjugate(rotation(2 * math.pi / q), P, j)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5),
+       st.sampled_from([1e1, 1e2, 1e3, 1e4]))
+def test_property_degree_spaces_of_a_conjugated_s0(seed, j, cond):
+    S0, _ = random_semisimple_instance(np.random.default_rng(seed))
+    _check_degree_spaces_of_a_conjugate(S0, conjugator(S0.shape[0], cond, seed), j)
 
 
 def test_degree_spaces_factor_no_operator_sized_matrix(monkeypatch):
