@@ -83,11 +83,14 @@ def image_basis(M) -> np.ndarray:
 
 
 def nullspace(M) -> np.ndarray:
-    """Orthonormal basis of the right null space of a rectangular matrix."""
+    """Orthonormal basis of the right null space of a rectangular matrix.
+
+    A tall or square M takes the thin SVD, whose V is already square; only a
+    wide one needs the full V, and neither needs the full U."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] == 0:
         return np.eye(M.shape[1])
-    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     rank = int(np.sum(s > rank_tolerance(s, max(M.shape))))
     return vh[rank:].T.copy()
 

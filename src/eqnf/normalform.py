@@ -24,11 +24,11 @@ from .groups import (GroupData, _resolve_char, extended_group, project_map,
 from .linalg import (EIGVEC_COND_LIMIT, AdaptedInnerProduct, image_basis,
                      lu_solve, newton, nullspace, rank_tolerance, real_log,
                      require_invertible, su_decomposition)
-from .polymap import (TruncatedMap, _linear_part_data, _LruMemo,
-                      _require_dense_fits, _transport_operator, adk_field,
-                      adk_operator, ck_operator, compose, conjugate_linear,
-                      exp_vf, hk_dim, log_map, monomials, num_monomials,
-                      substitution_matrix)
+from .polymap import (TruncatedMap, _CkSolver, _linear_part_data,
+                      _log_map_flow, _LruMemo, _require_dense_fits,
+                      _transport_operator, adk_field, adk_operator, compose,
+                      conjugate_linear, exp_vf, hk_dim, log_map, monomials,
+                      num_monomials, substitution_matrix)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -148,16 +148,15 @@ class _DegreeData:
         return c[:self.n_im + self.n_kerim]
 
 
-def _jacobian(data: _DegreeData, A, ck_lu, j: int) -> np.ndarray:
+def _jacobian(data: _DegreeData, A, ck: _CkSolver, j: int) -> np.ndarray:
     """J(A) = unwanted C_j(X1)^-1 (Ad_j(A^-1) - I) unknown: the exact
     derivative of the unwanted degree-j exponent coordinates with respect to
     the degree-j generator coordinates, at a map whose linear part is
     A = base e^{X1}.  A degree-j generator Y changes layer j of the map by
     Y o A - A Y and no lower layer, so the derivative holds at every map
-    with that linear part.  ck_lu holds the LU factors of C_j(X1), or is
-    None for X1 = 0, where C_j(X1) = I."""
+    with that linear part.  ck solves with C_j(X1)."""
     M = adk_operator(np.linalg.inv(A), j) @ data.unknown - data.unknown
-    return data.unwanted(M if ck_lu is None else lu_solve(ck_lu, M))
+    return data.unwanted(ck.solve(M))
 
 
 def _degree_data(j: int, sk: "_Skeleton") -> _DegreeData:
@@ -187,8 +186,8 @@ def _degree_data(j: int, sk: "_Skeleton") -> _DegreeData:
                        blend_lu=scipy.linalg.lu_factor(blend), unknown=unknown,
                        J0=None, jac_smin=0.0, jac_smax=0.0)
     # A0 = A0 e^0 in semisimple mode and S0 e^{N0} in nilpotent mode
-    ck_lu = scipy.linalg.lu_factor(ck_operator(sk.N0, j)) if nilpotent else None
-    data.J0 = _jacobian(data, sk.A0, ck_lu, j)
+    X1 = sk.N0 if nilpotent else np.zeros_like(sk.N0)
+    data.J0 = _jacobian(data, sk.A0, _CkSolver(X1, j), j)
     if data.J0.size:
         s = np.linalg.svd(data.J0, compute_uv=False)
         data.jac_smin, data.jac_smax = float(s[-1]), float(s[0])
@@ -322,7 +321,7 @@ def _newton_degree(psi: TruncatedMap, W: TruncatedMap, j: int, sk: _Skeleton,
     evaluation at the generator u = 0 (Phi = identity, psi unchanged) takes
     no log_map.  The residual is affine in the generator, so a step on the
     exact Jacobian J(A) at psi's linear part A solves it; J(A) is built on
-    the first step only, from the C_j factors log_map holds for base^-1 A.
+    the first step only, from the C_j solver log_map holds for base^-1 A.
     """
     n = psi.n
     Mj = num_monomials(n, j)
@@ -359,7 +358,7 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
     sk = _skeleton(mode, A0, gd, ip, k)
     degrees = range(2, k + 1)
     # every degree is built before the first sample: built inside it, the
-    # degree-k temporaries would stack on the C_k factors that log_map keeps
+    # degree-k temporaries would stack on the C_k solvers that log_map keeps
     # for the sample, and raise the peak memory
     for j in (*degrees, 1):
         sk.degree(j)
@@ -381,7 +380,9 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
             transform = compose(Phi_j, transform)
             per_deg.append(rj)
 
-        residual = max(*per_deg, (psi - exp_vf(W).linear_left(sk.base)).max_abs())
+        # W came from a log_map, whose last flow is exp_vf(W)
+        recon = _log_map_flow(W).linear_left(sk.base)
+        residual = max(*per_deg, (psi - recon).max_abs())
         transforms.append(transform)
         exponents.append(W)
         residuals.append(float(residual))

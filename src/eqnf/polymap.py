@@ -485,6 +485,10 @@ def _bracket_times(N: np.ndarray, D: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 # phi1 is summed as a Taylor polynomial at L / 2^s, scaled to 1-norm <= this.
 PHI1_THETA = 0.5
+# Systems with C_d(X1) are solved by the series psi of its inverse when the
+# 1-norms of the two Kronecker factors of its bracket operator sum to at most
+# this, and by a dense LU otherwise (see _CkSolver).
+PSI_THETA = 1.0
 
 
 def ck_operator(X1, k: int) -> np.ndarray:
@@ -544,6 +548,16 @@ def _require_finite(what: str, *arrays) -> None:
         raise NonFinite(f"{what} has non-finite entries")
 
 
+def _guard_ck(kappa: float, m: int) -> float:
+    """kappa, a kappa_1 estimate or bound of an m x m C_d; CkSingular when it
+    reaches CK_COND_LIMIT / m."""
+    if not kappa < CK_COND_LIMIT / m:
+        raise CkSingular(
+            f"composition operator is numerically singular "
+            f"(kappa_1 ~ {kappa:.2e}, limit {CK_COND_LIMIT / m:.2e})")
+    return kappa
+
+
 def _check_ck(C: np.ndarray):
     """LU factors of C and its 1-norm condition number kappa_1, estimated by
     LAPACK dgecon on those factors (Higham, ACM TOMS 14 (1988) 381-396).
@@ -552,20 +566,83 @@ def _check_ck(C: np.ndarray):
     estimate reaches CK_COND_LIMIT / m for m x m C.
     """
     _require_finite("composition operator", C)
-    m = C.shape[0]
     lu_piv = scipy.linalg.lu_factor(C)
     rcond, _ = scipy.linalg.lapack.dgecon(lu_piv[0], np.linalg.norm(C, 1),
                                           norm="1")
-    kappa = 1.0 / rcond if rcond > 0 else math.inf
-    if not kappa < CK_COND_LIMIT / m:
-        raise CkSingular(
-            f"composition operator is numerically singular "
-            f"(kappa_1 ~ {kappa:.2e}, limit {CK_COND_LIMIT / m:.2e})")
-    return lu_piv, kappa
+    return lu_piv, _guard_ck(1.0 / rcond if rcond > 0 else math.inf, C.shape[0])
 
 
 def ck_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lu_solve(_check_ck(C)[0], rhs)
+
+
+# B_j / j!, j = 0..20: the Taylor coefficients of psi(z) = z / (e^z - 1).
+# 21 terms reach 2^-53 at a = PSI_THETA (see _psi_terms).
+_PSI_COEFFS = (1.0, -1 / 2, 1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240, 0.0,
+               -1 / 1209600, 0.0, 1 / 47900160, 0.0, -691 / 1307674368000,
+               0.0, 1 / 74724249600, 0.0, -3617 / 10670622842880000, 0.0,
+               43867 / 5109094217170944000, 0.0,
+               -174611 / 802857662698291200000)
+
+
+def _psi_terms(a: float) -> int:
+    """The degree q at which psi's Taylor series is cut on an operator of
+    1-norm at most a <= PSI_THETA.  As |B_j| / j! <= 4 / (2 pi)^j for
+    j >= 1, the terms past z^q sum to at most 4 r^(q+1) / (1 - r) times the
+    norm of the right-hand side, r = a / (2 pi); q is the least for which
+    that is <= 2^-53.  (The loop only ends for a < 2 pi.)"""
+    r = a / (2 * math.pi)
+    q = 0
+    while 4 * r ** (q + 1) / (1 - r) > 2.0 ** -53:
+        q += 1
+    return q
+
+
+class _CkSolver:
+    """Solves C_d(X1) W = V, for a vector or a block of columns V.
+
+    With D = _transport_block(X1, d), the bracket operator of C_d is
+    L = I_n (x) D - X1 (x) I_M, and a = ||D||_1 + ||X1||_1 >= ||L||_1.
+    - a <= PSI_THETA: W = psi(L) V with psi(z) = z / (e^z - 1) =
+      sum B_j z^j / j!, the inverse of phi1 (the dexp^-1 series; Iserles,
+      Munthe-Kaas, Norsett & Zanna, Acta Numer. 9 (2000) 215-365), cut at
+      degree _psi_terms(a) and summed by Horner on V, each product with L
+      taken through its Kronecker factors.  No m x m matrix is built.  Here
+      ||C_d - I||_1 <= e1 = (e^a - 1 - a) / a <= e - 2, so kappa_1(C_d) <=
+      (1 + e1) / (1 - e1) <= 6.1, and kappa holds that bound.  At a = 0,
+      C_d = I and W = V exactly.
+    - otherwise: C_d = ck_operator(X1, d), LU-factored by _check_ck, and
+      kappa holds dgecon's estimate.
+    Either way CkSingular is raised when kappa reaches CK_COND_LIMIT / m.
+    """
+
+    __slots__ = ("X1", "D", "q", "lu", "kappa")
+
+    def __init__(self, X1, d: int):
+        self.X1 = np.asarray(X1, dtype=float)
+        self.D = _transport_block(self.X1, d)
+        a = float(np.linalg.norm(self.D, 1) + np.linalg.norm(self.X1, 1))
+        if a <= PSI_THETA:  # False for a non-finite X1, which ck_operator refuses
+            self.q, self.lu = _psi_terms(a), None
+            e1 = (math.expm1(a) - a) / a if a else 0.0
+            self.kappa = _guard_ck((1 + e1) / (1 - e1),
+                                   self.X1.shape[0] * self.D.shape[0])
+        else:
+            self.lu, self.kappa = _check_ck(ck_operator(self.X1, d))
+
+    def solve(self, V) -> np.ndarray:
+        if self.lu is not None:
+            return lu_solve(self.lu, V)
+        V = np.asarray(V, dtype=float)
+        _require_finite("right-hand side", V)
+        P = V.reshape(V.shape[0], -1)
+        top, *rest = _PSI_COEFFS[self.q::-1]  # c_q, ..., c_0
+        W = top * P
+        for c in rest:
+            W = _bracket_times(self.X1, self.D, W)
+            if c:
+                W += c * P
+        return W.reshape(V.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -655,23 +732,23 @@ class _LruMemo(OrderedDict):
 
 class _LinearPartData:
     """What log_map derives from a linear part A alone: real_log(A), inv(A)
-    and, per degree d, the LU factors of C_d(real_log(A)) and their kappa_1
-    estimate."""
+    and, per degree d, the solver of C_d(real_log(A)) (a _CkSolver: the psi
+    series for a small real_log(A), a dense LU otherwise) with its kappa_1
+    bound or estimate."""
 
-    __slots__ = ("X1", "Ainv", "ck_lu", "ck_kappa")
+    __slots__ = ("X1", "Ainv", "ck", "ck_kappa")
 
     def __init__(self, A: np.ndarray):
         self.X1 = real_log(A)
         self.Ainv = np.linalg.inv(A)
-        self.ck_lu = {}
+        self.ck = {}
         self.ck_kappa = {}
 
-    def ck_factor(self, d: int):
-        lu = self.ck_lu.get(d)
-        if lu is None:
-            lu, self.ck_kappa[d] = _check_ck(ck_operator(self.X1, d))
-            self.ck_lu[d] = lu
-        return lu
+    def ck_factor(self, d: int) -> _CkSolver:
+        if d not in self.ck:
+            self.ck[d] = _CkSolver(self.X1, d)
+            self.ck_kappa[d] = self.ck[d].kappa
+        return self.ck[d]
 
 
 # The data of the last linear part seen, keyed on its shape and bytes.
@@ -683,16 +760,28 @@ def _linear_part_data(A: np.ndarray) -> _LinearPartData:
                                           lambda: _LinearPartData(A))
 
 
+# The flow exp_vf(X) of the last field X that log_map returned, keyed on X's
+# shape and bytes: log_map's exit test takes it.
+_LOG_MAP_FLOW = _LruMemo(1)
+
+
+def _flow_key(X: TruncatedMap):
+    return X.n, X.order, X.flat().tobytes()
+
+
 def log_map(F: TruncatedMap) -> TruncatedMap:
     """Inverse of exp_vf: the field X with exp_vf(X) = F, degree by degree,
     to F's order.
 
     The linear part of F must admit a real logarithm.  real_log, the inverse
-    and the factorisations of C_d depend on the linear part alone; they are
-    kept for the most recent linear part and reused while it repeats.  Up to
-    8 sweeps refine X until max|F - exp_vf(X)| <= LOG_MAP_TOL * max(1, max|F|).
-    Layer d of exp_vf(X) depends on X's layers up to d alone, so each
-    degree's update takes its residual on the order-d space.
+    and the C_d solvers depend on the linear part alone; they are kept for
+    the most recent linear part and reused while it repeats.  A C_d solve
+    takes the psi series of its inverse when real_log is small, and a dense
+    LU otherwise (see _CkSolver).  Up to 8 sweeps refine X until
+    max|F - exp_vf(X)| <= LOG_MAP_TOL * max(1, max|F|).  Layer d of
+    exp_vf(X) depends on X's layers up to d alone, so each degree's update
+    takes its residual on the order-d space.  The flow exp_vf(X) of the
+    last exit test is kept for _log_map_flow.
     """
     _require_finite("map", *F.layers)
     data = _linear_part_data(F.linear())
@@ -701,11 +790,19 @@ def log_map(F: TruncatedMap) -> TruncatedMap:
     for _ in range(8):
         for d in range(2, F.order + 1):
             r = F.layer(d) - exp_vf(X, d).layer(d)
-            w = lu_solve(data.ck_factor(d), (data.Ainv @ r).reshape(-1))
+            w = data.ck_factor(d).solve((data.Ainv @ r).reshape(-1))
             X.layers[d - 1] += w.reshape(r.shape)
-        if (F - exp_vf(X)).max_abs() <= LOG_MAP_TOL * scale or F.order == 1:
+        flow = exp_vf(X)
+        if (F - flow).max_abs() <= LOG_MAP_TOL * scale or F.order == 1:
             break
+    _LOG_MAP_FLOW.get_or_build(_flow_key(X), lambda: flow)
     return X
+
+
+def _log_map_flow(X: TruncatedMap) -> TruncatedMap:
+    """exp_vf(X), bit for bit; kept from log_map when X is the field that
+    log_map returned last, computed otherwise."""
+    return _LOG_MAP_FLOW.get_or_build(_flow_key(X), lambda: exp_vf(X))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from eqnf import normalform, polymap  # noqa: E402
 from eqnf.polymap import TruncatedMap, num_monomials  # noqa: E402
 
 
@@ -29,3 +30,21 @@ def rand_map():
         return F
 
     return make
+
+
+@pytest.fixture
+def ck_builds(monkeypatch):
+    """(degree, path) of every C_d solver built during the test, in order;
+    the path is "series" (the psi series) or "dense" (an LU of C_d)."""
+    built = []
+
+    class CountingSolver(polymap._CkSolver):
+        __slots__ = ()
+
+        def __init__(self, X1, d):
+            super().__init__(X1, d)
+            built.append((d, "series" if self.lu is None else "dense"))
+
+    for module in (polymap, normalform):
+        monkeypatch.setattr(module, "_CkSolver", CountingSolver)
+    return built

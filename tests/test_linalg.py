@@ -173,6 +173,30 @@ def test_nullspace_rectangular():
     assert nullspace(np.zeros((0, 5))).shape == (5, 5)
 
 
+@pytest.mark.parametrize("rows, cols, rank", [(60, 8, 5), (9, 9, 6), (4, 11, 3)])
+def test_nullspace_matches_the_full_svd(monkeypatch, rows, cols, rank):
+    # tall, square and wide rank-deficient inputs; only the wide one needs
+    # the full SVD
+    rng = np.random.default_rng([5, rows, cols])
+    M = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    ref = vh[int(np.sum(s > rank_tolerance(s, max(M.shape)))):].T
+    full = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, full_matrices=True, **kwargs):
+        full.append(full_matrices)
+        return svd(a, full_matrices=full_matrices, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    ns = nullspace(M)
+    assert full == [rows < cols]
+    assert ns.shape == ref.shape == (cols, cols - rank)
+    assert np.max(np.abs(ns.T @ ns - np.eye(cols - rank))) <= 1e-14
+    assert np.max(np.abs(ns @ ns.T - ref @ ref.T)) <= 1e-13
+    assert np.max(np.abs(M @ ns)) <= 1e-13 * np.max(np.abs(M))
+
+
 def test_rank_tolerance_absolute_floor():
     # all-tiny spectra are rank zero, not full rank
     s = np.array([2e-16, 1e-16])

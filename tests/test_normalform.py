@@ -866,6 +866,62 @@ def _wide_instance():
                            ip=invariant_inner_product(S0, gd))
 
 
+def test_wide6_normal_form_takes_no_dense_ck(monkeypatch, ck_builds):
+    # every C_j of nf-wide's skeleton has ||ad_j X1||_1 <= PSI_THETA: no
+    # m x m C_j is built and none is LU-factored
+    inst = _wide_instance()
+    fam, _ = nf_form_family(inst, 3, np.random.default_rng(7), with_tail=False)
+    normalform._DEGREE_DATA_MEMO.clear()
+    counts = _count_calls(monkeypatch, polymap, "ck_operator", "_check_ck")
+    res = semisimple_nf(fam, inst.A0, inst.gd, inst.ip, 3, lambdas=[[0.03]])
+    assert counts == {"ck_operator": 0, "_check_ck": 0}
+    assert ck_builds and all(path == "series" for _, path in ck_builds)
+    assert res.residual <= 1e-12
+    normalform._DEGREE_DATA_MEMO.clear()
+
+
+def test_swap2_nilpotent_normal_form_keeps_the_dense_ck(ck_builds):
+    # swap2's N0 gives ||ad_j N0||_1 = 8 to 20 at j = 1..4, above PSI_THETA:
+    # its C_j, at the skeleton and in log_map, take the dense LU
+    inst = instance_swap2()
+    fam = equivariant_family(inst, 4, np.random.default_rng(3))
+    normalform._DEGREE_DATA_MEMO.clear()
+    nilpotent_nf(fam, inst.A0, inst.gd, inst.ip, 4, lambdas=[[0.02]])
+    assert {d for d, _ in ck_builds} == {1, 2, 3, 4}
+    assert all(path == "dense" for _, path in ck_builds)
+    normalform._DEGREE_DATA_MEMO.clear()
+
+
+@pytest.mark.parametrize("runner", [semisimple_nf, nilpotent_nf])
+def test_reconstruction_reuses_the_last_log_map_flow(monkeypatch, runner):
+    # _nf_driver's closing check psi = base exp_vf(W) takes the flow of the
+    # log_map that made W: one exp_vf fewer per sample, and the same bits
+    inst = instance_rot_reflect(3)
+    fam = equivariant_family(inst, 4, np.random.default_rng(5))
+    calls = []
+    for module in (polymap, normalform):
+        def counting_exp_vf(X, k=None, _fn=module.exp_vf):
+            calls.append(k)
+            return _fn(X, k)
+        monkeypatch.setattr(module, "exp_vf", counting_exp_vf)
+    recon = []
+
+    def recording_flow(W, _fn=normalform._log_map_flow):
+        before = len(calls)
+        flow = _fn(W)
+        recon.append((len(calls) - before, W, flow))
+        return flow
+
+    monkeypatch.setattr(normalform, "_log_map_flow", recording_flow)
+    lams = [[-0.03], [0.0], [0.02]]
+    res = runner(fam, inst.A0, inst.gd, inst.ip, 4, lambdas=lams)
+    monkeypatch.undo()
+    assert len(recon) == len(lams)
+    for (fresh, W, flow), exponent in zip(recon, res.exponents):
+        assert fresh == 0 and W is exponent
+        assert all(np.array_equal(a, b) for a, b in zip(flow.layers, exp_vf(W).layers))
+
+
 def test_nf_form_family_derives_each_space_once(monkeypatch):
     # k = 3, then k = 4: one split, and each degree's spaces derived once
     normalform._DEGREE_DATA_MEMO.clear()

@@ -1,5 +1,11 @@
 """Truncated polynomial maps: composition, graded operators, flows."""
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -23,6 +29,8 @@ from eqnf.polymap import (AffineMapFamily, MapFamily, TruncatedMap,
 from oracles import (ad_conjugate, ch_compose, exp_vf_expm, fd_jacobian,
                      fischer_gram, is_identity, power_matrix_blocks)
 
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # (n, order) pairs the table-driven kernels are checked at
 KERNEL_SIZES = [(1, 5), (2, 3), (3, 4), (4, 4), (6, 4)]
@@ -516,26 +524,51 @@ def test_log_map_no_stale_reuse():
     assert all(np.array_equal(a, b) for a, b in zip(first.layers, again.layers))
 
 
-def test_log_map_reuses_ck_factors(monkeypatch, rand_map):
+def test_log_map_reuses_ck_factors(ck_builds, rand_map):
+    # one C_d solver per degree and linear part, on either path: a dense LU
+    # for the larger real_log, the psi series for the smaller one
     rng = np.random.default_rng(60)
+    for scale, path in ((0.3, "dense"), (0.02, "series")):
+        F = rand_map(rng, 2, 4, amp=0.2)
+        F.layers[0] = scipy.linalg.expm(scale * rng.standard_normal((2, 2)))
+        log_map(F)
+        assert ck_builds == [(d, path) for d in (2, 3, 4)]
+        ck_builds.clear()
+        # same linear part, other higher layers: nothing is rebuilt
+        G = F + rand_map(rng, 2, 4, amp=0.1, with_linear=False)
+        assert exp_vf(log_map(G)).allclose(G, 1e-12)
+        assert ck_builds == []
+        # a new linear part builds C_d once per degree
+        H = G.with_layer(1, scipy.linalg.expm(scale * rng.standard_normal((2, 2))))
+        assert exp_vf(log_map(H)).allclose(H, 1e-12)
+        assert ck_builds == [(d, path) for d in (2, 3, 4)]
+        ck_builds.clear()
+
+
+def test_log_map_keeps_its_last_flow(monkeypatch, rand_map):
+    rng = np.random.default_rng(61)
     F = rand_map(rng, 2, 4, amp=0.2)
-    F.layers[0] = scipy.linalg.expm(0.3 * rng.standard_normal((2, 2)))
-    log_map(F)
-    built = []
+    F.layers[0] = scipy.linalg.expm(0.1 * rng.standard_normal((2, 2)))
+    X = log_map(F)
+    calls = []
 
-    def counting_ck_operator(X1, k):
-        built.append(k)
-        return ck_operator(X1, k)
+    def counting_exp_vf(Y, k=None):
+        calls.append(k)
+        return exp_vf(Y, k)
 
-    monkeypatch.setattr(polymap, "ck_operator", counting_ck_operator)
-    # same linear part, other higher layers: nothing is rebuilt
-    G = F + rand_map(rng, 2, 4, amp=0.1, with_linear=False)
-    assert exp_vf(log_map(G)).allclose(G, 1e-12)
-    assert built == []
-    # a new linear part builds C_d once per degree
-    H = G.with_layer(1, scipy.linalg.expm(0.3 * rng.standard_normal((2, 2))))
-    log_map(H)
-    assert sorted(built) == [2, 3, 4]
+    monkeypatch.setattr(polymap, "exp_vf", counting_exp_vf)
+    flow = polymap._log_map_flow(X)
+    assert calls == []
+    assert all(np.array_equal(a, b) for a, b in zip(flow.layers, exp_vf(X).layers))
+    # any other field, or X changed in place, takes a fresh flow
+    Y = X.copy()
+    Y.layers[1][0, 0] += 1e-3
+    for Z in (Y, 2.0 * X):
+        calls.clear()
+        flow = polymap._log_map_flow(Z)
+        assert calls == [None]
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(flow.layers, exp_vf(Z).layers))
 
 
 def test_lru_memo_drops_the_least_recently_used():
@@ -743,6 +776,151 @@ def test_property_jacobian_matches_fd(case):
     for x in X:
         J = fd_jacobian(F.evaluate, x)
         assert np.max(np.abs(F.jacobian(x) - J)) <= 1e-7 * max(1.0, np.max(np.abs(J)))
+
+
+# ---------------------------------------------------------------------------
+# the C_d solver: the psi series of C_d^-1, or a dense LU
+
+def _bracket_norms(X1, d):
+    """a = ||D||_1 + ||X1||_1, the bound on ||adk_field(X1, d)||_1 that
+    chooses the solver's path."""
+    D = polymap._transport_block(np.asarray(X1, dtype=float), d)
+    return np.linalg.norm(D, 1) + np.linalg.norm(X1, 1)
+
+
+def _with_bracket_norms(X, d, a):
+    """X scaled so that _bracket_norms(X, d) = a."""
+    return X * (a / _bracket_norms(X, d))
+
+
+def _psi_table():
+    """B_j / j!, j = 0..20, from the Bernoulli recurrence in exact
+    arithmetic: sum_{i<=m} binom(m+1, i) B_i = 0 for m >= 1, B_0 = 1."""
+    B = [Fraction(1)]
+    for m in range(1, 21):
+        B.append(-sum(math.comb(m + 1, i) * B[i] for i in range(m)) / (m + 1))
+    return [b / math.factorial(j) for j, b in enumerate(B)]
+
+
+def test_psi_table_is_the_bernoulli_series():
+    exact = _psi_table()
+    assert len(polymap._PSI_COEFFS) == len(exact)
+    for j, (c, e) in enumerate(zip(polymap._PSI_COEFFS, exact)):
+        assert c == float(e), j
+        if j:
+            assert abs(e) <= 4 / (2 * math.pi) ** j, j
+    # the table reaches the last term that a = PSI_THETA needs
+    assert polymap._psi_terms(polymap.PSI_THETA) == len(exact) - 1
+
+
+@pytest.mark.parametrize("a, q", [(0.0, 0), (0.02, 6), (0.3, 12), (1.0, 20)])
+def test_psi_terms_is_the_least_degree_within_the_tail_bound(a, q):
+    r = a / (2 * math.pi)
+
+    def tail(q):
+        return 4 * r ** (q + 1) / (1 - r)
+
+    assert polymap._psi_terms(a) == q
+    assert tail(q) <= 2.0 ** -53
+    assert q == 0 or tail(q - 1) > 2.0 ** -53
+
+
+def test_ck_series_takes_q_bracket_products_and_no_dense_operator(monkeypatch):
+    X1 = _with_bracket_norms(np.random.default_rng(90).standard_normal((3, 3)), 3, 0.5)
+    solver = polymap._CkSolver(X1, 3)
+    assert solver.lu is None and solver.q == polymap._psi_terms(_bracket_norms(X1, 3))
+    products = []
+    bracket_times = polymap._bracket_times
+
+    def counting_bracket_times(N, D, P):
+        products.append(P.shape)
+        return bracket_times(N, D, P)
+
+    monkeypatch.setattr(polymap, "_bracket_times", counting_bracket_times)
+    monkeypatch.setattr(polymap, "ck_operator", None)
+    monkeypatch.setattr(polymap, "_check_ck", None)
+    m = hk_dim(3, 3)
+    solver.solve(np.ones(m))
+    solver.solve(np.ones((m, 4)))
+    assert products == [(m, 1)] * solver.q + [(m, 4)] * solver.q
+
+
+@pytest.mark.parametrize("path, a", [("series", 0.02), ("series", 0.9),
+                                     ("dense", 2.5)])
+@pytest.mark.parametrize("n, d", [(1, 5), (2, 2), (2, 5), (3, 4), (4, 3), (4, 5)])
+def test_ck_solver_matches_the_dense_solve(n, d, path, a):
+    rng = np.random.default_rng([91, n, d])
+    X1 = _with_bracket_norms(rng.standard_normal((n, n)), d, a)
+    solver = polymap._CkSolver(X1, d)
+    assert (solver.lu is None) == (path == "series")
+    C = ck_operator(X1, d)
+    m = hk_dim(n, d)
+    for V in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+        W = solver.solve(V)
+        ref = np.linalg.solve(C, V)
+        assert W.shape == V.shape
+        assert np.max(np.abs(W - ref)) <= 1e-14 * np.linalg.cond(C, 1) * np.max(np.abs(ref))
+
+
+def test_ck_series_at_zero_returns_the_right_hand_side():
+    # C_d(0) = I: the series stops at q = 0 and returns V unchanged
+    solver = polymap._CkSolver(np.zeros((3, 3)), 4)
+    V = np.random.default_rng(92).standard_normal((hk_dim(3, 4), 5))
+    assert solver.lu is None and solver.q == 0 and solver.kappa == 1.0
+    assert np.array_equal(solver.solve(V), V)
+
+
+def test_ck_solver_path_switches_at_psi_theta(monkeypatch):
+    X = np.random.default_rng(93).standard_normal((2, 2))
+    theta = polymap.PSI_THETA
+    built = []
+    monkeypatch.setattr(polymap, "ck_operator",
+                        lambda X1, d: built.append(d) or ck_operator(X1, d))
+    below = polymap._CkSolver(_with_bracket_norms(X, 3, theta * (1 - 1e-9)), 3)
+    assert below.lu is None and built == []
+    above = polymap._CkSolver(_with_bracket_norms(X, 3, theta * (1 + 1e-9)), 3)
+    assert above.lu is not None and built == [3]
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4), st.integers(2, 5), st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_property_ck_series_kappa_bounds_the_condition_number(n, d, frac, seed):
+    X1 = _with_bracket_norms(np.random.default_rng(seed).standard_normal((n, n)),
+                             d, frac * polymap.PSI_THETA)
+    solver = polymap._CkSolver(X1, d)
+    assert solver.lu is None
+    assert np.linalg.cond(ck_operator(X1, d), 1) <= solver.kappa <= 6.1
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4), st.integers(2, 5), st.floats(0.0, 3.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_property_ck_solver_inverts_ck_operator(n, d, a, seed):
+    rng = np.random.default_rng(seed)
+    X1 = _with_bracket_norms(rng.standard_normal((n, n)), d, a)
+    C = ck_operator(X1, d)
+    V = rng.standard_normal((hk_dim(n, d), 2))
+    W = polymap._CkSolver(X1, d).solve(V)
+    assert np.max(np.abs(C @ W - V)) <= 1e-14 * np.linalg.cond(C, 1) * np.max(np.abs(V))
+
+
+def test_ck_series_rejects_a_non_finite_right_hand_side():
+    solver = polymap._CkSolver(0.01 * np.eye(2), 3)
+    V = np.ones(hk_dim(2, 3))
+    V[2] = np.nan
+    assert solver.lu is None
+    with pytest.raises(NonFinite):
+        solver.solve(V)
+
+
+def test_import_builds_no_psi_table():
+    # the coefficients are literals: importing eqnf loads no fractions
+    code = "import sys, eqnf; print('fractions' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ,
+                                                     "PYTHONPATH": _SRC})
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
