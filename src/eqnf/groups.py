@@ -3,7 +3,9 @@
 A group element g acts on maps by conjugation; the character chi (values in
 {+1, -1}) marks which elements reverse the map (conjugate it to its inverse).
 Groups are stored explicitly: element list, character values, multiplication
-table, inverse table.
+table, inverse table and the indices of generators.  A grading holds on the
+group when it holds on the generators, and the extended group of G and A0 is
+an image of G that takes G's tables.
 """
 from __future__ import annotations
 
@@ -67,13 +69,15 @@ def _require_finite_order(G: np.ndarray) -> None:
 
 @dataclass
 class GroupData:
-    """Explicit finite matrix group with a character chi: G -> {+1, -1}."""
+    """Explicit finite matrix group with a character chi: G -> {+1, -1},
+    generated by its elements at `generators` (all, from_elements)."""
 
     elements: list[np.ndarray]
     char: np.ndarray
     mult_table: np.ndarray = field(repr=False)
     identity_index: int
     inverse_index: np.ndarray
+    generators: np.ndarray
 
     @property
     def order(self) -> int:
@@ -115,7 +119,8 @@ class GroupData:
                 raise NotClosed(f"element {i} has no inverse in the set")
             inv[i] = hits[0]
         return cls(elements=elements, char=char, mult_table=table,
-                   identity_index=ident, inverse_index=inv)
+                   identity_index=ident, inverse_index=inv,
+                   generators=np.arange(order))
 
     @classmethod
     def from_generators(cls, generators, gen_chars) -> "GroupData":
@@ -162,16 +167,16 @@ class GroupData:
                             f"character value conflict at element {k}: "
                             f"{chars[k]} vs {pc}")
             frontier = new_frontier
-        return cls.from_elements([E.copy() for E in stack[:len(chars)]], chars)
+        gd = cls.from_elements([E.copy() for E in stack[:len(chars)]], chars)
+        gd.generators = np.array([_find_match(stack[:gd.order], G, MATCH_TOL)
+                                  for G in generators])
+        return gd
 
 
 @dataclass
 class ExtendedGroupData(GroupData):
-    """Group generated by {g : chi(g) = 1} and {g A0 : chi(g) = -1}.
-
-    base_index[i] is the index in the parent group of the g that produced
-    element i.
-    """
+    """Group generated by {g : chi(g) = 1} and {g A0 : chi(g) = -1}, whose
+    element i is the image of the parent's element base_index[i] = i."""
 
     base_index: np.ndarray = None
 
@@ -257,21 +262,20 @@ def project_map(F, gd: GroupData, char="chi"):
 
 
 def extended_group(gd: GroupData, A0) -> ExtendedGroupData:
-    """Elements {g : chi(g)=1} together with {g A0 : chi(g)=-1}, closed and
-    tabulated as GroupData.from_elements does."""
+    """The group generated by {g : chi(g)=1} and {g A0 : chi(g)=-1}: for A0 in
+    GL^chi, the image of gd under the homomorphism g -> g A0^((1-chi(g))/2),
+    with gd's tables and generators.  The map is one-to-one unless g A0 = e
+    for a g with chi(g) = -1, where tilde-chi is not defined: BadCharacter."""
     A0 = require_invertible(A0, "A0")
     if not is_chi_equivariant_linear(A0, gd):
         raise NotEquivariant("A0 is not in GL^chi for the given group")
-    elements, base = [], []
-    for i in range(gd.order):
-        if gd.char[i] > 0:
-            elements.append(gd.elements[i].copy())
-        else:
-            elements.append(gd.elements[i] @ A0)
-        base.append(i)
-    group = GroupData.from_elements(elements, np.ones(len(elements)))
-    return ExtendedGroupData(**vars(group),
-                             base_index=np.asarray(base, dtype=np.intp))
+    elements = [g @ A0 if c < 0 else g.copy() for g, c in zip(gd.elements, gd.char)]
+    if _find_match(np.stack(elements)[gd.char < 0], np.eye(gd.n), MATCH_TOL) is not None:
+        raise BadCharacter("g A0 = e for a g with chi(g) = -1: tilde-chi is not defined")
+    return ExtendedGroupData(
+        elements=elements, char=np.ones(gd.order), mult_table=gd.mult_table,
+        identity_index=gd.identity_index, inverse_index=gd.inverse_index,
+        generators=gd.generators, base_index=np.arange(gd.order))
 
 
 def tilde_character(gd: GroupData, alpha, ext: ExtendedGroupData) -> np.ndarray:
@@ -282,12 +286,9 @@ def tilde_character(gd: GroupData, alpha, ext: ExtendedGroupData) -> np.ndarray:
     """
     alpha = _resolve_char(gd, alpha)
     values = alpha[ext.base_index]
-    for i in range(ext.order):
-        for j in range(ext.order):
-            k = ext.mult_table[i, j]
-            if abs(values[k] - values[i] * values[j]) > 1e-9:
-                raise BadCharacter(
-                    f"tilde character not multiplicative at ({i},{j})")
+    bad = np.argwhere(np.abs(values[ext.mult_table] - np.outer(values, values)) > 1e-9)
+    if bad.size:
+        raise BadCharacter("tilde character not multiplicative at ({},{})".format(*bad[0]))
     return values
 
 

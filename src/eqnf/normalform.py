@@ -27,7 +27,7 @@ from .linalg import (EIGVEC_COND_LIMIT, AdaptedInnerProduct, image_basis,
 from .polymap import (TruncatedMap, _CkSolver, _linear_part_data,
                       _log_map_flow, _LruMemo, _require_dense_fits,
                       _transport_operator, adk_field, adk_operator, compose,
-                      conjugate_linear, exp_vf, hk_dim, log_map, monomials,
+                      conjugate_linear, exp_vf, log_map, monomials,
                       num_monomials, substitution_matrix)
 
 NEWTON_TOL = 1e-12
@@ -40,21 +40,21 @@ DEGREE_DATA_SKELETONS = 8
 # ---------------------------------------------------------------------------
 # subspace machinery
 
-def _restrict(B: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the intersection of span(B) and range(P), for
-    orthonormal columns B and an idempotent P: B c lies in range(P) exactly
-    when (I - P) B c = 0."""
-    return B @ nullspace(B - P @ B)
+def _graded_part(B: np.ndarray, graded, j: int) -> np.ndarray:
+    """Orthonormal basis of the part of span(B), for orthonormal columns B,
+    that graded = (group, char) grades on degree-j layers: the B c with
+    char(h) Ad_j(h) B c = B c for every generator h of the group."""
+    group, char = graded
+    values = _resolve_char(group, char)
+    cuts = [values[i] * (adk_operator(group.elements[i], j) @ B) - B
+            for i in group.generators]
+    return B @ nullspace(np.vstack(cuts))
 
 
 def hk_projection(gd: GroupData, k: int, char="chi") -> np.ndarray:
     """Matrix of the character-weighted group average on degree-k layers."""
     values = _resolve_char(gd, char)
-    dim = hk_dim(gd.n, k)
-    P = np.zeros((dim, dim))
-    for i, g in enumerate(gd.elements):
-        P += values[i] * adk_operator(g, k)
-    return P / gd.order
+    return sum(c * adk_operator(g, k) for c, g in zip(values, gd.elements)) / gd.order
 
 
 def _grading(gd: GroupData, A0, mode: str):
@@ -101,9 +101,9 @@ def _degree_spaces(S0, j: int, graded, adNs=None):
     cond(V) exceeds EIGVEC_COND_LIMIT.
 
     The resonant space is the kernel, cut by ker adNs when the operator
-    adNs = ad_j(N0*) is given.  The admissible space is the resonant space
-    restricted to the range of hk_projection(group, j, char) for graded =
-    (group, char)."""
+    adNs = ad_j(N0*) is given.  The admissible space is its part that
+    graded = (group, char) grades, from the conditions on the group's
+    generators and no sum over its elements (_graded_part)."""
     n = S0.shape[0]
     mu, V = np.linalg.eig(S0)
     if np.linalg.cond(V) > EIGVEC_COND_LIMIT:
@@ -125,7 +125,7 @@ def _degree_spaces(S0, j: int, graded, adNs=None):
     ker_b = _real_span(right.reshape(r, m), r)
     im_b = np.linalg.qr(_real_span(left.reshape(r, m), r), mode="complete")[0][:, r:]
     res_b = ker_b if adNs is None else ker_b @ nullspace(adNs @ ker_b)
-    adm_b = _restrict(res_b, hk_projection(graded[0], j, graded[1]))
+    adm_b = _graded_part(res_b, graded, j)
     return im_b, ker_b, res_b, adm_b
 
 
@@ -166,8 +166,7 @@ def _degree_data(j: int, sk: "_Skeleton") -> _DegreeData:
     im_b, ker_b, res_b, adm_b = _degree_spaces(sk.S0, j, sk.graded, adNs)
     rank = im_b.shape[1]
 
-    P_triv = hk_projection(sk.gd, j, "trivial")
-    T_im = _restrict(im_b, P_triv)
+    T_im = _graded_part(im_b, (sk.gd, "trivial"), j)
 
     if nilpotent:
         kerim_b = image_basis(adk_field(sk.N0, j) @ ker_b)
@@ -175,7 +174,7 @@ def _degree_data(j: int, sk: "_Skeleton") -> _DegreeData:
             raise SplitFailure(
                 f"degree {j}: ad(N0)/ad(N0*) split of the resonant space failed")
         blend = np.hstack([im_b, kerim_b, res_b])
-        T_ker = _restrict(image_basis(adNs @ ker_b), P_triv)
+        T_ker = _graded_part(image_basis(adNs @ ker_b), (sk.gd, "trivial"), j)
         unknown = np.hstack([T_im, T_ker])
         n_kerim = kerim_b.shape[1]
     else:
@@ -240,7 +239,7 @@ def _skeleton(mode: str, A0, gd, ip, k: int) -> _Skeleton:
     after the checks that A0 is invertible and that degree k fits."""
     A0 = require_invertible(A0, "A0")
     _require_dense_fits(A0.shape[0], k)
-    arrays = map(np.asarray, (A0, *gd.elements, gd.char, ip.gram))
+    arrays = map(np.asarray, (A0, *gd.elements, gd.char, gd.generators, ip.gram))
     key = (mode,) + tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
     return _DEGREE_DATA_MEMO.get_or_build(key, lambda: _Skeleton(mode, A0, gd, ip))
 

@@ -11,7 +11,9 @@ operator, and `power_matrix_blocks` the diagonal blocks of a linear map's
 full power matrix, the forms that `exp_vf`'s Lie series and
 `substitution_matrix` / `conjugate_linear` replace.  `dense_degree_spaces`
 takes a degree's spaces from one dense SVD of Ad_j(S0) - I, the form that
-`normalform._degree_spaces`' eigenvalue enumeration replaces.
+`normalform._degree_spaces`' eigenvalue enumeration replaces, and grades
+them by `_restrict` to the range of the element sum `hk_projection`, the
+form that `normalform._graded_part`'s generator conditions replace.
 `conjugator` draws the non-orthogonal changes of basis that carry the
 normal test cases to non-normal ones.
 """
@@ -21,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from eqnf.linalg import nullspace, rank_tolerance
-from eqnf.normalform import _restrict, hk_projection
+from eqnf.normalform import hk_projection
 from eqnf.polymap import (TruncatedMap, _diagonal_block, _power_matrix,
                           _transport_operator, adk_field, adk_operator,
                           ck_operator, ck_solve, compose, hk_dim,
@@ -101,6 +103,13 @@ def power_matrix_blocks(T, k: int) -> list:
     T = np.asarray(T, dtype=float)
     PW = _power_matrix(TruncatedMap.from_linear(T, k))
     return [_diagonal_block(PW, T.shape[0], k, d).copy() for d in range(1, k + 1)]
+
+
+def _restrict(B: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the intersection of span(B) and range(P), for
+    orthonormal columns B and an idempotent P: B c lies in range(P) exactly
+    when (I - P) B c = 0."""
+    return B @ nullspace(B - P @ B)
 
 
 def dense_degree_spaces(S0, j: int, graded, adNs=None):

@@ -36,6 +36,18 @@ def test_from_generators_dihedral_closure():
         assert np.max(np.abs(gd.elements[i] @ gd.inverse(i) - np.eye(2))) < 1e-9
 
 
+def test_groups_record_their_generators():
+    # from_generators records the generators it was given, the identity
+    # among them; from_elements records every element
+    gens = [rotation(math.pi / 2), np.diag([1.0, -1.0]), np.eye(2)]
+    gd = GroupData.from_generators(gens, [1.0, -1.0, 1.0])
+    assert gd.generators.tolist() == [1, 2, gd.identity_index]
+    for i, G in zip(gd.generators, gens):
+        assert np.array_equal(gd.elements[i], G)
+    again = GroupData.from_elements(gd.elements, gd.char)
+    assert again.generators.tolist() == list(range(gd.order))
+
+
 def test_from_generators_rejects_infinite_group(monkeypatch):
     # two reflections, each of order 2, whose product is a rotation by 1 rad
     monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 12)
@@ -246,6 +258,57 @@ def test_extended_group_rejects_nonequivariant_base():
     gd = binomial_shear_group()
     with pytest.raises(NotEquivariant):
         extended_group(gd, np.diag([2.0, 3.0]))
+
+
+def _extended_group_cases():
+    """(gd, A0) with A0 in GL^chi: the corpus skeletons, random semisimple
+    skeletons, the random groups at A0 = I, and D_100 around R(2 pi/5)."""
+    cases = [(binomial_shear_group(), binomial_shear_matrix())]
+    cases += [(inst.gd, inst.A0) for inst in (
+        instance_swap2(), instance_rot_reflect(3), instance_rot_reflect(4),
+        instance_sign_z2(), instance_block_swap(), instance_nilpotent_kron(),
+        planted_q4().inst, planted_q2().inst, planted_q1().inst)]
+    for seed in range(10):
+        S0, gd = random_semisimple_instance(np.random.default_rng(seed))
+        cases.append((gd, S0))
+        cases += [(gd, np.eye(gd.n))
+                  for gd in random_group_with_characters(np.random.default_rng(seed))]
+    d100 = GroupData.from_generators([rotation(math.pi / 50), np.diag([1.0, -1.0])],
+                                     [1.0, -1.0])
+    return cases + [(d100, rotation(2 * math.pi / 5))]
+
+
+def test_extended_group_table_is_a_tabulation_of_its_elements():
+    # the extended group takes G's tables and generators; tabulating its
+    # own elements gives the same tables
+    for gd, A0 in _extended_group_cases():
+        ext = extended_group(gd, A0)
+        ref = GroupData.from_elements(ext.elements, ext.char)
+        assert np.array_equal(ext.mult_table, ref.mult_table)
+        assert ext.identity_index == ref.identity_index
+        assert np.array_equal(ext.inverse_index, ref.inverse_index)
+        assert np.array_equal(ext.generators, gd.generators)
+        assert np.array_equal(ext.base_index, np.arange(gd.order))
+    assert gd.order == 200
+
+
+def test_tilde_character_rejects_a_non_multiplicative_character():
+    R = rotation(2 * math.pi / 3)
+    gd = GroupData.from_elements([np.eye(2), R, R @ R], [1.0, -1.0, 1.0])
+    ext = extended_group(gd, np.eye(2))  # I is in GL^chi for any chi
+    with pytest.raises(BadCharacter, match="not multiplicative"):
+        tilde_character(gd, "chi", ext)
+
+
+@pytest.mark.parametrize("A0", [-np.eye(2), np.diag([1.0, -1.0])])
+def test_extended_group_refuses_a_reversor_that_inverts_a0(A0):
+    # A0 is a reversor of G (chi = -1) and an involution, so the reversor
+    # times A0 is e: the extended group is a proper image of G, on which
+    # tilde-chi would take both values at e
+    gd = GroupData.from_generators([A0], [-1.0])
+    assert is_chi_equivariant_linear(A0, gd)
+    with pytest.raises(BadCharacter, match="tilde-chi is not defined"):
+        extended_group(gd, A0)
 
 
 def test_tilde_character_values():

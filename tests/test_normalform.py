@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 import tracemalloc
 
-from eqnf import corpus, normalform, polymap
+from eqnf import corpus, groups, normalform, polymap
 from eqnf.corpus import (equivariant_family, instance_block_swap,
                          instance_nilpotent_kron, instance_rot_reflect,
                          instance_sign_z2, instance_swap2, nf_form_family,
@@ -30,7 +30,7 @@ from eqnf.normalform import (_degree_data, _jacobian, _linear_newton,
 from eqnf.polymap import (MapFamily, TruncatedMap, _linear_part_data, adk_field,
                           adk_operator, ck_operator, compose, exp_vf, hk_dim,
                           log_map, num_monomials)
-from oracles import (ad_conjugate, conjugator, dense_degree_spaces,
+from oracles import (_restrict, ad_conjugate, conjugator, dense_degree_spaces,
                      frozen_operator, is_identity)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -132,9 +132,10 @@ def _sin_max_angle(A, B) -> float:
     return float(np.linalg.norm(A - B @ (B.T @ A), 2)) if A.size else 0.0
 
 
-def _check_degree_spaces_against_dense(sk: _Skeleton, j: int):
+def _check_degree_spaces_against_dense(sk: _Skeleton, j: int, unknowns=True):
     # image, kernel, resonant and admissible spaces: the enumeration's bases
-    # are orthonormal and span the dense SVD's spaces
+    # are orthonormal and span the dense SVD's spaces, the admissible one
+    # graded by restriction to the range of the element sum hk_projection
     adNs = adk_field(sk.Nstar, j) if sk.mode == "nilpotent" else None
     new = normalform._degree_spaces(sk.S0, j, sk.graded, adNs)
     old = dense_degree_spaces(sk.S0, j, sk.graded, adNs)
@@ -142,10 +143,48 @@ def _check_degree_spaces_against_dense(sk: _Skeleton, j: int):
         assert B.shape == ref.shape
         assert np.max(np.abs(B.T @ B - np.eye(B.shape[1])), initial=0.0) <= 1e-12
         assert _sin_max_angle(B, ref) <= 1e-12
+    if unknowns:
+        # the Newton unknowns: the trivially graded part of the image and,
+        # in nilpotent mode, of the ad(N0*) image of the kernel
+        P = hk_projection(sk.gd, j, "trivial")
+        refs = [_restrict(old[0], P)]
+        if adNs is not None:
+            refs.append(_restrict(image_basis(adNs @ old[1]), P))
+        dims = [R.shape[1] for R in refs]
+        unknown = _degree_data(j, sk).unknown
+        assert unknown.shape[1] == sum(dims)
+        for B, R in zip(np.split(unknown, np.cumsum(dims)[:-1], axis=1), refs):
+            assert _sin_max_angle(B, R) <= 1e-12
     return new[1].shape[1]
 
 
-CORPUS_SKELETONS = {**ORACLE_SKELETONS, "planted_q1": lambda: planted_q1().inst}
+@functools.cache
+def _dihedral_instance(m: int) -> corpus.Instance:
+    """D_m, of order 2m, generated by R(2 pi/m) and diag(1, -1) with chi = -1
+    on the reflections, around S0 = A0 = R(2 pi/5); built once per m."""
+    S0 = rotation(2 * np.pi / 5)
+    gd = GroupData.from_generators([rotation(2 * np.pi / m), np.diag([1.0, -1.0])],
+                                   [1.0, -1.0])
+    return corpus.Instance(name=f"D{m}", A0=S0.copy(), S0=S0, N0=np.zeros((2, 2)),
+                           gd=gd, q=5, ip=invariant_inner_product(S0, gd))
+
+
+def _klein_block_swap_instance() -> corpus.Instance:
+    """instance_block_swap(5)'s S0 = diag(Q, Q^T) under Z2 x Z2, generated by
+    two reversors (chi = -1): the block swap and diag(1, -1, 1, -1)."""
+    base = instance_block_swap(5)
+    swap = base.gd.elements[base.gd.generators[0]]
+    gd = GroupData.from_generators([swap, np.diag([1.0, -1.0, 1.0, -1.0])],
+                                   [-1.0, -1.0])
+    return corpus.Instance(name="klein-block-swap", A0=base.A0, S0=base.S0,
+                           N0=base.N0, gd=gd, q=5,
+                           ip=invariant_inner_product(base.S0, gd))
+
+
+CORPUS_SKELETONS = {**ORACLE_SKELETONS, "planted_q1": lambda: planted_q1().inst,
+                    "D4": lambda: _dihedral_instance(4),
+                    "D100": lambda: _dihedral_instance(100),
+                    "klein_block_swap": _klein_block_swap_instance}
 
 
 @pytest.mark.parametrize("mode", ["nilpotent", "semisimple"])
@@ -160,7 +199,7 @@ def test_degree_spaces_match_the_dense_svd(name, mode):
 def test_degree_spaces_match_the_dense_svd_wide6(j):
     inst = _wide_instance()
     sk = _Skeleton("semisimple", inst.A0, inst.gd, inst.ip)
-    _check_degree_spaces_against_dense(sk, j)
+    _check_degree_spaces_against_dense(sk, j, unknowns=j <= 4)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -243,12 +282,19 @@ def test_degree_spaces_refuse_a_non_semisimple_s0():
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
-def test_property_hk_projection_random_groups(seed, j):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans())
+def test_property_hk_projection_random_groups(seed, j, dihedral):
     # P_chi is the chi-isotypic projection on degree-j layers: idempotent,
     # P_chi Ad_j(g) = chi(g) P_chi, and the two distinct characters of a
-    # random group project onto complementary pieces
-    gd1, gd2 = random_group_with_characters(np.random.default_rng(seed))
+    # random group project onto complementary pieces.  The groups are
+    # random_group_with_characters draws, or D_m of order 4 to 200 with the
+    # sign of its reflections and the trivial character.
+    rng = np.random.default_rng(seed)
+    if dihedral:
+        gd = _dihedral_instance((2, 3, 6, 25, 100)[rng.integers(5)]).gd
+        gd1, gd2 = gd, GroupData(**{**vars(gd), "char": np.ones(gd.order)})
+    else:
+        gd1, gd2 = random_group_with_characters(rng)
     projections = [hk_projection(gd, j, "chi") for gd in (gd1, gd2)]
     ads = [adk_operator(g, j) for g in gd1.elements]
     scale = max(1.0, max(float(np.max(np.abs(ad))) for ad in ads))
@@ -259,6 +305,16 @@ def test_property_hk_projection_random_groups(seed, j):
     P1, P2 = projections
     assert np.max(np.abs(P1 @ P2)) <= 1e-12 * scale
     assert np.max(np.abs(P2 @ P1)) <= 1e-12 * scale
+    # on a basis holding a graded part, the generator cut is the restriction
+    # to the range of P, for each character and the trivial one
+    dim = P1.shape[0]
+    for gd, char in ((gd1, "chi"), (gd2, "chi"), (gd1, "trivial")):
+        P = hk_projection(gd, j, char)
+        B = image_basis(np.hstack([P @ rng.standard_normal((dim, 2)),
+                                   rng.standard_normal((dim, 3))]))
+        cut, ref = normalform._graded_part(B, (gd, char), j), _restrict(B, P)
+        assert cut.shape == ref.shape
+        assert _sin_max_angle(cut, ref) <= 1e-12
 
 
 def _linear_nf(A, A0, gd, ip, mode="semisimple"):
@@ -822,6 +878,63 @@ def test_warm_call_derives_no_skeleton(monkeypatch, make, runner, k):
     semisimple = runner is semisimple_nf
     assert counts == {"su_decomposition": 1, "extended_group": int(semisimple),
                       "tilde_character": int(semisimple)}
+
+
+@pytest.mark.parametrize("runner", [semisimple_nf, nilpotent_nf])
+def test_cold_normal_form_reads_the_generators(monkeypatch, runner):
+    # D_4 (order 8) and D_100 (order 200) have the same two generators: a
+    # cold call tabulates no group and sums no projection over the elements,
+    # and its adk_operator calls are bounded by the generators times k for
+    # both, where the element sums took 2|G| + 1 per degree
+    k = 5
+    for m in (4, 100):
+        inst = _dihedral_instance(m)
+        fam = equivariant_family(inst, k, np.random.default_rng(12))
+        normalform._DEGREE_DATA_MEMO.clear()
+        with monkeypatch.context() as mp:
+            count = _count_calls(mp, normalform, "hk_projection", "adk_operator")
+            count["from_elements"] = 0
+            tabulate = groups.GroupData.from_elements.__func__
+
+            def counted(cls, *args):
+                count["from_elements"] += 1
+                return tabulate(cls, *args)
+
+            mp.setattr(groups.GroupData, "from_elements", classmethod(counted))
+            res = runner(fam, inst.A0, inst.gd, inst.ip, k, lambdas=[[0.02]])
+        assert res.residual <= 1e-10 and len(inst.gd.generators) == 2
+        assert count["hk_projection"] == count["from_elements"] == 0
+        assert count["adk_operator"] <= (3 * 2 + 2) * k
+    normalform._DEGREE_DATA_MEMO.clear()
+
+
+@pytest.mark.parametrize("runner", [semisimple_nf, nilpotent_nf])
+@pytest.mark.parametrize("make, k, order", [
+    (lambda: _dihedral_instance(4), 5, 8), (_klein_block_swap_instance, 4, 4)],
+    ids=["D4", "klein-block-swap"])
+def test_normal_forms_of_groups_with_two_generators(make, k, order, runner):
+    # transforms equivariant, exponents graded (chi on G, or tilde-chi on the
+    # extended group), the residual within tolerance, and the admissible
+    # dimensions those of the element-sum oracle
+    inst = make()
+    assert inst.gd.order == order and len(inst.gd.generators) == 2
+    fam = equivariant_family(inst, k, np.random.default_rng(13))
+    normalform._DEGREE_DATA_MEMO.clear()
+    res = runner(fam, inst.A0, inst.gd, inst.ip, k, lambdas=[[-0.02], [0.03]])
+    assert res.residual <= 1e-10
+    d = res.diagnostics
+    graded = ("exponent_chitilde_defect" if res.mode == "semisimple"
+              else "exponent_chi_defect")
+    assert d["transform_equivariance_defect"] <= 1e-9 and d[graded] <= 1e-9
+    sk = normalform._skeleton(res.mode, inst.A0, inst.gd, inst.ip, k)
+    dims = []
+    for j in range(2, k + 1):
+        adNs = adk_field(sk.Nstar, j) if res.mode == "nilpotent" else None
+        ref = dense_degree_spaces(sk.S0, j, sk.graded, adNs)[3]
+        assert res.admissible[j].shape == ref.shape
+        dims.append(ref.shape[1])
+    assert any(dims)
+    normalform._DEGREE_DATA_MEMO.clear()
 
 
 @pytest.mark.parametrize("make, mode", [
