@@ -7,10 +7,9 @@ from .errors import (BadCharacter, CkSingular, DimensionMismatch, EqnfError,
                      NotClosed, NotEquivariant, NotInU, NotSemisimple,
                      NotUnipotent, ProblemTooLarge, SingularInput,
                      SlopeTestFailed, SplitFailure)
-from .groups import (ExtendedGroupData, GroupData, extended_group,
-                     invariant_inner_product, is_chi_equivariant_linear,
-                     is_chi_equivariant_map, project_map, tilde_character,
-                     validate_group)
+from .groups import (GroupData, extended_group, invariant_inner_product,
+                     is_chi_equivariant_linear, is_chi_equivariant_map,
+                     project_map, tilde_character, validate_group)
 from .linalg import (AdaptedInnerProduct, JCDecomposition, SUDecomposition,
                      image_basis, jordan_chevalley, kernel_basis,
                      matrix_log_unipotent, nullspace, real_log,

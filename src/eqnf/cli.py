@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corpus
-from .errors import (EqnfError, InvariantViolation, NotEquivariant)
+from .errors import (EqnfError, InvariantViolation, NoConvergence,
+                     NotEquivariant)
 from .groups import (GroupData, invariant_inner_product,
                      is_chi_equivariant_linear, is_chi_equivariant_map,
                      validate_group)
@@ -265,8 +266,17 @@ def _run_nf(problem: Problem):
     if mode is None:
         mode = "semisimple" if np.max(np.abs(su.nil_log)) <= 1e-12 else "nilpotent"
     runner = semisimple_nf if mode == "semisimple" else nilpotent_nf
-    result = runner(problem.family, A, problem.gd, ip, problem.order,
-                    lambdas=problem.lambda_grid)
+    try:
+        result = runner(problem.family, A, problem.gd, ip, problem.order,
+                        lambdas=problem.lambda_grid)
+    except NoConvergence as exc:
+        # a family that is not chi-equivariant at some lambda has no
+        # equivariant normal form there: an invariant failure, not a stall
+        for lam in problem.lambda_grid:
+            if not is_chi_equivariant_map(problem.family.at(lam), problem.gd):
+                raise NotEquivariant(f"the map is not chi-equivariant at "
+                                     f"lambda = {lam}") from exc
+        raise
     return result, mode
 
 

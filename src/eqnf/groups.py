@@ -2,10 +2,11 @@
 
 A group element g acts on maps by conjugation; the character chi (values in
 {+1, -1}) marks which elements reverse the map (conjugate it to its inverse).
-Groups are stored explicitly: element list, character values, multiplication
-table, inverse table and the indices of generators.  A grading holds on the
-group when it holds on the generators, and the extended group of G and A0 is
-an image of G that takes G's tables.
+Groups are stored explicitly: element list, character values, the indices
+of the generators and the Cayley table of right multiplication by them,
+which the one breadth-first closure of the generators records.  A grading
+holds on the group when it holds on the generators, and the extended group
+of G and A0 is an image of G that takes G's generators and table.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadCharacter, DimensionMismatch, InvariantViolation,
+from .errors import (BadCharacter, InvariantViolation,
                      NotClosed, NotEquivariant, NotSemisimple)
 from .linalg import (EIGVEC_COND_LIMIT, AdaptedInnerProduct, as_square,
                      kernel_basis, rank_tolerance, require_invertible,
@@ -69,15 +70,15 @@ def _require_finite_order(G: np.ndarray) -> None:
 
 @dataclass
 class GroupData:
-    """Explicit finite matrix group with a character chi: G -> {+1, -1},
-    generated by its elements at `generators` (all, from_elements)."""
+    """Finite matrix group with a character chi: G -> {+1, -1}, generated by
+    its elements at `generators`.  Its one structure table is the Cayley
+    table of right multiplication by the generators: cayley[i, s] is the
+    index of elements[i] @ elements[generators[s]]."""
 
     elements: list[np.ndarray]
     char: np.ndarray
-    mult_table: np.ndarray = field(repr=False)
-    identity_index: int
-    inverse_index: np.ndarray
     generators: np.ndarray
+    cayley: np.ndarray = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -87,44 +88,10 @@ class GroupData:
     def n(self) -> int:
         return self.elements[0].shape[0]
 
-    def inverse(self, i: int) -> np.ndarray:
-        return self.elements[self.inverse_index[i]]
-
-    @classmethod
-    def from_elements(cls, elements, char) -> "GroupData":
-        elements = [as_square(E, "group element") for E in elements]
-        char = np.asarray(char, dtype=float)
-        if len(char) != len(elements):
-            raise BadCharacter("one character value per element required")
-        order = len(elements)
-        n = elements[0].shape[0]
-        for E in elements:
-            if E.shape[0] != n:
-                raise DimensionMismatch("group elements of mixed dimension")
-        stack = np.stack(elements)
-        table = np.empty((order, order), dtype=np.intp)
-        for i in range(order):
-            for j in range(order):
-                k = _find_match(stack, elements[i] @ elements[j], MATCH_TOL)
-                if k is None:
-                    raise NotClosed(f"product of elements {i} and {j} is not in the set")
-                table[i, j] = k
-        ident = _find_match(stack, np.eye(n), MATCH_TOL)
-        if ident is None:
-            raise NotClosed("identity matrix missing from the element list")
-        inv = np.full(order, -1, dtype=np.intp)
-        for i in range(order):
-            hits = np.nonzero(table[i] == ident)[0]
-            if len(hits) == 0:
-                raise NotClosed(f"element {i} has no inverse in the set")
-            inv[i] = hits[0]
-        return cls(elements=elements, char=char, mult_table=table,
-                   identity_index=ident, inverse_index=inv,
-                   generators=np.arange(order))
-
     @classmethod
     def from_generators(cls, generators, gen_chars) -> "GroupData":
-        """Close the generator set under multiplication (breadth-first).
+        """Close the generator set under multiplication (breadth-first),
+        recording the Cayley table; the identity is element 0.
 
         A generator of infinite order (see _require_finite_order) raises
         NotClosed before the closure starts; a product with a non-finite
@@ -136,68 +103,86 @@ class GroupData:
             raise ValueError("at least one generator required (use np.eye for trivial)")
         for G in generators:
             _require_finite_order(G)
-        # the elements found so far are stack[:len(chars)]
+        # the elements found so far are stack[:len(chars)]; breadth-first,
+        # element i is multiplied by each generator in the order found, and
+        # the indices of its products are row i of the Cayley table
         stack = np.empty((MAX_GROUP_ORDER, n, n))
         stack[0] = np.eye(n)
         chars = [1.0]
-        frontier = [0]
+        cayley = []
         gens = list(zip(generators, [float(c) for c in gen_chars]))
-        while frontier:
-            new_frontier = []
-            for i in frontier:
-                for G, c in gens:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        P = stack[i] @ G
-                    pc = chars[i] * c
-                    if not np.all(np.isfinite(P)):
-                        raise NotClosed(f"a product of the generators has non-finite "
-                                        f"entries after {len(chars)} elements; they "
-                                        "generate an infinite group")
-                    k = _find_match(stack[:len(chars)], P, MATCH_TOL)
-                    if k is None:
-                        if len(chars) == MAX_GROUP_ORDER:
-                            raise NotClosed(
-                                f"closure exceeded {MAX_GROUP_ORDER} elements; "
-                                "generators likely generate an infinite group")
-                        new_frontier.append(len(chars))
-                        stack[len(chars)] = P
-                        chars.append(pc)
-                    elif abs(chars[k] - pc) > 1e-9:
-                        raise BadCharacter(
-                            f"character value conflict at element {k}: "
-                            f"{chars[k]} vs {pc}")
-            frontier = new_frontier
-        gd = cls.from_elements([E.copy() for E in stack[:len(chars)]], chars)
-        gd.generators = np.array([_find_match(stack[:gd.order], G, MATCH_TOL)
-                                  for G in generators])
-        return gd
+        while len(cayley) < len(chars):
+            i, row = len(cayley), []
+            for G, c in gens:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    P = stack[i] @ G
+                pc = chars[i] * c
+                if not np.all(np.isfinite(P)):
+                    raise NotClosed(f"a product of the generators has non-finite "
+                                    f"entries after {len(chars)} elements; they "
+                                    "generate an infinite group")
+                k = _find_match(stack[:len(chars)], P, MATCH_TOL)
+                if k is None:
+                    if len(chars) == MAX_GROUP_ORDER:
+                        raise NotClosed(
+                            f"closure exceeded {MAX_GROUP_ORDER} elements; "
+                            "generators likely generate an infinite group")
+                    k = len(chars)
+                    stack[k] = P
+                    chars.append(pc)
+                elif abs(chars[k] - pc) > 1e-9:
+                    raise BadCharacter(
+                        f"character value conflict at element {k}: "
+                        f"{chars[k]} vs {pc}")
+                row.append(k)
+            cayley.append(row)
+        cayley = np.array(cayley, dtype=np.intp)
+        return cls(elements=[E.copy() for E in stack[:len(chars)]],
+                   char=np.array(chars), generators=cayley[0].copy(),
+                   cayley=cayley)
 
 
-@dataclass
-class ExtendedGroupData(GroupData):
-    """Group generated by {g : chi(g) = 1} and {g A0 : chi(g) = -1}, whose
-    element i is the image of the parent's element base_index[i] = i."""
+def _cayley_products(gd: GroupData) -> np.ndarray:
+    """P[i, s] = elements[i] @ elements[generators[s]], one per table entry."""
+    E = np.stack(gd.elements)
+    return E[:, None] @ E[gd.generators][None]
 
-    base_index: np.ndarray = None
+
+def _not_multiplicative(values: np.ndarray, gd: GroupData) -> np.ndarray:
+    """The (i, s) pairs of the Cayley table at which values[cayley[i, s]] !=
+    values[i] values[generators[s]] (to MATCH_TOL)."""
+    return np.argwhere(np.abs(values[gd.cayley] - np.outer(
+        values, values[gd.generators])) > MATCH_TOL)
 
 
 def validate_group(gd: GroupData) -> list[str]:
-    """Return the list of violated group invariants (empty means valid)."""
-    bad: list[str] = []
-    order = gd.order
-    for i in range(order):
-        for j in range(order):
-            k = gd.mult_table[i, j]
-            P = gd.elements[i] @ gd.elements[j]
-            if np.max(np.abs(P - gd.elements[k])) > MATCH_TOL * (1.0 + np.max(np.abs(P))):
-                bad.append(f"closure fails at ({i},{j})")
-            if abs(gd.char[k] - gd.char[i] * gd.char[j]) > MATCH_TOL:
-                bad.append(f"character not multiplicative at ({i},{j})")
-    if np.max(np.abs(gd.elements[gd.identity_index] - np.eye(gd.n))) > MATCH_TOL:
-        bad.append("identity element wrong")
-    for i in range(order):
-        if gd.mult_table[i, gd.inverse_index[i]] != gd.identity_index:
-            bad.append(f"inverse table wrong at {i}")
+    """Return the list of violated group invariants (empty means valid).
+
+    On each (i, s) pair of the Cayley table the product must match to
+    MATCH_TOL and chi be multiplicative; the identity must be an element
+    that reaches every element through the table, every generator must
+    permute the elements, and chi be +-1.  Together: the elements are the
+    group the generators generate, and chi is a homomorphism on it."""
+    P, E = _cayley_products(gd), np.stack(gd.elements)
+    defect = np.max(np.abs(P - E[gd.cayley]), axis=(2, 3))
+    tol = MATCH_TOL * (1.0 + np.max(np.abs(P), axis=(2, 3)))
+    bad = [f"closure fails at element {i}, generator {s}"
+           for i, s in np.argwhere(defect > tol)]
+    bad += [f"character not multiplicative at element {i}, generator {s}"
+            for i, s in _not_multiplicative(gd.char, gd)]
+    ident = _find_match(E, np.eye(gd.n), MATCH_TOL)
+    if ident is None:
+        bad.append("identity element missing")
+    else:
+        reached, frontier = np.zeros(gd.order, dtype=bool), [ident]
+        while len(frontier):
+            reached[frontier] = True
+            frontier = np.setdiff1d(gd.cayley[frontier], np.flatnonzero(reached))
+        bad += [f"element {i} is not reachable from the identity"
+                for i in np.flatnonzero(~reached)]
+    unpermuted = np.sort(gd.cayley, axis=0) != np.arange(gd.order)[:, None]
+    bad += [f"generator {s} is not invertible: right multiplication by it "
+            "does not permute the elements" for s in np.flatnonzero(unpermuted.any(0))]
     if np.any(np.abs(np.abs(gd.char) - 1.0) > MATCH_TOL):
         bad.append("character values not in {+1,-1}")
     return bad
@@ -222,9 +207,10 @@ def is_chi_equivariant_linear(A, gd: GroupData,
     A = require_invertible(A, "A")
     Ainv = np.linalg.inv(A)
     scale = 1.0 + np.max(np.abs(A)) + np.max(np.abs(Ainv))
+    inverses = np.linalg.inv(np.stack(gd.elements))
     for i in range(gd.order):
         target = A if gd.char[i] > 0 else Ainv
-        lhs = gd.elements[i] @ A @ gd.inverse(i)
+        lhs = gd.elements[i] @ A @ inverses[i]
         if np.max(np.abs(lhs - target)) > tol * scale:
             return False
     return True
@@ -261,34 +247,34 @@ def project_map(F, gd: GroupData, char="chi"):
     return out * (1.0 / gd.order)
 
 
-def extended_group(gd: GroupData, A0) -> ExtendedGroupData:
+def extended_group(gd: GroupData, A0) -> GroupData:
     """The group generated by {g : chi(g)=1} and {g A0 : chi(g)=-1}: for A0 in
     GL^chi, the image of gd under the homomorphism g -> g A0^((1-chi(g))/2),
-    with gd's tables and generators.  The map is one-to-one unless g A0 = e
-    for a g with chi(g) = -1, where tilde-chi is not defined: BadCharacter."""
+    whose element i is the image of gd's element i, with gd's generators and
+    Cayley table.  The map is one-to-one unless g A0 = e for a g with
+    chi(g) = -1, where tilde-chi is not defined: BadCharacter."""
     A0 = require_invertible(A0, "A0")
     if not is_chi_equivariant_linear(A0, gd):
         raise NotEquivariant("A0 is not in GL^chi for the given group")
     elements = [g @ A0 if c < 0 else g.copy() for g, c in zip(gd.elements, gd.char)]
     if _find_match(np.stack(elements)[gd.char < 0], np.eye(gd.n), MATCH_TOL) is not None:
         raise BadCharacter("g A0 = e for a g with chi(g) = -1: tilde-chi is not defined")
-    return ExtendedGroupData(
-        elements=elements, char=np.ones(gd.order), mult_table=gd.mult_table,
-        identity_index=gd.identity_index, inverse_index=gd.inverse_index,
-        generators=gd.generators, base_index=np.arange(gd.order))
+    return GroupData(elements=elements, char=np.ones(gd.order),
+                     generators=gd.generators, cayley=gd.cayley)
 
 
-def tilde_character(gd: GroupData, alpha, ext: ExtendedGroupData) -> np.ndarray:
+def tilde_character(gd: GroupData, alpha, ext: GroupData) -> np.ndarray:
     """Push a character alpha of G to the extended group ext of G and A0.
 
     alpha~(h) = alpha(h) on chi=1 elements, alpha~(g A0) = alpha(g); verified
-    multiplicative on the extended multiplication table.
+    multiplicative on ext's Cayley table, as validate_group verifies chi
+    (exact for values +-1).
     """
-    alpha = _resolve_char(gd, alpha)
-    values = alpha[ext.base_index]
-    bad = np.argwhere(np.abs(values[ext.mult_table] - np.outer(values, values)) > 1e-9)
+    values = _resolve_char(gd, alpha).copy()
+    bad = _not_multiplicative(values, ext)
     if bad.size:
-        raise BadCharacter("tilde character not multiplicative at ({},{})".format(*bad[0]))
+        raise BadCharacter("tilde character not multiplicative at element {}, "
+                           "generator {}".format(*bad[0]))
     return values
 
 

@@ -108,10 +108,10 @@ def build_lift(A0, S0, gd: GroupData, q: int,
         a_pow = A0_hat if chi == 1 else np.linalg.inv(A0_hat)
         _check("A0_hat g_hat = g_hat A0_hat^chi",
                float(np.max(np.abs(A0_hat @ g_hat[gi] - g_hat[gi] @ a_pow))))
-        for gj in range(gd.order):
-            gk = gd.mult_table[gi, gj]
+        # a homomorphism on the Cayley table's pairs is one on all of G
+        for gs, gk in zip(gd.generators, gd.cayley[gi]):
             _check("hat is a representation", float(np.max(np.abs(
-                g_hat[gi] @ g_hat[gj] - g_hat[gk]))))
+                g_hat[gi] @ g_hat[gs] - g_hat[gk]))))
 
     U_basis = kernel_basis(np.linalg.matrix_power(S0, q) - np.eye(n))
     xi_matrix = np.vstack([np.linalg.matrix_power(S0, i) for i in range(q)])

@@ -15,13 +15,17 @@ takes a degree's spaces from one dense SVD of Ad_j(S0) - I, the form that
 them by `_restrict` to the range of the element sum `hk_projection`, the
 form that `normalform._graded_part`'s generator conditions replace.
 `conjugator` draws the non-orthogonal changes of basis that carry the
-normal test cases to non-normal ones.
+normal test cases to non-normal ones.  `tabulate_group` tabulates all |G|^2
+products of a list of elements, the full table that
+`GroupData.from_generators`' Cayley table of the generators replaces.
 """
 import math
 
 import numpy as np
 import scipy.linalg
 
+from eqnf.errors import BadCharacter, NotClosed
+from eqnf.groups import MATCH_TOL, GroupData, _find_match
 from eqnf.linalg import nullspace, rank_tolerance
 from eqnf.normalform import hk_projection
 from eqnf.polymap import (TruncatedMap, _diagonal_block, _power_matrix,
@@ -130,3 +134,29 @@ def conjugator(n: int, cond: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     Q1, Q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
     return Q1 @ np.diag(np.logspace(0.0, math.log10(cond), n)) @ Q2
+
+
+def tabulate_group(elements, char) -> GroupData:
+    """The group of an explicit element list, with every element as a
+    generator, so that its Cayley table is the full |G| x |G| table.  Raises
+    NotClosed when a product, the identity or an inverse is missing."""
+    elements = [np.array(E, dtype=float) for E in elements]
+    char = np.asarray(char, dtype=float)
+    if len(char) != len(elements):
+        raise BadCharacter("one character value per element required")
+    order, stack = len(elements), np.stack(elements)
+    table = np.empty((order, order), dtype=np.intp)
+    for i in range(order):
+        for j in range(order):
+            k = _find_match(stack, elements[i] @ elements[j], MATCH_TOL)
+            if k is None:
+                raise NotClosed(f"product of elements {i} and {j} is not in the set")
+            table[i, j] = k
+    ident = _find_match(stack, np.eye(stack.shape[1]), MATCH_TOL)
+    if ident is None:
+        raise NotClosed("identity matrix missing from the element list")
+    for i in range(order):
+        if not np.any(table[i] == ident):
+            raise NotClosed(f"element {i} has no inverse in the set")
+    return GroupData(elements=elements, char=char,
+                     generators=np.arange(order), cayley=table)

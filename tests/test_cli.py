@@ -369,6 +369,31 @@ def test_nonequivariant_linear_part_exits_1(tmp_path, capsys):
     assert captured.err.startswith("invariant failure:")
 
 
+@pytest.mark.parametrize("grid, rc", [("0,0.02", 1), ("0", 0)])
+def test_family_not_equivariant_at_some_lambda_exits_1(tmp_path, capsys, grid, rc):
+    # D_4 (rotation by pi/2 with chi = +1, a reflection with chi = -1) around
+    # R(2 pi/5): the map is reversible at lambda = 0, but its slope
+    # x -> x + x^2 in component 0 is not, so the family leaves the
+    # reversible maps at lambda = 0.02, where the normal form stalls
+    doc = {
+        "dimension": 2, "order": 3,
+        "map": {"terms": _linear_terms(corpus.rotation(2 * np.pi / 5)),
+                "parameter_slopes": [[
+                    {"component": 0, "exponents": [1, 0], "coefficient": 1.0},
+                    {"component": 0, "exponents": [2, 0], "coefficient": 1.0}]]},
+        "group": {"generators": [[[0.0, -1.0], [1.0, 0.0]],
+                                 [[1.0, 0.0], [0.0, -1.0]]],
+                  "characters": [1.0, -1.0]},
+    }
+    assert cli.main(["normal-form", _write(tmp_path, doc),
+                     "--lambda-grid", grid]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err.startswith("invariant failure:") and "0.02" in err
+    else:
+        assert err == ""
+
+
 def test_trust_radius_failure_exits_3(tmp_path, capsys):
     # period 2 gives the builtin a nontrivial complement; a tiny trust
     # radius then aborts the v* Newton solve

@@ -19,7 +19,7 @@ from eqnf.groups import (GroupData, _resolve_char, extended_group,
                          is_chi_equivariant_map, project_map, tilde_character,
                          validate_group)
 from eqnf.polymap import TruncatedMap, conjugate_linear
-from oracles import conjugator
+from oracles import conjugator, tabulate_group
 
 
 def test_from_generators_dihedral_closure():
@@ -31,21 +31,27 @@ def test_from_generators_dihedral_closure():
     assert validate_group(gd) == []
     # four rotations carry chi = +1, four reflections chi = -1
     assert np.sum(gd.char > 0) == 4
-    assert np.max(np.abs(gd.elements[gd.identity_index] - np.eye(2))) < 1e-12
-    for i in range(gd.order):
-        assert np.max(np.abs(gd.elements[i] @ gd.inverse(i) - np.eye(2))) < 1e-9
+    # the identity is element 0, and every element's inverse is an element
+    assert np.array_equal(gd.elements[0], np.eye(2))
+    stack = np.stack(gd.elements)
+    for E in gd.elements:
+        assert groups._find_match(stack, np.linalg.inv(E), 1e-9) is not None
 
 
 def test_groups_record_their_generators():
     # from_generators records the generators it was given, the identity
-    # among them; from_elements records every element
+    # (element 0) among them, as the Cayley table's row of the identity;
+    # the tabulation oracle records every element
     gens = [rotation(math.pi / 2), np.diag([1.0, -1.0]), np.eye(2)]
     gd = GroupData.from_generators(gens, [1.0, -1.0, 1.0])
-    assert gd.generators.tolist() == [1, 2, gd.identity_index]
+    assert gd.generators.tolist() == [1, 2, 0]
+    assert np.array_equal(gd.cayley[0], gd.generators)
+    assert gd.cayley.shape == (gd.order, 3)
     for i, G in zip(gd.generators, gens):
         assert np.array_equal(gd.elements[i], G)
-    again = GroupData.from_elements(gd.elements, gd.char)
+    again = tabulate_group(gd.elements, gd.char)
     assert again.generators.tolist() == list(range(gd.order))
+    assert np.array_equal(again.cayley[:, gd.generators], gd.cayley)
 
 
 def test_from_generators_rejects_infinite_group(monkeypatch):
@@ -142,19 +148,82 @@ def test_from_generators_rejects_inconsistent_character():
         GroupData.from_generators([rotation(2 * math.pi / 3)], [-1.0])
 
 
-def test_from_elements_rejects_missing_products():
+def test_group_work_is_linear_in_the_order(monkeypatch):
+    # D_100: the closure matches each (element, generator) product once, and
+    # validate_group forms each once; a tabulation takes |G|^2 of both
+    gens = [rotation(math.pi / 50), np.diag([1.0, -1.0])]
+    calls = {"_find_match": 0, "products": 0}
+    find_match, products = groups._find_match, groups._cayley_products
+
+    def counted_match(*args):
+        calls["_find_match"] += 1
+        return find_match(*args)
+
+    def counted_products(gd):
+        P = products(gd)
+        calls["products"] += P.shape[0] * P.shape[1]
+        return P
+
+    monkeypatch.setattr(groups, "_find_match", counted_match)
+    monkeypatch.setattr(groups, "_cayley_products", counted_products)
+    gd = GroupData.from_generators(gens, [1.0, -1.0])
+    assert gd.order == 200 and calls["_find_match"] == 200 * 2
+    assert validate_group(gd) == [] and calls["products"] == 200 * 2
+
+
+def test_tabulation_oracle_rejects_missing_products():
     R = rotation(2 * math.pi / 3)
     with pytest.raises(NotClosed):
-        GroupData.from_elements([np.eye(2), R], [1.0, 1.0])
+        tabulate_group([np.eye(2), R], [1.0, 1.0])
 
 
 def test_validate_group_flags_bad_character():
+    # on the oracle's full table, and on the Cayley table of a generator
     R = rotation(2 * math.pi / 3)
-    gd = GroupData.from_elements([np.eye(2), R, R @ R], [1.0, -1.0, 1.0])
+    gd = tabulate_group([np.eye(2), R, R @ R], [1.0, -1.0, 1.0])
     bad = validate_group(gd)
     assert any("character not multiplicative" in msg for msg in bad)
-    gd2 = GroupData.from_elements([np.eye(2), R, R @ R], [1.0, 0.5, 1.0])
+    gd2 = tabulate_group([np.eye(2), R, R @ R], [1.0, 0.5, 1.0])
     assert any("not in" in msg for msg in validate_group(gd2))
+    gd3 = GroupData.from_generators([R], [1.0])
+    gd3.char = np.array([1.0, -1.0, 1.0])
+    assert any("character not multiplicative" in msg for msg in validate_group(gd3))
+    gd3.char = np.array([1.0, 0.5, 0.25])
+    assert any("not in" in msg for msg in validate_group(gd3))
+
+
+def _corrupted_cayley():
+    gd = GroupData.from_generators([rotation(math.pi / 2), np.diag([1.0, -1.0])],
+                                   [1.0, -1.0])
+    gd.cayley = gd.cayley.copy()
+    gd.cayley[3, 1] = gd.cayley[3, 0]
+    return gd
+
+
+def _unreachable():
+    # {+-I, +-R} is closed under right multiplication by -I, but R and -R
+    # are not reached from I
+    R = rotation(math.pi / 2)
+    return GroupData(elements=[np.eye(2), -np.eye(2), R, -R], char=np.ones(4),
+                     generators=np.array([1]),
+                     cayley=np.array([[1], [0], [3], [2]]))
+
+
+def _singular_generator():
+    # {I, P} for the projection P = diag(1, 0) is closed, and reached from I,
+    # but P has no inverse: it sends both elements to P
+    return GroupData(elements=[np.eye(2), np.diag([1.0, 0.0])], char=np.ones(2),
+                     generators=np.array([1]), cayley=np.array([[1], [1]]))
+
+
+@pytest.mark.parametrize("make, message", [
+    (_corrupted_cayley, "closure fails at element 3, generator 1"),
+    (_unreachable, "element 2 is not reachable from the identity"),
+    (_singular_generator, "generator 0 is not invertible"),
+], ids=["corrupted-cayley", "unreachable", "singular-generator"])
+def test_validate_group_flags_a_set_that_is_not_the_generated_group(make, message):
+    bad = validate_group(make())
+    assert any(msg.startswith(message) for msg in bad), bad
 
 
 def _project(A, gd, char="chi"):
@@ -164,7 +233,7 @@ def _project(A, gd, char="chi"):
 
 def test_project_swap_hand_oracle():
     gd = binomial_shear_group()
-    s = gd.elements[1 - gd.identity_index]
+    s = gd.elements[1]
     rng = np.random.default_rng(10)
     A = rng.standard_normal((2, 2))
     # chi-weighted average over {e, s} with chi(s) = -1
@@ -198,7 +267,7 @@ def _gl_chi_defect(A, gd, char="chi"):
     """Oracle: max deviation from the linear-space condition
     g A g^-1 = chi(g) A."""
     values = _resolve_char(gd, char)
-    return max(float(np.max(np.abs(g @ A @ gd.inverse(i) - values[i] * A)))
+    return max(float(np.max(np.abs(g @ A @ np.linalg.inv(g) - values[i] * A)))
                for i, g in enumerate(gd.elements))
 
 
@@ -240,18 +309,19 @@ def test_extended_group_swap_skeleton():
     assert ext.order == gd.order
     assert np.all(ext.char == 1.0)
     assert validate_group(ext) == []
-    # chi of the parent element that produced each element
-    provenance = gd.char[ext.base_index]
+    # element i is the image of the parent's element i
     for i in range(ext.order):
-        j = ext.base_index[i]
-        if provenance[i] > 0:
-            assert np.max(np.abs(ext.elements[i] - gd.elements[j])) < 1e-12
+        if gd.char[i] > 0:
+            assert np.max(np.abs(ext.elements[i] - gd.elements[i])) < 1e-12
         else:
-            assert np.max(np.abs(ext.elements[i] - gd.elements[j] @ A0)) < 1e-12
-    assert np.sum(provenance < 0) == 1
-    # the reversor composed with A0 is an involution of the extended group
-    r = int(np.nonzero(provenance < 0)[0][0])
-    assert ext.mult_table[r, r] == ext.identity_index
+            assert np.max(np.abs(ext.elements[i] - gd.elements[i] @ A0)) < 1e-12
+    assert np.sum(gd.char < 0) == 1
+    # the reversor composed with A0 is an involution of the extended group;
+    # it is the one generator, so its square is read off the Cayley table
+    r = int(np.nonzero(gd.char < 0)[0][0])
+    assert ext.generators.tolist() == [r]
+    assert ext.cayley[r, 0] == 0
+    assert np.max(np.abs(ext.elements[r] @ ext.elements[r] - np.eye(2))) < 1e-12
 
 
 def test_extended_group_rejects_nonequivariant_base():
@@ -279,22 +349,23 @@ def _extended_group_cases():
 
 
 def test_extended_group_table_is_a_tabulation_of_its_elements():
-    # the extended group takes G's tables and generators; tabulating its
-    # own elements gives the same tables
+    # the extended group takes G's Cayley table and generators; the oracle's
+    # full tabulation of its own elements agrees at the generator columns,
+    # and finds the identity at index 0 (its row of the table is the
+    # identity permutation)
     for gd, A0 in _extended_group_cases():
         ext = extended_group(gd, A0)
-        ref = GroupData.from_elements(ext.elements, ext.char)
-        assert np.array_equal(ext.mult_table, ref.mult_table)
-        assert ext.identity_index == ref.identity_index
-        assert np.array_equal(ext.inverse_index, ref.inverse_index)
-        assert np.array_equal(ext.generators, gd.generators)
-        assert np.array_equal(ext.base_index, np.arange(gd.order))
+        ref = tabulate_group(ext.elements, ext.char)
+        assert np.array_equal(ext.cayley, ref.cayley[:, ext.generators])
+        assert np.array_equal(ref.cayley[0], np.arange(gd.order))
+        assert validate_group(gd) == [] and validate_group(ext) == []
+        assert ext.generators is gd.generators and ext.cayley is gd.cayley
     assert gd.order == 200
 
 
 def test_tilde_character_rejects_a_non_multiplicative_character():
     R = rotation(2 * math.pi / 3)
-    gd = GroupData.from_elements([np.eye(2), R, R @ R], [1.0, -1.0, 1.0])
+    gd = tabulate_group([np.eye(2), R, R @ R], [1.0, -1.0, 1.0])
     ext = extended_group(gd, np.eye(2))  # I is in GL^chi for any chi
     with pytest.raises(BadCharacter, match="not multiplicative"):
         tilde_character(gd, "chi", ext)
@@ -316,7 +387,7 @@ def test_tilde_character_values():
     A0 = binomial_shear_matrix()
     ext = extended_group(gd, A0)
     tchi = tilde_character(gd, "chi", ext)
-    assert np.max(np.abs(tchi - gd.char[ext.base_index])) < 1e-12
+    assert np.max(np.abs(tchi - gd.char)) < 1e-12
     triv = tilde_character(gd, "trivial", ext)
     assert np.all(triv == 1.0)
 
@@ -356,4 +427,4 @@ def test_invariant_inner_product_nonnormal_input():
 def test_invariant_inner_product_rejects_nonsemisimple():
     with pytest.raises(NotSemisimple):
         invariant_inner_product(np.array([[1.0, 1.0], [0.0, 1.0]]),
-                                GroupData.from_elements([np.eye(2)], [1.0]))
+                                GroupData.from_generators([np.eye(2)], [1.0]))

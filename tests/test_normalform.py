@@ -31,7 +31,7 @@ from eqnf.polymap import (MapFamily, TruncatedMap, _linear_part_data, adk_field,
                           adk_operator, ck_operator, compose, exp_vf, hk_dim,
                           log_map, num_monomials)
 from oracles import (_restrict, ad_conjugate, conjugator, dense_degree_spaces,
-                     frozen_operator, is_identity)
+                     frozen_operator, is_identity, tabulate_group)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -219,7 +219,7 @@ def _check_degree_spaces_of_a_conjugate(S, P, j: int):
     # and an image of the conjugated operator to a residual that grows
     # like cond(P)^2.
     n = S.shape[0]
-    graded = (GroupData.from_elements([np.eye(n)], [1.0]), "chi")
+    graded = (GroupData.from_generators([np.eye(n)], [1.0]), "chi")
     S1 = P @ S @ np.linalg.inv(P)
     im_b, ker_b, _, _ = normalform._degree_spaces(S1, j, graded)
     ref_im, ref_ker, _, _ = dense_degree_spaces(S, j, graded)
@@ -276,7 +276,7 @@ def test_degree_spaces_refuse_a_non_semisimple_s0():
     # a Jordan block has no eigenvector basis; the dense SVD would have
     # returned its one-dimensional kernel
     J = np.array([[1.0, 1.0], [0.0, 1.0]])
-    gd = GroupData.from_elements([np.eye(2)], [1.0])
+    gd = GroupData.from_generators([np.eye(2)], [1.0])
     with pytest.raises(SplitFailure, match="not semisimple"):
         normalform._degree_spaces(J, 2, (gd, "chi"))
 
@@ -780,7 +780,7 @@ def _variants():
     """(make, runner, k, what differs) for a skeleton one input away from a
     MEMO_CASES one: only chi, only the gram matrix, or one ulp of A0."""
     swap = instance_swap2()
-    chi_plus = GroupData.from_elements(swap.gd.elements, np.ones(swap.gd.order))
+    chi_plus = tabulate_group(swap.gd.elements, np.ones(swap.gd.order))
     gram = AdaptedInnerProduct(np.array([[2.0, 0.5], [0.5, 2.0]]))
     block = instance_block_swap(3)
     A0 = block.A0.copy()
@@ -883,9 +883,11 @@ def test_warm_call_derives_no_skeleton(monkeypatch, make, runner, k):
 @pytest.mark.parametrize("runner", [semisimple_nf, nilpotent_nf])
 def test_cold_normal_form_reads_the_generators(monkeypatch, runner):
     # D_4 (order 8) and D_100 (order 200) have the same two generators: a
-    # cold call tabulates no group and sums no projection over the elements,
-    # and its adk_operator calls are bounded by the generators times k for
-    # both, where the element sums took 2|G| + 1 per degree
+    # cold call tabulates no group (its one matrix match is extended_group's
+    # refusal of g A0 = e, where a tabulation takes |G|^2) and sums no
+    # projection over the elements, and its adk_operator calls are bounded
+    # by the generators times k for both, where the element sums took
+    # 2|G| + 1 per degree
     k = 5
     for m in (4, 100):
         inst = _dihedral_instance(m)
@@ -893,17 +895,11 @@ def test_cold_normal_form_reads_the_generators(monkeypatch, runner):
         normalform._DEGREE_DATA_MEMO.clear()
         with monkeypatch.context() as mp:
             count = _count_calls(mp, normalform, "hk_projection", "adk_operator")
-            count["from_elements"] = 0
-            tabulate = groups.GroupData.from_elements.__func__
-
-            def counted(cls, *args):
-                count["from_elements"] += 1
-                return tabulate(cls, *args)
-
-            mp.setattr(groups.GroupData, "from_elements", classmethod(counted))
+            matches = _count_calls(mp, groups, "_find_match")
             res = runner(fam, inst.A0, inst.gd, inst.ip, k, lambdas=[[0.02]])
         assert res.residual <= 1e-10 and len(inst.gd.generators) == 2
-        assert count["hk_projection"] == count["from_elements"] == 0
+        assert count["hk_projection"] == 0
+        assert matches["_find_match"] == int(runner is semisimple_nf)
         assert count["adk_operator"] <= (3 * 2 + 2) * k
     normalform._DEGREE_DATA_MEMO.clear()
 
@@ -1099,7 +1095,7 @@ def test_nf_refuses_oversized_order_without_allocating(monkeypatch):
     # would take 477 MB
     n, k = 6, 8
     assert 8 * hk_dim(n, k) ** 2 > polymap.DENSE_BYTES_BUDGET
-    gd = GroupData.from_elements([np.eye(n)], [1.0])
+    gd = GroupData.from_generators([np.eye(n)], [1.0])
     ip = AdaptedInnerProduct.standard(n)
     fam = MapFamily(lambda lam: TruncatedMap.identity(n, k), n, k)
     monkeypatch.setattr(normalform, "_degree_data", None)  # never reached

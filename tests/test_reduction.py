@@ -1,4 +1,5 @@
 """q-fold lifts, the reduced map, and the determining equation."""
+import dataclasses
 import re
 
 import hypothesis.strategies as st
@@ -44,6 +45,18 @@ def test_build_lift_rejects_inconsistent_skeleton():
     gd = GroupData.from_generators([np.diag([1.0, -1.0])], [-1.0])
     with pytest.raises(InvariantViolation):
         build_lift(np.diag([2.0, 3.0]), np.eye(2), gd, 1)
+
+
+def test_build_lift_checks_the_representation_on_the_cayley_table():
+    # a Cayley table entry that names the wrong product: g_0 g_s = g_0 is
+    # false for every generator g_s != e
+    p = planted_q4()
+    gd = p.inst.gd
+    cayley = gd.cayley.copy()
+    cayley[0, 0] = 0
+    bad = dataclasses.replace(gd, cayley=cayley)
+    with pytest.raises(InvariantViolation, match="hat is a representation"):
+        build_lift(p.inst.A0, p.inst.S0, bad, p.q)
 
 
 def test_xi_rejects_vectors_outside_u():
