@@ -398,8 +398,13 @@ def cmd_verify(problem: Problem, args) -> int:
            float(np.max(np.abs(S @ N - N @ S))), 1e-10)
     record("linear equivariance",
            0.0 if is_chi_equivariant_linear(A, problem.gd) else 1.0, 0.5)
-    record("map equivariance",
-           0.0 if is_chi_equivariant_map(psi0, problem.gd) else 1.0, 0.5)
+    # the other checks are taken at the first grid lambda; the maps at the
+    # others are checked too, each under a name that gives its lambda
+    for i, lam in enumerate(problem.lambda_grid):
+        psi = psi0 if i == 0 else problem.family.at(lam)
+        name = "map equivariance" + (f" at lambda = {lam}" if i else "")
+        record(name, 0.0 if is_chi_equivariant_map(psi, problem.gd) else 1.0,
+               0.5)
 
     ip = invariant_inner_product(su.S, problem.gd)
     Sstar = ip.adjoint(su.S)

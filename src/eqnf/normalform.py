@@ -317,10 +317,12 @@ def _newton_degree(psi: TruncatedMap, W: TruncatedMap, j: int, sk: _Skeleton,
     log(base^-1 psi), transform factor, residual).
 
     W = log(base^-1 psi) is carried in from the previous stage, so the
-    evaluation at the generator u = 0 (Phi = identity, psi unchanged) takes
-    no log_map.  The residual is affine in the generator, so a step on the
-    exact Jacobian J(A) at psi's linear part A solves it; J(A) is built on
-    the first step only, from the C_j solver log_map holds for base^-1 A.
+    evaluation at the generator u = 0 (psi unchanged) takes no log_map.  A
+    stage that takes no step hands back None for its factor, the identity,
+    so that the driver composes nothing.  The residual is affine in the
+    generator, so a step on the exact Jacobian J(A) at psi's linear part A
+    solves it; J(A) is built on the first step only, from the C_j solver
+    log_map holds for base^-1 A.
     """
     n = psi.n
     Mj = num_monomials(n, j)
@@ -329,8 +331,7 @@ def _newton_degree(psi: TruncatedMap, W: TruncatedMap, j: int, sk: _Skeleton,
 
     def eval_at(u):
         if not u.any():
-            return (data.unwanted(W.layer(j).reshape(-1)),
-                    (TruncatedMap.identity(n, k), psi, W))
+            return data.unwanted(W.layer(j).reshape(-1)), (None, psi, W)
         Y = TruncatedMap.zero(n, k).with_layer(j, (data.unknown @ u).reshape(n, Mj))
         Phi = exp_vf(Y)
         psi_try = compose(compose(Phi, psi), exp_vf(-Y))
@@ -376,7 +377,8 @@ def _nf_driver(family, A0, gd: GroupData, ip: AdaptedInnerProduct, k: int,
         per_deg = [0.0]
         for j in degrees:
             psi, W, Phi_j, rj = _newton_degree(psi, W, j, sk, k)
-            transform = compose(Phi_j, transform)
+            if Phi_j is not None:  # compose(identity, T) is T, bit for bit
+                transform = compose(Phi_j, transform)
             per_deg.append(rj)
 
         # W came from a log_map, whose last flow is exp_vf(W)

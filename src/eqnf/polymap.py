@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .errors import (CkSingular, DimensionMismatch, NonFinite,
                      NonInvertibleLinearPart, ProblemTooLarge)
-from .linalg import lu_solve, real_log
+from .linalg import lu_solve, real_log, require_invertible
 
 LOG_MAP_TOL = 1e-14
 # Bytes that one dense square float64 operator may take: the m x m operators
@@ -400,6 +400,18 @@ def _diagonal_block(M: np.ndarray, n: int, order: int, d: int) -> np.ndarray:
     return M[s, s]
 
 
+@lru_cache(maxsize=None)
+def _substitution_scatter(n: int, d: int):
+    """_power_steps(n, d), the positions (a, b) of the products x_a x^b of a
+    degree-1 and a degree-(d - 1) monomial, and the flat bins row * M_d +
+    index of x_a x^b over the rows of the degree-d monomials."""
+    first, prev = _power_steps(n, d)
+    P = _prod_table(n, 1, d - 1)
+    a, b = np.indices(P.shape)
+    bins = (np.arange(len(first))[:, None] * len(first) + P.ravel()).ravel()
+    return first, prev, a.ravel(), b.ravel(), bins
+
+
 def _substitution_blocks(T: np.ndarray, k: int) -> list[np.ndarray]:
     """[S_1, ..., S_k]: S_d[a, b] = coefficient of x^b in (T x)^a over the
     degree-d monomials, the only nonzero blocks of the power matrix of the
@@ -413,12 +425,9 @@ def _substitution_blocks(T: np.ndarray, k: int) -> list[np.ndarray]:
     n = T.shape[0]
     blocks = [T.copy()]
     for d in range(2, k + 1):
-        first, prev = _power_steps(n, d)
-        P = _prod_table(n, 1, d - 1)
-        a, b = np.indices(P.shape)
+        first, prev, a, b, bins = _substitution_scatter(n, d)
         rows = len(first)
-        vals = (T[first][:, a.ravel()] * blocks[-1][prev][:, b.ravel()]).ravel()
-        bins = (np.arange(rows)[:, None] * rows + P.ravel()).ravel()
+        vals = (T[first][:, a] * blocks[-1][prev][:, b]).ravel()
         S = np.bincount(bins, weights=vals.real, minlength=rows * rows)
         if np.iscomplexobj(vals):
             S = S + 1j * np.bincount(bins, weights=vals.imag, minlength=rows * rows)
@@ -436,10 +445,32 @@ def substitution_matrix(T, k: int) -> np.ndarray:
     return _substitution_blocks(T, k)[-1]
 
 
+def _inverse_substitutions(T: np.ndarray, k: int) -> list[np.ndarray]:
+    """The read-only substitution blocks S_1..S_k of T^-1, after the checks
+    that T is finite and invertible."""
+    _require_finite("conjugating matrix", T)
+    require_invertible(T, "conjugating matrix")
+    blocks = _substitution_blocks(np.linalg.inv(T), k)
+    for S in blocks:
+        S.flags.writeable = False
+    return blocks
+
+
 def conjugate_linear(T, F: TruncatedMap) -> TruncatedMap:
-    """T o F o T^{-1} for an invertible matrix T."""
+    """T o F o T^{-1} for an invertible n x n matrix T.
+
+    The substitution blocks of T^-1 are kept by T's content and F's order
+    in _SUBSTITUTION_MEMO, so conjugations by the same matrices (a group's
+    elements, S0) build them once.  Raises DimensionMismatch when T is not
+    n x n, and, when T's blocks are built, NonFinite for an inf or NaN
+    entry and SingularInput for a T singular to working precision."""
     T = np.asarray(T, dtype=float)
-    blocks = _substitution_blocks(np.linalg.inv(T), F.order)
+    if T.shape != (F.n, F.n):
+        raise DimensionMismatch(
+            f"conjugating matrix has shape {T.shape}, expected {(F.n, F.n)}")
+    blocks = _SUBSTITUTION_MEMO.get_or_build(
+        (T.shape, T.tobytes(), F.order),
+        lambda: _inverse_substitutions(T, F.order))
     return TruncatedMap(F.n, F.order,
                         [T @ L @ S for L, S in zip(F.layers, blocks)])
 
@@ -687,27 +718,79 @@ def _transport_operator(X: TruncatedMap) -> np.ndarray:
     return L.reshape(size, size)
 
 
+def _lie_tail(a: float, b: float, order: int, q: int) -> float:
+    """The bound on the terms past L^q x / q! of exp_vf's Lie series (see
+    exp_vf): sum_{j < order} (b^j / j!) a^(q-j+1) e^a / (q-j+1)!, for
+    q >= order - 1; inf where it overflows."""
+    try:
+        return math.exp(a) * sum(
+            b ** j / math.factorial(j) * a ** (q - j + 1) / math.factorial(q - j + 1)
+            for j in range(order))
+    except OverflowError:
+        return math.inf
+
+
+def _lie_terms(a: float, b: float, order: int, cap: int) -> int | None:
+    """The least q >= order - 1 with _lie_tail(a, b, order, q) <= 2^-53, or
+    None when it exceeds cap.  At a = 0 the tail is 0 and q = order - 1."""
+    if not a:
+        return order - 1
+    # The tail's j = 0 term a^(q+1) e^a / (q+1)! is at least e^a while
+    # q + 1 <= a, and falls with q from there: when it exceeds 2^-53 at
+    # q = cap, it does at every q <= cap.
+    if _lie_tail(a, 0.0, 1, cap) > 2.0 ** -53:
+        return None
+    q = order - 1
+    while _lie_tail(a, b, order, q) > 2.0 ** -53:
+        q += 1
+        if q > cap:
+            return None
+    return q
+
+
+def _lie_series(L: np.ndarray, n: int, q: int) -> np.ndarray:
+    """sum_{i <= max(q, 1)} L^i x / i! on the n coordinate columns x of L:
+    q - 1 products of L with a thin block."""
+    term = L[:, :n]
+    E = np.eye(len(L), n) + term
+    for i in range(2, q + 1):
+        term = L @ term / i
+        E += term
+    return E
+
+
 def exp_vf(X: TruncatedMap, k: int | None = None) -> TruncatedMap:
     """Time-one flow of the polynomial vector field X, as a truncated map.
 
     The exponential of the transport operator L: F -> DF.X on the truncated
-    coefficient space, applied to the coordinate functions.  When X has no
-    linear part, L raises degree, so L^order = 0 there and the flow is the
-    finite Lie series sum_{i < order} L^i x / i! (Deprit, Celest. Mech. 1
-    (1969) 12-30), taken on the n coordinate columns; otherwise it is expm(L).
+    coefficient space, applied to the coordinate functions x: the Lie series
+    sum_{i <= q} L^i x / i! (Deprit, Celest. Mech. 1 (1969) 12-30), taken on
+    the n coordinate columns, when a bound on its tail reaches 2^-53 within
+    q terms and q n <= size(L), so that its q - 1 thin products cost at
+    most one dense product; expm(L) otherwise (Moler & Van Loan, SIAM Rev.
+    45 (2003) 3-49, methods 1 and 3).
+
+    The bound: split L = L1 + Ln, L1 the degree-preserving part, which
+    comes from the linear part X1.  Column alpha of L1's degree-d block
+    sums alpha_j |X1[j, l]|, at most d ||X1||_inf, so a = order ||X1||_inf
+    >= ||L1||_1, and b = ||L||_1 + a >= ||Ln||_1.  Ln raises degree, so on
+    the coordinate columns every word in L1 and Ln with order or more Ln
+    factors vanishes.  L^i holds binom(i, j) words with j factors Ln, so
+    the 1-norm of each column of the tail past q is at most
+    sum_{j < order} (b^j / j!) a^(q-j+1) e^a / (q-j+1)!.  Without a linear
+    part, a = 0 and the series is exact at q = order - 1.  Raises NonFinite
+    on a field with an inf or NaN coefficient.
     """
     if k is not None:
         X = X.truncated(k)
     n = X.n
     L = _transport_operator(X)
-    if X.layers[0].any():
-        E = scipy.linalg.expm(L)[:, :n]
-    else:
-        term = L[:, :n]
-        E = np.eye(len(L), n) + term
-        for i in range(2, X.order):
-            term = L @ term / i
-            E += term
+    a = X.order * float(np.abs(X.layers[0]).sum(axis=1).max())  # order ||X1||_inf
+    b = float(np.abs(L).sum(axis=0).max()) + a  # ||L||_1 + a
+    if not math.isfinite(b):
+        raise NonFinite("vector field has non-finite coefficients")
+    q = _lie_terms(a, b, X.order, len(L) // n)
+    E = scipy.linalg.expm(L)[:, :n] if q is None else _lie_series(L, n, q)
     return TruncatedMap.from_flat(n, X.order, E.T)
 
 
@@ -753,6 +836,12 @@ class _LinearPartData:
 
 # The data of the last linear part seen, keyed on its shape and bytes.
 _LINEAR_PART_MEMO = _LruMemo(1)
+
+# conjugate_linear's substitution blocks of T^-1, keyed on T's shape and
+# bytes and the order.  A normal form of one sample on a group of order up
+# to 8 conjugates by the |G| elements of G, the |G~| = |G| of the extended
+# group, S0 and the linear stage's transform: 8 + 8 + 2 matrices.
+_SUBSTITUTION_MEMO = _LruMemo(18)
 
 
 def _linear_part_data(A: np.ndarray) -> _LinearPartData:

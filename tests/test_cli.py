@@ -369,13 +369,12 @@ def test_nonequivariant_linear_part_exits_1(tmp_path, capsys):
     assert captured.err.startswith("invariant failure:")
 
 
-@pytest.mark.parametrize("grid, rc", [("0,0.02", 1), ("0", 0)])
-def test_family_not_equivariant_at_some_lambda_exits_1(tmp_path, capsys, grid, rc):
-    # D_4 (rotation by pi/2 with chi = +1, a reflection with chi = -1) around
-    # R(2 pi/5): the map is reversible at lambda = 0, but its slope
-    # x -> x + x^2 in component 0 is not, so the family leaves the
-    # reversible maps at lambda = 0.02, where the normal form stalls
-    doc = {
+def _d4_leaving_family():
+    """D_4 (rotation by pi/2 with chi = +1, a reflection with chi = -1)
+    around R(2 pi/5): the map is reversible at lambda = 0, but its slope
+    x -> x + x^2 in component 0 is not, so the family leaves the
+    reversible maps at lambda = 0.02."""
+    return {
         "dimension": 2, "order": 3,
         "map": {"terms": _linear_terms(corpus.rotation(2 * np.pi / 5)),
                 "parameter_slopes": [[
@@ -385,13 +384,33 @@ def test_family_not_equivariant_at_some_lambda_exits_1(tmp_path, capsys, grid, r
                                  [[1.0, 0.0], [0.0, -1.0]]],
                   "characters": [1.0, -1.0]},
     }
-    assert cli.main(["normal-form", _write(tmp_path, doc),
+
+
+@pytest.mark.parametrize("grid, rc", [("0,0.02", 1), ("0", 0)])
+def test_family_not_equivariant_at_some_lambda_exits_1(tmp_path, capsys, grid, rc):
+    # the normal form stalls at lambda = 0.02, where the map is not reversible
+    assert cli.main(["normal-form", _write(tmp_path, _d4_leaving_family()),
                      "--lambda-grid", grid]) == rc
     err = capsys.readouterr().err
     if rc:
         assert err.startswith("invariant failure:") and "0.02" in err
     else:
         assert err == ""
+
+
+@pytest.mark.parametrize("grid, rc", [("0,0.02", 1), ("0", 0)])
+def test_verify_checks_the_map_at_every_lambda(tmp_path, capsys, grid, rc):
+    path = _write(tmp_path, _d4_leaving_family())
+    assert cli.main(["verify", path, "--lambda-grid", grid,
+                     "--format", "machine"]) == rc
+    report = json.loads(capsys.readouterr().out)
+    names = [c["name"] for c in report["checks"] if "map equivariance" in c["name"]]
+    failing = [c["name"] for c in report["checks"] if not c["pass"]]
+    if rc:
+        assert names == ["map equivariance", "map equivariance at lambda = [0.02]"]
+        assert failing == ["map equivariance at lambda = [0.02]"]
+    else:
+        assert names == ["map equivariance"] and failing == []
 
 
 def test_trust_radius_failure_exits_3(tmp_path, capsys):

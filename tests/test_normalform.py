@@ -1001,6 +1001,53 @@ def test_swap2_nilpotent_normal_form_keeps_the_dense_ck(ck_builds):
     normalform._DEGREE_DATA_MEMO.clear()
 
 
+def _counting_expm(monkeypatch):
+    """The shapes of every scipy.linalg.expm call from here on."""
+    shapes = []
+    expm = scipy.linalg.expm
+
+    def counting_expm(A):
+        shapes.append(A.shape)
+        return expm(A)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    return shapes
+
+
+def test_warm_already_normal_wide6_call_takes_no_dense_flow(monkeypatch):
+    # the flows of order 3 have ||X1||_inf <= 0.008 and take a Lie series:
+    # the only expm are the linear stage's n x n e^phi and log_map's order-2
+    # residual flow, whose cap of 27 // 6 = 4 terms is below the 7 that
+    # ||X1|| needs there.  No degree stage steps, so no factor is composed,
+    # and G's, the extended group's and S0's substitution blocks are kept
+    # from the first call.
+    inst, k = _wide_instance(), 3
+    fam, _ = nf_form_family(inst, k, np.random.default_rng(7), with_tail=False)
+    cold = semisimple_nf(fam, inst.A0, inst.gd, inst.ip, k, lambdas=[[0.03]])
+    shapes = _counting_expm(monkeypatch)
+    counts = _count_calls(monkeypatch, normalform, "compose")
+    counts.update(_count_calls(monkeypatch, polymap, "_substitution_blocks"))
+    warm = semisimple_nf(fam, inst.A0, inst.gd, inst.ip, k, lambdas=[[0.03]])
+    assert sorted(set(shapes)) == [(6, 6), (27, 27)] and shapes.count((27, 27)) == 1
+    assert counts == {"compose": 0, "_substitution_blocks": 0}
+    for a, b in zip((*cold.transforms, *cold.exponents),
+                    (*warm.transforms, *warm.exponents)):
+        assert all(np.array_equal(x, y) for x, y in zip(a.layers, b.layers))
+    assert warm.diagnostics == cold.diagnostics and warm.residual <= 1e-12
+
+
+def test_swap2_nilpotent_normal_form_keeps_expm(monkeypatch):
+    # its flows carry N0 with ||N0||_inf = 2: no series fits, and exp_vf
+    # takes expm of the whole transport operator
+    inst, k = instance_swap2(), 4
+    fam = equivariant_family(inst, k, np.random.default_rng(3))
+    nilpotent_nf(fam, inst.A0, inst.gd, inst.ip, k, lambdas=[[0.02]])
+    shapes = _counting_expm(monkeypatch)
+    nilpotent_nf(fam, inst.A0, inst.gd, inst.ip, k, lambdas=[[0.02]])
+    size = sum(num_monomials(2, d) for d in range(1, k + 1))
+    assert (size, size) in shapes
+
+
 @pytest.mark.parametrize("runner", [semisimple_nf, nilpotent_nf])
 def test_reconstruction_reuses_the_last_log_map_flow(monkeypatch, runner):
     # _nf_driver's closing check psi = base exp_vf(W) takes the flow of the

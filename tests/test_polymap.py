@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from eqnf import polymap
 from eqnf.corpus import instance_nilpotent_kron, instance_swap2
 from eqnf.errors import (CkSingular, DimensionMismatch, EqnfError, NonFinite,
-                         NonInvertibleLinearPart)
+                         NonInvertibleLinearPart, SingularInput)
 from eqnf.linalg import real_log
 from eqnf.polymap import (AffineMapFamily, MapFamily, TruncatedMap,
                           _power_matrix, _transport_operator, adk_field,
@@ -34,6 +34,9 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # (n, order) pairs the table-driven kernels are checked at
 KERNEL_SIZES = [(1, 5), (2, 3), (3, 4), (4, 4), (6, 4)]
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
+                             database=None)
 
 
 def _mono_eval(x, al):
@@ -189,6 +192,47 @@ def test_conjugate_linear_action_law(rand_map):
     lhs = conjugate_linear(M1 @ M2, F)
     rhs = conjugate_linear(M1, conjugate_linear(M2, F))
     assert lhs.allclose(rhs, 1e-10)
+
+
+@pytest.mark.parametrize("T, error", [
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), NonFinite),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), NonFinite),
+    (np.array([[1.0, 2.0], [2.0, 4.0]]), SingularInput),
+    (np.zeros((2, 2)), SingularInput),
+    (np.eye(3), DimensionMismatch),
+    (np.ones((2, 3)), DimensionMismatch),
+    (np.ones(2), DimensionMismatch)])
+def test_conjugate_linear_refuses_a_bad_matrix(rand_map, T, error):
+    F = rand_map(np.random.default_rng(29), 2, 3)
+    for _ in range(2):  # a refusal stores nothing
+        with pytest.raises(error):
+            conjugate_linear(T, F)
+    assert issubclass(error, EqnfError)
+
+
+def test_conjugate_linear_builds_the_blocks_once_per_matrix(monkeypatch, rand_map):
+    rng = np.random.default_rng(30)
+    M = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
+    F, G = rand_map(rng, 3, 4), rand_map(rng, 3, 4)
+    polymap._SUBSTITUTION_MEMO.clear()
+    first = conjugate_linear(M, F)
+    builds = []
+    blocks = polymap._substitution_blocks
+
+    def counting_blocks(T, k):
+        builds.append(k)
+        return blocks(T, k)
+
+    monkeypatch.setattr(polymap, "_substitution_blocks", counting_blocks)
+    again = conjugate_linear(M.copy(), F)
+    assert all(np.array_equal(a, b) for a, b in zip(first.layers, again.layers))
+    conjugate_linear(M, G)
+    assert builds == []
+    conjugate_linear(M, G.truncated(3))  # another order builds its own
+    conjugate_linear(2 * M, G)
+    assert builds == [3, 4]
+    cached = polymap._SUBSTITUTION_MEMO[(M.shape, M.tobytes(), 4)]
+    assert not any(S.flags.writeable for S in cached)
 
 
 def test_adk_operator_matches_conjugation(rand_map):
@@ -349,6 +393,163 @@ def test_exp_vf_layer_d_needs_the_order_d_space_only(rand_map, n, order,
     for d in range(1, order + 1):
         assert (np.max(np.abs(exp_vf(X, d).layer(d) - full.layer(d)))
                 <= 1e-13 * max(1.0, full.max_abs()))
+
+
+# ---------------------------------------------------------------------------
+# exp_vf's Lie series for a field with a linear part, and its switch to expm
+
+def _lie_tail(a, b, order, q):
+    """The tail bound of exp_vf's docstring, past L^q x / q!."""
+    return math.exp(a) * math.fsum(
+        b ** j / math.factorial(j) * a ** (q - j + 1) / math.factorial(q - j + 1)
+        for j in range(order))
+
+
+def _least_q(a, b, order, cap):
+    """The least q in order - 1..cap whose tail bound is <= 2^-53, or None."""
+    return next((q for q in range(order - 1, cap + 1)
+                 if _lie_tail(a, b, order, q) <= 2.0 ** -53), None)
+
+
+def _series_inputs(X):
+    """(a, b, cap) of exp_vf's rule: a = order ||X1||_inf, b = ||L||_1 + a,
+    cap = size(L) // n."""
+    L = _transport_operator(X)
+    a = X.order * np.linalg.norm(X.linear(), np.inf)
+    return a, np.linalg.norm(L, 1) + a, len(L) // X.n
+
+
+def _series_q(X):
+    """The q that exp_vf's rule gives X, None for expm."""
+    a, b, cap = _series_inputs(X)
+    return _least_q(a, b, X.order, cap)
+
+
+def _field(n, order, amp, X1, seed):
+    rng = np.random.default_rng(seed)
+    X = TruncatedMap(n, order, [amp * rng.standard_normal((n, num_monomials(n, d)))
+                                for d in range(1, order + 1)])
+    X.layers[0] = X1
+    return X
+
+
+def _switch_scale(X, direction):
+    """The largest t, to 2^-40 relative, at which X with linear part
+    t * direction takes the series."""
+    def series(t):
+        return _series_q(X.with_layer(1, t * direction)) is not None
+
+    lo, hi = 0.0, 1.0
+    while series(hi):
+        lo, hi = hi, 2 * hi
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if series(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("a, b, order, cap, q", [
+    (0.0, 5.0, 4, 7, 3), (0.0, 0.0, 1, 1, 0), (0.02, 0.5, 4, 34, 9),
+    (0.02, 30.0, 4, 34, 11), (1e-3, 2.0, 2, 5, 5), (1e-3, 2.0, 2, 4, None),
+    (0.5, 1.0, 3, 34, 16), (3.0, 1.0, 4, 31, 31), (3.0, 1.0, 4, 30, None)])
+def test_lie_terms_is_the_least_q_within_the_tail_bound(a, b, order, cap, q):
+    assert polymap._lie_terms(a, b, order, cap) == q == _least_q(a, b, order, cap)
+    if q is not None:
+        assert _lie_tail(a, b, order, q) <= 2.0 ** -53
+        assert q == order - 1 or _lie_tail(a, b, order, q - 1) > 2.0 ** -53
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 5, 9])
+def test_lie_series_sums_exactly_q_terms(q):
+    # L the down-shift on 12 coordinates: L^i e_0 = e_i, so the series on
+    # the first column holds 1 / i! at i <= max(q, 1) and 0 past it
+    L = np.eye(12, k=-1)
+    E = polymap._lie_series(L, 1, q)
+    want = np.zeros(12)
+    want[:max(q, 1) + 1] = [1 / math.factorial(i) for i in range(max(q, 1) + 1)]
+    assert np.array_equal(E[:, 0], want)
+
+
+@pytest.mark.parametrize("n, order, amp, x1", [
+    (2, 4, 0.3, 1e-5), (3, 5, 1.0, 1e-4), (6, 4, 0.5, 0.005), (1, 5, 0.5, 1e-8),
+    (4, 3, 0.3, 0.0), (2, 1, 0.0, 0.0)])
+def test_exp_vf_sums_the_least_q_terms(monkeypatch, n, order, amp, x1):
+    rng = np.random.default_rng([95, n, order])
+    X = _field(n, order, amp, x1 * rng.standard_normal((n, n)), [96, n, order])
+    terms = []
+    series = polymap._lie_series
+
+    def recording_series(L, n, q):
+        terms.append(q)
+        return series(L, n, q)
+
+    monkeypatch.setattr(polymap, "_lie_series", recording_series)
+    monkeypatch.setattr(scipy.linalg, "expm", None)
+    exp_vf(X)
+    q = _series_q(X)
+    assert terms == [q] and q is not None
+    if not x1:
+        assert q == order - 1
+
+
+def test_exp_vf_takes_expm_past_the_switch(monkeypatch):
+    # the same field just below and just above the largest ||X1|| whose
+    # series fits in cap = size(L) // n terms
+    direction = np.random.default_rng(97).standard_normal((3, 3))
+    X = _field(3, 4, 0.5, np.zeros((3, 3)), 98)
+    t = _switch_scale(X, direction)
+    assert 0 < t < 1
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting_expm(A):
+        calls.append(A.shape)
+        return expm(A)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    below = X.with_layer(1, t * direction)
+    above = X.with_layer(1, t * (1 + 1e-9) * direction)
+    assert _series_q(below) == _series_inputs(below)[2]  # the largest q
+    exp_vf(below)
+    assert calls == []
+    exp_vf(above)
+    assert calls == [(_transport_operator(above).shape)]
+    E = exp_vf_expm(below)
+    assert (exp_vf(below) - E).max_abs() <= 1e-13 * max(1.0, E.max_abs())
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4), st.integers(1, 5), st.floats(0.0, 30.0),
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_property_exp_vf_series_matches_expm_oracle(n, order, amp, frac, seed):
+    # ||X1|| from 0 up to the switch, nonlinear layers up to amplitude 30
+    direction = np.random.default_rng(seed).standard_normal((n, n))
+    X = _field(n, order, amp, np.zeros((n, n)), seed)
+    X = X.with_layer(1, frac * _switch_scale(X, direction) * direction)
+    assert _series_q(X) is not None
+    E = exp_vf_expm(X)
+    assert (exp_vf(X) - E).max_abs() <= 1e-13 * max(1.0, E.max_abs())
+
+
+@pytest.mark.parametrize("x1", [0.0, 1e-3, 1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_exp_vf_rejects_a_non_finite_field(x1, bad):
+    # x1 = 0 and 1e-3 take the series, 1.0 takes expm
+    for d in (1, 3):
+        X = _field(2, 3, 0.3, x1 * np.array([[0.0, 1.0], [-1.0, 0.0]]), 99)
+        X.layers[d - 1][1, 0] = bad
+        with pytest.raises(NonFinite):
+            exp_vf(X)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 6))
+def test_compose_with_the_identity_is_exact(rand_map, n, k):
+    # the normal-form driver skips compose(identity, transform) for a degree
+    # stage that took no step
+    T = rand_map(np.random.default_rng([100, n, k]), n, k, amp=3.0, invertible=True)
+    C = compose(TruncatedMap.identity(n, k), T)
+    assert all(np.array_equal(a, b) for a, b in zip(C.layers, T.layers))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
@@ -680,10 +881,6 @@ def _near_identity_maps(draw, count):
         flat[:, :n] = np.eye(n) + 0.2 * flat[:, :n] / n
         maps.append(TruncatedMap.from_flat(n, order, flat))
     return maps
-
-
-PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
-                             database=None)
 
 
 @PROPERTY_SETTINGS
