@@ -721,10 +721,14 @@ def _transport_operator(X: TruncatedMap) -> np.ndarray:
 def _lie_tail(a: float, b: float, order: int, q: int) -> float:
     """The bound on the terms past L^q x / q! of exp_vf's Lie series (see
     exp_vf): sum_{j < order} (b^j / j!) a^(q-j+1) e^a / (q-j+1)!, for
-    q >= order - 1; inf where it overflows."""
+    a, b > 0 and q >= order - 1.  Each term is taken as the exponential of
+    its logarithm, so that no factorial or power meets the float range; inf
+    where the bound itself exceeds it."""
+    la, lb = math.log(a), math.log(b)
     try:
-        return math.exp(a) * sum(
-            b ** j / math.factorial(j) * a ** (q - j + 1) / math.factorial(q - j + 1)
+        return math.fsum(
+            math.exp(a + j * lb - math.lgamma(j + 1)
+                     + (q - j + 1) * la - math.lgamma(q - j + 2))
             for j in range(order))
     except OverflowError:
         return math.inf
@@ -735,11 +739,6 @@ def _lie_terms(a: float, b: float, order: int, cap: int) -> int | None:
     None when it exceeds cap.  At a = 0 the tail is 0 and q = order - 1."""
     if not a:
         return order - 1
-    # The tail's j = 0 term a^(q+1) e^a / (q+1)! is at least e^a while
-    # q + 1 <= a, and falls with q from there: when it exceeds 2^-53 at
-    # q = cap, it does at every q <= cap.
-    if _lie_tail(a, 0.0, 1, cap) > 2.0 ** -53:
-        return None
     q = order - 1
     while _lie_tail(a, b, order, q) > 2.0 ** -53:
         q += 1
@@ -838,10 +837,16 @@ class _LinearPartData:
 _LINEAR_PART_MEMO = _LruMemo(1)
 
 # conjugate_linear's substitution blocks of T^-1, keyed on T's shape and
-# bytes and the order.  A normal form of one sample on a group of order up
-# to 8 conjugates by the |G| elements of G, the |G~| = |G| of the extended
-# group, S0 and the linear stage's transform: 8 + 8 + 2 matrices.
-_SUBSTITUTION_MEMO = _LruMemo(18)
+# bytes and the order.  A normal-form call conjugates by the linear stage's
+# T1 once per sample, then, once per sample each, by G's elements, S0, G's
+# again and the extended group's: |G| + |G~| + 2 matrices at one sample,
+# 6 at the |G| = 2 of every benchmark workload and corpus skeleton, so a
+# warm one-sample call builds no block.  The T1 all come before the
+# diagnostics, whose repeats need |G| + 1 matrices held at a time.
+# Counted on three nf-sweep passes (438 conjugations of 63 matrices): 316
+# hits at size 6, 345 at 18, with the same pass time (0.142 s); nf-wide's
+# 32 conjugations of 8 matrices hit 24 times at any size from 4.
+_SUBSTITUTION_MEMO = _LruMemo(6)
 
 
 def _linear_part_data(A: np.ndarray) -> _LinearPartData:
@@ -869,8 +874,9 @@ def log_map(F: TruncatedMap) -> TruncatedMap:
     LU otherwise (see _CkSolver).  Up to 8 sweeps refine X until
     max|F - exp_vf(X)| <= LOG_MAP_TOL * max(1, max|F|).  Layer d of
     exp_vf(X) depends on X's layers up to d alone, so each degree's update
-    takes its residual on the order-d space.  The flow exp_vf(X) of the
-    last exit test is kept for _log_map_flow.
+    takes its residual on the order-d space; where X's layers of degree 2
+    to d are zero, the flow is linear and the residual is F's layer.  The
+    flow exp_vf(X) of the last exit test is kept for _log_map_flow.
     """
     _require_finite("map", *F.layers)
     data = _linear_part_data(F.linear())
@@ -878,7 +884,9 @@ def log_map(F: TruncatedMap) -> TruncatedMap:
     scale = max(1.0, F.max_abs())
     for _ in range(8):
         for d in range(2, F.order + 1):
-            r = F.layer(d) - exp_vf(X, d).layer(d)
+            r = F.layer(d)
+            if any(Y.any() for Y in X.layers[1:d]):
+                r = r - exp_vf(X, d).layer(d)
             w = data.ck_factor(d).solve((data.Ainv @ r).reshape(-1))
             X.layers[d - 1] += w.reshape(r.shape)
         flow = exp_vf(X)

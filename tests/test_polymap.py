@@ -399,10 +399,18 @@ def test_exp_vf_layer_d_needs_the_order_d_space_only(rand_map, n, order,
 # exp_vf's Lie series for a field with a linear part, and its switch to expm
 
 def _lie_tail(a, b, order, q):
-    """The tail bound of exp_vf's docstring, past L^q x / q!."""
-    return math.exp(a) * math.fsum(
-        b ** j / math.factorial(j) * a ** (q - j + 1) / math.factorial(q - j + 1)
-        for j in range(order))
+    """The tail bound of exp_vf's docstring, past L^q x / q!: its sum in
+    exact rationals, whose logarithm is taken from numerator and
+    denominator, so that no factorial or power meets the float range."""
+    s = sum(Fraction(b) ** j / math.factorial(j)
+            * Fraction(a) ** (q - j + 1) / math.factorial(q - j + 1)
+            for j in range(order))
+    if not s:
+        return 0.0
+    try:
+        return math.exp(a + math.log(s.numerator) - math.log(s.denominator))
+    except OverflowError:
+        return math.inf
 
 
 def _least_q(a, b, order, cap):
@@ -451,7 +459,9 @@ def _switch_scale(X, direction):
 @pytest.mark.parametrize("a, b, order, cap, q", [
     (0.0, 5.0, 4, 7, 3), (0.0, 0.0, 1, 1, 0), (0.02, 0.5, 4, 34, 9),
     (0.02, 30.0, 4, 34, 11), (1e-3, 2.0, 2, 5, 5), (1e-3, 2.0, 2, 4, None),
-    (0.5, 1.0, 3, 34, 16), (3.0, 1.0, 4, 31, 31), (3.0, 1.0, 4, 30, None)])
+    (0.5, 1.0, 3, 34, 16), (3.0, 1.0, 4, 31, 31), (3.0, 1.0, 4, 30, None),
+    # 171! and 60^245 exceed the float range
+    (1e-3, 2.0, 2, 200, 5), (60.0, 61.0, 2, 400, 244), (60.0, 61.0, 2, 243, None)])
 def test_lie_terms_is_the_least_q_within_the_tail_bound(a, b, order, cap, q):
     assert polymap._lie_terms(a, b, order, cap) == q == _least_q(a, b, order, cap)
     if q is not None:
@@ -572,6 +582,27 @@ def test_log_map_roundtrip(rand_map):
     X.layers[0] = 0.4 * rng.standard_normal((2, 2))
     L = log_map(exp_vf(X))
     assert L.allclose(X, 1e-12)
+
+
+def test_log_map_takes_no_flow_of_a_linear_field(monkeypatch, rand_map):
+    # F has no degree-2 layer, so neither has X: the degree-2 residuals
+    # and, in the first sweep, the degree-3 one are F's layers, no flow
+    rng = np.random.default_rng(62)
+    F = rand_map(rng, 2, 4, amp=0.2)
+    F.layers[0] = scipy.linalg.expm(0.1 * rng.standard_normal((2, 2)))
+    F.layers[1][:] = 0.0
+    calls = []
+
+    def recording_exp_vf(Y, k=None):
+        calls.append(Y.truncated(k or Y.order))
+        return exp_vf(Y, k)
+
+    monkeypatch.setattr(polymap, "exp_vf", recording_exp_vf)
+    X = log_map(F)
+    assert all(any(L.any() for L in Y.layers[1:]) for Y in calls)
+    assert [Y.order for Y in calls][:2] == [4, 4]  # sweep 1: d = 4, exit test
+    assert not X.layers[1].any()
+    assert (exp_vf(X) - F).max_abs() <= 1e-12
 
 
 def test_fischer_gram_adjointness():
