@@ -151,15 +151,15 @@ def load_problem(path: str, args) -> Problem:
     q = _field("q", _count, args.period if args.period is not None
                else doc.get("q", 1))
 
+    nparams = getattr(family, "nparams", 1)
     if args.lambda_grid is not None:
         grid = parse_lambda_grid(args.lambda_grid)
     else:
         grid = _field("lambda_grid", lambda vs: [
             [_finite(x) for x in np.atleast_1d(np.asarray(v, dtype=float))]
-            for v in vs], doc.get("lambda_grid", [[0.0]]))
+            for v in vs], doc.get("lambda_grid", [[0.0] * nparams]))
     if not grid:
         raise ParseFailure("lambda_grid must have at least one entry")
-    nparams = getattr(family, "nparams", 1)
     for g in grid:
         if len(g) != nparams:
             raise ParseFailure(

@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import (BadCharacter, InvariantViolation,
                      NotClosed, NotEquivariant, NotSemisimple)
-from .linalg import (EIGVEC_COND_LIMIT, AdaptedInnerProduct, as_square,
-                     kernel_basis, rank_tolerance, require_invertible,
-                     _cluster_means)
+from .linalg import (EIGVEC_COND_LIMIT, AdaptedInnerProduct, _clusters,
+                     as_square, rank_tolerance, require_invertible)
 
 MATCH_TOL = 1e-9  # two matrices match to MATCH_TOL * (1 + max|M|)
 MAX_GROUP_ORDER = 10_000
@@ -91,7 +90,8 @@ class GroupData:
     @classmethod
     def from_generators(cls, generators, gen_chars) -> "GroupData":
         """Close the generator set under multiplication (breadth-first),
-        recording the Cayley table; the identity is element 0.
+        recording the Cayley table; the identity is element 0.  gen_chars
+        holds one character value per generator (BadCharacter otherwise).
 
         A generator of infinite order (see _require_finite_order) raises
         NotClosed before the closure starts; a product with a non-finite
@@ -101,6 +101,10 @@ class GroupData:
         n = generators[0].shape[0] if generators else None
         if n is None:
             raise ValueError("at least one generator required (use np.eye for trivial)")
+        gen_chars = [float(c) for c in gen_chars]
+        if len(gen_chars) != len(generators):
+            raise BadCharacter(f"{len(generators)} generators but {len(gen_chars)} "
+                               "character values; one per generator required")
         for G in generators:
             _require_finite_order(G)
         # the elements found so far are stack[:len(chars)]; breadth-first,
@@ -110,7 +114,7 @@ class GroupData:
         stack[0] = np.eye(n)
         chars = [1.0]
         cayley = []
-        gens = list(zip(generators, [float(c) for c in gen_chars]))
+        gens = list(zip(generators, gen_chars))
         while len(cayley) < len(chars):
             i, row = len(cayley), []
             for G, c in gens:
@@ -279,62 +283,32 @@ def tilde_character(gd: GroupData, alpha, ext: GroupData) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# adapted inner product (spectral construction + group averaging)
+# adapted inner product (spectral projectors + group averaging)
 
 def invariant_inner_product(S0, gd: GroupData) -> AdaptedInnerProduct:
     """Inner product making S0 normal, every g orthogonal, and the adjoint
     satisfy g S0* = (S0*)^chi(g) g.
 
-    Built blockwise on the real spectral decomposition of S0 (standard product
-    on real eigenspaces, the J-symmetrized product on complex pairs), then
-    averaged over the group.
+    Built from one eigendecomposition S0 = V diag(mu) V^-1: the sum over the
+    eigenvalue clusters c of Re P_c^H P_c, where P_c = V[:, c] V^-1[c] is the
+    spectral projector of c, makes the spectral subspaces orthogonal and
+    keeps the standard product inside each (on a complex pair, the
+    J-symmetrized product of its real block); then averaged over the group.
     """
     S0 = require_invertible(S0, "S0")
     n = S0.shape[0]
     if not is_chi_equivariant_linear(S0, gd, tol=1e-8):
         raise NotEquivariant("S0 is not in GL^chi for the given group")
-    eigs = np.linalg.eigvals(S0)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    means = _cluster_means(eigs, 1e-7 * scale)
-
-    bases = []
-    mats = []
-    seen_conj = set()
-    for mu in means:
-        if abs(mu.imag) <= 1e-7 * scale:
-            lam = mu.real
-            B = kernel_basis(S0 - lam * np.eye(n))
-            if B.shape[1] == 0:
-                raise NotSemisimple(f"empty eigenspace for eigenvalue {lam}")
-            bases.append(B)
-            mats.append(np.eye(n))
-        else:
-            key = (round(mu.real, 9), round(abs(mu.imag), 9))
-            if key in seen_conj:
-                continue
-            seen_conj.add(key)
-            alpha, beta = mu.real, abs(mu.imag)
-            K = (S0 - alpha * np.eye(n)) @ (S0 - alpha * np.eye(n)) + beta ** 2 * np.eye(n)
-            B = kernel_basis(K)
-            if B.shape[1] == 0:
-                raise NotSemisimple(f"empty real block for eigenvalue pair {mu}")
-            bases.append(B)
-            J = (S0 - alpha * np.eye(n)) / beta
-            mats.append(0.5 * (np.eye(n) + J.T @ J))
-    total = int(sum(B.shape[1] for B in bases))
-    if total != n:
-        raise NotSemisimple(
-            f"spectral blocks span dimension {total} != {n}; S0 not semisimple")
-
-    Ball = np.hstack(bases)
-    Binv = np.linalg.inv(Ball)
+    mu, V = np.linalg.eig(S0)
+    if np.linalg.cond(V) > EIGVEC_COND_LIMIT:
+        raise NotSemisimple("S0 is not semisimple: its eigenvector matrix has "
+                            f"condition number above {EIGVEC_COND_LIMIT:.0e}")
+    Vinv = np.linalg.inv(V)
+    scale = max(1.0, float(np.max(np.abs(mu))))
     G1 = np.zeros((n, n))
-    offset = 0
-    for B, M in zip(bases, mats):
-        kb = B.shape[1]
-        P = B @ Binv[offset:offset + kb, :]  # projector onto block along the others
-        G1 += P.T @ M @ P
-        offset += kb
+    for c in _clusters(mu, 1e-7 * scale):
+        P = V[:, c] @ Vinv[c]
+        G1 += (P.conj().T @ P).real
 
     G = np.zeros((n, n))
     for i in range(gd.order):

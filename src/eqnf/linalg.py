@@ -188,8 +188,9 @@ class SUDecomposition:
     nil_log: np.ndarray
 
 
-def _cluster_means(values: np.ndarray, tol: float) -> list[complex]:
-    """Cluster complex values by connectivity at distance tol; return means."""
+def _clusters(values: np.ndarray, tol: float) -> list[list[int]]:
+    """Cluster complex values by connectivity at distance tol; return each
+    cluster's indices, the clusters in the order of their first members."""
     m = len(values)
     parent = list(range(m))
 
@@ -205,10 +206,15 @@ def _cluster_means(values: np.ndarray, tol: float) -> list[complex]:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
-    groups: dict[int, list[complex]] = {}
+    groups: dict[int, list[int]] = {}
     for i in range(m):
-        groups.setdefault(find(i), []).append(values[i])
-    return [np.mean(v) for v in groups.values()]
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _cluster_means(values: np.ndarray, tol: float) -> list[complex]:
+    """Means of the clusters of _clusters(values, tol)."""
+    return [np.mean(values[c]) for c in _clusters(values, tol)]
 
 
 def _squarefree_from_means(means: list[complex], imag_tol: float) -> np.ndarray:

@@ -18,15 +18,18 @@ form that `normalform._graded_part`'s generator conditions replace.
 normal test cases to non-normal ones.  `tabulate_group` tabulates all |G|^2
 products of a list of elements, the full table that
 `GroupData.from_generators`' Cayley table of the generators replaces.
+`blockwise_gram` builds the adapted gram from an SVD kernel basis per
+eigenvalue cluster and the inverse of the stacked bases, the form that
+`groups.invariant_inner_product`'s spectral projectors replace.
 """
 import math
 
 import numpy as np
 import scipy.linalg
 
-from eqnf.errors import BadCharacter, NotClosed
+from eqnf.errors import BadCharacter, NotClosed, NotSemisimple
 from eqnf.groups import MATCH_TOL, GroupData, _find_match
-from eqnf.linalg import nullspace, rank_tolerance
+from eqnf.linalg import _cluster_means, nullspace, rank_tolerance
 from eqnf.normalform import hk_projection
 from eqnf.polymap import (TruncatedMap, _diagonal_block, _power_matrix,
                           _transport_operator, adk_field, adk_operator,
@@ -160,3 +163,39 @@ def tabulate_group(elements, char) -> GroupData:
             raise NotClosed(f"element {i} has no inverse in the set")
     return GroupData(elements=elements, char=char,
                      generators=np.arange(order), cayley=table)
+
+
+def blockwise_gram(S0, gd: GroupData) -> np.ndarray:
+    """The gram of `groups.invariant_inner_product`, built blockwise on the
+    real spectral decomposition of S0: an SVD kernel basis per real
+    eigenvalue cluster (standard product) and per complex conjugate pair
+    (the J-symmetrized product), the projectors taken from the inverse of
+    the stacked bases, then averaged over the group and scaled to trace n."""
+    n = S0.shape[0]
+    eigs = np.linalg.eigvals(S0)
+    scale = max(1.0, float(np.max(np.abs(eigs))))
+    bases, mats, seen_conj = [], [], set()
+    for mu in _cluster_means(eigs, 1e-7 * scale):
+        if abs(mu.imag) <= 1e-7 * scale:
+            bases.append(nullspace(S0 - mu.real * np.eye(n)))
+            mats.append(np.eye(n))
+            continue
+        key = (round(mu.real, 9), round(abs(mu.imag), 9))
+        if key in seen_conj:
+            continue
+        seen_conj.add(key)
+        A, beta = S0 - mu.real * np.eye(n), abs(mu.imag)
+        bases.append(nullspace(A @ A + beta ** 2 * np.eye(n)))
+        J = A / beta
+        mats.append(0.5 * (np.eye(n) + J.T @ J))
+    if sum(B.shape[1] for B in bases) != n:
+        raise NotSemisimple("the spectral blocks do not span the space")
+    Binv = np.linalg.inv(np.hstack(bases))
+    G1, offset = np.zeros((n, n)), 0
+    for B, M in zip(bases, mats):
+        P = B @ Binv[offset:offset + B.shape[1]]
+        G1 += P.T @ M @ P
+        offset += B.shape[1]
+    G = sum(g.T @ G1 @ g for g in gd.elements)
+    G = (G + G.T) / 2
+    return G * (n / np.trace(G))

@@ -311,6 +311,41 @@ def test_infinite_group_is_a_parse_error(tmp_path, capsys):
     assert err.startswith("parse error: group:") and "modulus 2;" in err
 
 
+@pytest.mark.parametrize("characters", [[1.0], [1.0, -1.0, 1.0]])
+def test_generator_character_count_mismatch_is_a_parse_error(tmp_path, capsys,
+                                                             characters):
+    # with one character for two generators, verify passed on the group of
+    # the first generator alone
+    doc = {"dimension": 2, "order": 2,
+           "map": {"terms": _linear_terms(np.diag([0.5, 2.0]))},
+           "group": {"generators": [np.diag([-1.0, 1.0]).tolist(),
+                                    np.diag([1.0, -1.0]).tolist()],
+                     "characters": characters}}
+    rc = cli.main(["verify", _write(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("parse error: group:") and "one per generator" in err
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_default_lambda_grid_has_one_value_per_parameter(tmp_path, capsys, command):
+    # a map without parameter slopes has no parameters, so its default grid
+    # is the one sample lambda = (), as the explicit grid [[]] reads; the
+    # default [[0.0]] assumed one parameter and every subcommand exited 2
+    _planted_q4_problem(tmp_path)
+    doc = json.loads((tmp_path / "planted_q4.json").read_text())
+    del doc["map"]["parameter_slopes"], doc["lambda_grid"]
+    reports = []
+    for extra in ({}, {"lambda_grid": [[]]}):
+        out = tmp_path / "report.txt"
+        rc = cli.main([command, _write(tmp_path, {**doc, **extra}),
+                       "--format", "machine", "--output", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("command", ["decompose", "verify"])
 def test_report_takes_one_jordan_chevalley_split(tmp_path, capsys, monkeypatch,
                                                  command):

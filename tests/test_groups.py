@@ -19,7 +19,7 @@ from eqnf.groups import (GroupData, _resolve_char, extended_group,
                          is_chi_equivariant_map, project_map, tilde_character,
                          validate_group)
 from eqnf.polymap import TruncatedMap, conjugate_linear
-from oracles import conjugator, tabulate_group
+from oracles import blockwise_gram, conjugator, tabulate_group
 
 
 def test_from_generators_dihedral_closure():
@@ -52,6 +52,15 @@ def test_groups_record_their_generators():
     again = tabulate_group(gd.elements, gd.char)
     assert again.generators.tolist() == list(range(gd.order))
     assert np.array_equal(again.cayley[:, gd.generators], gd.cayley)
+
+
+@pytest.mark.parametrize("chars", [[1.0], [1.0, 1.0, -1.0], []])
+def test_from_generators_refuses_a_character_count_mismatch(chars):
+    # one character value per generator: a surplus on either side was
+    # dropped, and [1.0] gave the order-2 group of the first generator
+    gens = [np.diag([-1.0, 1.0]), np.diag([1.0, -1.0])]
+    with pytest.raises(BadCharacter, match="one per generator"):
+        GroupData.from_generators(gens, chars)
 
 
 def test_from_generators_rejects_infinite_group(monkeypatch):
@@ -428,3 +437,126 @@ def test_invariant_inner_product_rejects_nonsemisimple():
     with pytest.raises(NotSemisimple):
         invariant_inner_product(np.array([[1.0, 1.0], [0.0, 1.0]]),
                                 GroupData.from_generators([np.eye(2)], [1.0]))
+
+
+def _dihedral_skeleton(m: int):
+    """S0 = R(2 pi/5) under D_m = <R(2 pi/m), diag(1, -1)>, chi = -1 on the
+    reflections."""
+    return rotation(2 * math.pi / 5), GroupData.from_generators(
+        [rotation(2 * math.pi / m), np.diag([1.0, -1.0])], [1.0, -1.0])
+
+
+def _wide6_skeleton():
+    """The nf-wide skeleton: planar rotations by 2 pi/3, 2 pi/5 and 2.0,
+    reversed by diag(1, -1, 1, -1, 1, -1)."""
+    S0 = scipy.linalg.block_diag(*(rotation(theta) for theta in
+                                   (2 * math.pi / 3, 2 * math.pi / 5, 2.0)))
+    return S0, GroupData.from_generators([np.diag([1.0, -1.0] * 3)], [-1.0])
+
+
+def _skeleton(inst):
+    return inst.S0, inst.gd
+
+
+GRAM_SKELETONS = {
+    "swap2": lambda: _skeleton(instance_swap2()),
+    "rot_reflect3": lambda: _skeleton(instance_rot_reflect(3)),
+    "rot_reflect4": lambda: _skeleton(instance_rot_reflect(4)),
+    "sign_z2": lambda: _skeleton(instance_sign_z2(3)),
+    "block_swap3": lambda: _skeleton(instance_block_swap(3)),
+    "block_swap5": lambda: _skeleton(instance_block_swap(5)),
+    "nilpotent_kron4": lambda: _skeleton(instance_nilpotent_kron(4)),
+    "planted_q4": lambda: _skeleton(planted_q4().inst),
+    "planted_q2": lambda: _skeleton(planted_q2().inst),
+    "planted_q1": lambda: _skeleton(planted_q1().inst),
+    "wide6": _wide6_skeleton,
+    "D4": lambda: _dihedral_skeleton(4),
+    "D25": lambda: _dihedral_skeleton(25),
+    "D100": lambda: _dihedral_skeleton(100),
+}
+
+
+def _conjugated(S0, gd, cond: float, seed: int):
+    """(S0, gd) in the coordinates x -> P x, with P = conjugator(n, cond,
+    seed): S0 and the generators conjugated by P."""
+    P = conjugator(S0.shape[0], cond, seed)
+    Pinv = np.linalg.inv(P)
+    gens = [P @ gd.elements[i] @ Pinv for i in gd.generators]
+    return P @ S0 @ Pinv, GroupData.from_generators(gens, gd.char[gd.generators])
+
+
+def _conjugated_skeleton(seed: int, cond: float):
+    """random_semisimple_instance(seed) conjugated by conjugator(n, cond, seed)."""
+    return _conjugated(*random_semisimple_instance(np.random.default_rng(seed)),
+                       cond, seed)
+
+
+def _gram_defect(S0, gd) -> float:
+    """Largest difference of the spectral-projector gram from the blockwise
+    oracle's, relative to the oracle's largest entry."""
+    ref = blockwise_gram(S0, gd)
+    gram = invariant_inner_product(S0, gd).gram
+    return float(np.max(np.abs(gram - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_SKELETONS))
+def test_gram_matches_the_blockwise_oracle(name):
+    assert _gram_defect(*GRAM_SKELETONS[name]()) <= 1e-12
+
+
+@pytest.mark.parametrize("cond", [1.0, 10.0])
+def test_gram_matches_the_blockwise_oracle_in_conjugated_coordinates(cond):
+    worst = max(_gram_defect(*_conjugated_skeleton(seed, cond)) for seed in range(100))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("cond", [1.0, 10.0])
+@pytest.mark.parametrize("name", ["block_swap3", "block_swap5", "nilpotent_kron4"])
+def test_gram_keeps_the_standard_product_inside_a_repeated_eigenvalue(name, cond):
+    # eig's eigenvectors of a repeated eigenvalue of a conjugated S0 are not
+    # orthonormal; the gram keeps their span's Gram V_c^H V_c, so the
+    # V^-H V^-1 of the eigenvector matrix (off by up to 0.5 here) is not it
+    for seed in range(5):
+        assert _gram_defect(*_conjugated(*GRAM_SKELETONS[name](), cond, seed)) <= 1e-12
+
+
+@pytest.mark.parametrize("cond", [1.0, 10.0, 100.0])
+def test_invariant_inner_product_in_conjugated_coordinates(cond):
+    # the product is built at every seed, and its postconditions hold: the
+    # blockwise construction refused 9 of these 100 at cond(P) = 100, where
+    # the SVD kernels of S0 - mu I missed a dimension of an eigenspace
+    for seed in range(100):
+        S0, gd = _conjugated_skeleton(seed, cond)
+        n, gram = S0.shape[0], invariant_inner_product(S0, gd).gram
+        assert np.allclose(gram, gram.T, rtol=0.0, atol=1e-12 * np.max(np.abs(gram)))
+        assert np.linalg.eigvalsh(gram)[0] > 0.0
+        assert abs(np.trace(gram) - n) <= 1e-12 * n
+        S0s = np.linalg.solve(gram, S0.T @ gram)
+        snorm = max(1.0, np.linalg.norm(S0) ** 2)
+        assert np.linalg.norm(S0 @ S0s - S0s @ S0) <= 1e-9 * snorm, seed
+        S0s_inv = np.linalg.inv(S0s)
+        for g, c in zip(gd.elements, gd.char):
+            assert np.linalg.norm(g.T @ gram @ g - gram) <= 1e-9 * max(
+                1.0, np.linalg.norm(g) ** 2) * np.linalg.norm(gram), seed
+            target = S0s if c > 0 else S0s_inv
+            assert np.linalg.norm(g @ S0s - target @ g) <= 1e-9 * snorm, seed
+
+
+def test_invariant_inner_product_takes_one_eigendecomposition(monkeypatch):
+    # one eig of S0 gives every spectral projector: no SVD kernel basis per
+    # eigenvalue cluster, no eigvals
+    S0, gd = _wide6_skeleton()
+    calls = []
+    for name in ("eig", "eigvals", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    invariant_inner_product(S0, gd)
+    # require_invertible takes S0's singular values, is_chi_equivariant_linear
+    # those of S0 again
+    assert calls.count("eig") == 1 and "eigvals" not in calls
+    assert calls.count("svd") <= 2

@@ -680,8 +680,9 @@ def test_nilpotent_nf_swap2_k6_needs_log_map_refinement():
 
 def test_nilpotent_nf_swap2_k6_census_of_stalls():
     # The degree-6 stage of swap2 works at its round-off floor, and some
-    # cases stall there: 4 or 5 of these 36, depending on round-off.  A
-    # cheaper flow or logarithm must not raise that floor.
+    # cases stall there: 2 of these 36, (rng 2, lambda -0.03) and (6, 0);
+    # earlier flows and logarithms stalled on 4 or 5, so the count moves
+    # with round-off.  A cheaper flow or logarithm must not raise that floor.
     inst = instance_swap2()
     stalls = []
     for rng in range(12):
