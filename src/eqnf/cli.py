@@ -22,7 +22,7 @@ from .errors import (EqnfError, InvariantViolation, NoConvergence,
 from .groups import (GroupData, invariant_inner_product,
                      is_chi_equivariant_linear, is_chi_equivariant_map,
                      validate_group)
-from .linalg import su_decomposition
+from .linalg import expm, su_decomposition
 from .normalform import nilpotent_nf, semisimple_nf
 from .polymap import AffineMapFamily, TruncatedMap, _require_dense_fits
 from .reduction import (_ghat_defects, _reduced_jacobian, _vstar, build_lift,
@@ -242,8 +242,7 @@ def cmd_decompose(problem: Problem, args) -> int:
     S, N = su.S, A - su.S  # the Jordan-Chevalley split su_decomposition took
     res_sum = float(np.max(np.abs(A - S - N)))
     res_comm = float(np.max(np.abs(S @ N - N @ S)))
-    import scipy.linalg as sla
-    res_su = float(np.max(np.abs(A - su.S @ sla.expm(su.nil_log))))
+    res_su = float(np.max(np.abs(A - su.S @ expm(su.nil_log))))
     doc = {
         "command": "decompose",
         "A": _matrix_obj(A),

@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .groups import (GroupData, invariant_inner_product,
                      is_chi_equivariant_map, project_map)
-from .linalg import AdaptedInnerProduct
+from .linalg import AdaptedInnerProduct, expm
 from .normalform import _degree_spaces, _grading, admissible_exponent_basis
 from .polymap import (MapFamily, TruncatedMap, _require_dense_fits, exp_vf,
                       num_monomials)
@@ -87,7 +86,7 @@ class Instance:
 
 
 def _finish(name, S0, N0, gd, q) -> Instance:
-    A0 = S0 @ scipy.linalg.expm(N0)
+    A0 = S0 @ expm(N0)
     ip = invariant_inner_product(S0, gd)
     return Instance(name=name, A0=A0, S0=S0, N0=N0, gd=gd, q=q, ip=ip)
 

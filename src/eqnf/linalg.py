@@ -4,17 +4,19 @@ Everything here works on plain numpy arrays.  The two decompositions are the
 additive one (A = S + N with S semisimple, N nilpotent, SN = NS) and the
 multiplicative one (A = S * exp(L) with L = log(I + S^-1 N) nilpotent); both
 are unique, commute with conjugation, and are computed by a Newton iteration
-on the squarefree part of the characteristic polynomial.  The damped Newton
-kernel at the end serves every solver stage of the normal form and the
-reduction, and beside it `lu_solve` solves every system whose LU factors
-the package keeps.
+on the squarefree part of the characteristic polynomial.  `real_log` and
+`expm` are the matrix logarithm and exponential.  The damped Newton kernel
+at the end serves every solver stage of the normal form and the reduction,
+and beside it an `InverseSolver` solves every system whose matrix the
+package keeps, and gives its exact 1-norm condition number.  numpy is the
+only dependency; scipy serves the tests as an oracle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DimensionMismatch, NoConvergence, NonFinite,
                      NoRealLogarithm, NotUnipotent, SingularInput)
@@ -39,6 +41,14 @@ SQRT_MAX_ITER = 60  # Denman-Beavers steps per square root in real_log
 JC_TOL = 1e-10  # Jordan-Chevalley postconditions, relative
 JC_CLUSTER_FACTORS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-3)  # x spectral radius
 SQUAREFREE_MAX_ITER = 60
+# InverseSolver refines x = A^-1 b once when kappa_1(A) exceeds the first,
+# and twice past the second.  The backward error of the inverse-based solve
+# grows like kappa(A) u (Higham 2002, section 14.1); up to kappa_1 = 32 it
+# stayed below 2 n u on random n x n systems, n = 2..160, with b = A x for
+# random x.  A step leaves a forward error of about kappa u times the last
+# one, so one step reaches the unit roundoff while kappa^2 u^2 <= u, that is
+# kappa <= u^-1/2 = 2^26.5.
+SOLVE_REFINE_KAPPA = (32.0, 2.0 ** 26.5)
 
 
 def as_square(A, name: str = "matrix") -> np.ndarray:
@@ -171,6 +181,158 @@ def real_log(A) -> np.ndarray:
     Z = np.linalg.solve(I + PADE_NODES[:, None, None] * M,
                         np.broadcast_to(M, (len(PADE_NODES), n, n)))
     return 2.0 ** s * np.tensordot(PADE_WEIGHTS, Z, 1)
+
+
+def _expm_pade(m: int) -> np.ndarray:
+    """b_0..b_m of the [m/m] Pade approximant p(x) / p(-x) of e^x, with
+    p(x) = sum b_j x^j scaled to b_m = 1: b_j = (2m - j)! / (j! (m - j)!),
+    integers, the largest of which round to the nearest double."""
+    f = math.factorial
+    return np.array([float(f(2 * m - j) // (f(j) * f(m - j)))
+                     for j in range(m + 1)])
+
+
+# expm's Pade degrees m and their theta_m: r_m(2^-s A)^(2^s) has backward
+# error at most the unit roundoff once alpha = max(d_p, d_p+1) <= theta_m,
+# with d_p = ||A^p||_1^(1/p) (Al-Mohy & Higham 2009, Table 3.1; for m <= 9
+# these are Higham's 2005 theta_m).  theta_13 is the 4.25 of their
+# Algorithm 5.1, below the 5.37 of the bound, which the ell correction
+# offsets.
+EXPM_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+              7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
+EXPM_PADE = {m: _expm_pade(m) for m in EXPM_THETA}
+
+
+def _expm_uv(b: np.ndarray) -> np.ndarray:
+    """The rows of coefficients that take expm's power stack, highest power
+    first and I last, to its sums: for m <= 9, (A^m-1, ..., A^2, I) to
+    U / A and V; for m = 13, (A^6, A^4, A^2, I) to the four sums of
+    U = A (A^6 [row 0] + [row 1]) and V = A^6 [row 2] + [row 3] (Higham
+    2005, (2.12))."""
+    m = len(b) - 1
+    if m < 13:
+        return np.array([b[m::-2], b[m - 1::-2]])
+    return np.array([[*b[13:8:-2], 0.0], b[7::-2], [*b[12:7:-2], 0.0], b[6::-2]])
+
+
+_EXPM_UV = {m: _expm_uv(b) for m, b in EXPM_PADE.items()}
+_EXPM_SCALE_POWERS = np.array([6, 4, 2])[:, None, None]  # of A^6, A^4, A^2
+
+
+# |c_2m+1| = (m!)^2 / ((2m)! (2m+1)!), the leading coefficient of the
+# backward error log(e^-x r_m(x)), for ell
+_EXPM_LEAD = {m: math.factorial(m) ** 2
+              / (math.factorial(2 * m) * math.factorial(2 * m + 1))
+              for m in EXPM_THETA}
+
+
+class _ExpmEll:
+    """Al-Mohy & Higham's ell(2^-s A, m) = max(ceil(log2(alpha / u) / 2m), 0),
+    alpha = |c_2m+1| || |2^-s A|^(2m+1) ||_1 / ||2^-s A||_1, u = 2^-53: the
+    extra squarings that keep the leading backward-error term below u.  As
+    || |A|^p ||_1 <= ||A||_1^p, ell is 0 without forming |A|^p when
+    |c_2m+1| ||2^-s A||_1^2m <= u.  Otherwise || |A|^p ||_1 is taken
+    exactly, as the largest entry of 1^T |A|^p; the calls of one expm ask
+    for increasing p, so each row vector is the last one times |A|^(p - p'),
+    by binary steps over the squares |A|^(2^i)."""
+
+    def __init__(self, absA: np.ndarray, colsums: np.ndarray, a1: float):
+        self.a1, self.squares, self.p, self.v = a1, [absA], 1, colsums
+
+    def __call__(self, m: int, s: int) -> int:
+        u, a1 = 2.0 ** -53, self.a1 * 2.0 ** -s
+        if _EXPM_LEAD[m] * a1 ** (2 * m) <= u:
+            return 0
+        step, i = 2 * m + 1 - self.p, 0
+        while step:
+            if i == len(self.squares):
+                self.squares.append(self.squares[-1] @ self.squares[-1])
+            if step & 1:
+                self.v = self.v @ self.squares[i]
+            step, i = step >> 1, i + 1
+        self.p = 2 * m + 1
+        alpha = _EXPM_LEAD[m] * float(self.v.max()) * 2.0 ** (-s * self.p) / a1
+        return max(math.ceil(math.log2(alpha / u) / (2 * m)), 0) if alpha else 0
+
+
+def _onenorm(W: np.ndarray):
+    """The 1-norm of a matrix, or the list of 1-norms of a stack of them."""
+    return np.abs(W).sum(axis=-2).max(axis=-1, initial=0.0).tolist()
+
+
+def expm(A) -> np.ndarray:
+    """Matrix exponential e^A of a real square A.
+
+    Scaling and squaring with the [m/m] Pade approximant r_m, m in
+    3, 5, 7, 9, 13: Algorithm 5.1 of Al-Mohy & Higham (SIAM J. Matrix Anal.
+    Appl. 31 (2009) 970-989), after Higham (ibid. 26 (2005) 1179-1193),
+    with every 1-norm of a power of A taken exactly.  m is the least degree
+    whose theta_m bounds max(d_p, d_p+1) over the powers formed so far and
+    whose ell is 0; past theta_9, m = 13 and A is scaled by 2^-s, s the
+    least with 2^-s max(d_p, d_p+1) <= theta_13, plus ell.  Then
+    r_m = (V - U)^-1 (V + U), squared s times.  As every d_p <= ||A||_1,
+    an A with ||A||_1 <= theta_3 takes m = 3 without forming A^4 and A^6.
+    A diagonal A takes exp of its diagonal, so that expm(0) is exactly I.
+    Raises NonFinite on an inf or NaN entry; where e^A or the powers of A
+    leave the float range, the result holds inf or NaN entries.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expm needs a square matrix, got shape {A.shape}")
+    absA = np.abs(A)
+    colsums = absA.sum(axis=0)
+    a1 = float(colsums.max(initial=0.0))  # NaN or inf on such entries
+    if not math.isfinite(a1):
+        raise NonFinite("expm: matrix has non-finite entries")
+    n = A.shape[0]
+    diag = A.diagonal()
+    if np.count_nonzero(A) == np.count_nonzero(diag):
+        return np.diag(np.exp(diag))
+    ell = _ExpmEll(absA, colsums, a1)
+    # the power stack A^8, A^6, A^4, A^2, I
+    W = np.empty((5, n, n))
+    W[4] = np.eye(n)
+    np.matmul(A, A, out=W[3])
+    m, s = 3, 0
+    if not (a1 <= EXPM_THETA[3] and not ell(3, 0)):
+        np.matmul(W[3], W[3], out=W[2])
+        np.matmul(W[3], W[2], out=W[1])
+        n6, n4 = _onenorm(W[1:3])
+        d6 = n6 ** (1 / 6)
+        eta = max(n4 ** 0.25, d6)
+        for m in (3, 5):
+            if eta <= EXPM_THETA[m] and not ell(m, 0):
+                break
+        else:
+            np.matmul(W[2], W[2], out=W[0])
+            d8 = _onenorm(W[0]) ** 0.125
+            eta = max(d6, d8)
+            for m in (7, 9):
+                if eta <= EXPM_THETA[m] and not ell(m, 0):
+                    break
+            else:
+                m = 13
+                eta = min(eta, max(d8, _onenorm(W[2] @ W[1]) ** 0.1))
+                if not math.isfinite(eta):  # a power overflowed; d_p <= ||A||_1
+                    eta = a1
+                s = max(math.ceil(math.log2(eta / EXPM_THETA[13])), 0) if eta else 0
+                s += ell(13, s)
+                if s:
+                    A = A * 2.0 ** -s
+                    W[1:4] *= 2.0 ** (-s * _EXPM_SCALE_POWERS)
+    k = (m + 1) // 2 if m < 13 else 4
+    X = (_EXPM_UV[m] @ W[5 - k:].reshape(k, n * n)).reshape(-1, n, n)
+    if m < 13:
+        U, V = A @ X[0], X[1]
+    else:
+        U, V = A @ (W[1] @ X[0] + X[1]), W[1] @ X[2] + X[3]
+    # r_m = (V - U)^-1 (V + U) = (V + U) (V - U)^-1, taken from the LU of
+    # (V - U)^T: on the near-triangular transport operators of exp_vf the
+    # LU of V - U itself put e^A up to 4 times farther from the exact one
+    E = np.linalg.solve((V - U).T, (V + U).T).T
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 # ---------------------------------------------------------------------------
@@ -456,26 +618,43 @@ def _one_row(evaluate, solve):
     return evaluate_rows, solve_rows
 
 
-def lu_solve(lu_piv, b) -> np.ndarray:
-    """Solve A x = b for a vector or a matrix of columns b, given the
-    (lu, piv) factors of a real A that scipy.linalg.lu_factor returns.
+class InverseSolver:
+    """A square A kept with its inverse, for repeated solves A x = b with a
+    vector or a block of columns b.
 
-    Calls LAPACK dgetrs once, exactly as scipy.linalg.lu_solve does, and
-    makes the same checks, but skips that wrapper's per-call dispatch, which
-    costs about ten times the solve itself on the small systems of the v*
-    Newton loop.  Raises NonFinite when b holds inf or NaN and
-    DimensionMismatch when b does not have as many rows as A.
+    A solve takes x = A^-1 b and, as kappa passes each bound of
+    SOLVE_REFINE_KAPPA, one step of fixed-precision iterative refinement,
+    x += A^-1 (b - A x) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., SIAM 2002, section 12.2), which brings the backward
+    error of the inverse-based solve to the order of the unit roundoff
+    while kappa(A) u is well below 1.  kappa is the exact 1-norm condition
+    number ||A||_1 ||A^-1||_1.  An A that np.linalg.inv finds singular, or
+    whose inverse is not finite, raises `singular`, the caller's typed
+    error, naming `what`.  A solve raises NonFinite when b holds inf or NaN
+    and DimensionMismatch when b does not have as many rows as A.
     """
-    lu, piv = lu_piv
-    b = np.asarray(b, dtype=float)
-    if not np.isfinite(b).all():
-        raise NonFinite("LU solve: right-hand side has non-finite entries")
-    if b.shape[0] != lu.shape[0]:
-        raise DimensionMismatch(
-            f"LU solve: factors of shape {lu.shape}, right-hand side {b.shape}")
-    if b.size == 0:
-        return np.empty_like(b)
-    x, info = scipy.linalg.lapack.dgetrs(lu, piv, b)
-    if info != 0:
-        raise ValueError(f"LU solve: illegal value in argument {-info} of dgetrs")
-    return x
+
+    __slots__ = ("A", "inv", "kappa", "refine_steps")
+
+    def __init__(self, A, singular: type[Exception], what: str):
+        self.A = np.asarray(A, dtype=float)
+        try:
+            self.inv = np.linalg.inv(self.A)
+        except np.linalg.LinAlgError:
+            self.inv = None
+        if self.inv is None or not np.isfinite(self.inv).all():
+            raise singular(f"{what} is numerically singular (kappa_1 = inf)")
+        self.kappa = _onenorm(self.A) * _onenorm(self.inv)
+        self.refine_steps = sum(self.kappa > k for k in SOLVE_REFINE_KAPPA)
+
+    def solve(self, b) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        if not np.isfinite(b).all():
+            raise NonFinite("solve: right-hand side has non-finite entries")
+        if b.shape[0] != self.A.shape[0]:
+            raise DimensionMismatch(
+                f"solve: matrix of shape {self.A.shape}, right-hand side {b.shape}")
+        x = self.inv @ b
+        for _ in range(self.refine_steps):
+            x += self.inv @ (b - self.A @ x)
+        return x

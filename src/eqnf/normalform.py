@@ -16,14 +16,13 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SplitFailure
 from .groups import (GroupData, _resolve_char, extended_group, project_map,
                      tilde_character)
-from .linalg import (EIGVEC_COND_LIMIT, AdaptedInnerProduct, image_basis,
-                     lu_solve, newton, nullspace, rank_tolerance, real_log,
-                     require_invertible, su_decomposition)
+from .linalg import (EIGVEC_COND_LIMIT, AdaptedInnerProduct, InverseSolver,
+                     expm, image_basis, newton, nullspace, rank_tolerance,
+                     real_log, require_invertible, su_decomposition)
 from .polymap import (TruncatedMap, _CkSolver, _linear_part_data,
                       _log_map_flow, _LruMemo, _require_dense_fits,
                       _transport_operator, adk_field, adk_operator, compose,
@@ -137,14 +136,14 @@ class _DegreeData:
     admissible: np.ndarray
     n_im: int
     n_kerim: int
-    blend_lu: tuple
+    blend: InverseSolver  # the image basis and its complements, by columns
     unknown: np.ndarray
     J0: np.ndarray  # J(A0); the linear stage steps on it
     jac_smin: float
     jac_smax: float
 
     def unwanted(self, vec: np.ndarray) -> np.ndarray:
-        c = lu_solve(self.blend_lu, vec)
+        c = self.blend.solve(vec)
         return c[:self.n_im + self.n_kerim]
 
 
@@ -181,8 +180,9 @@ def _degree_data(j: int, sk: "_Skeleton") -> _DegreeData:
         blend = np.hstack([im_b, ker_b])
         unknown = T_im
         n_kerim = 0
+    blend = InverseSolver(blend, SplitFailure, f"degree {j}: the split basis")
     data = _DegreeData(admissible=adm_b, n_im=rank, n_kerim=n_kerim,
-                       blend_lu=scipy.linalg.lu_factor(blend), unknown=unknown,
+                       blend=blend, unknown=unknown,
                        J0=None, jac_smin=0.0, jac_smax=0.0)
     # A0 = A0 e^0 in semisimple mode and S0 e^{N0} in nilpotent mode
     X1 = sk.N0 if nilpotent else np.zeros_like(sk.N0)
@@ -190,7 +190,7 @@ def _degree_data(j: int, sk: "_Skeleton") -> _DegreeData:
     if data.J0.size:
         s = np.linalg.svd(data.J0, compute_uv=False)
         data.jac_smin, data.jac_smax = float(s[-1]), float(s[0])
-    for a in (adm_b, *data.blend_lu, unknown, data.J0):
+    for a in (adm_b, data.blend.A, data.blend.inv, unknown, data.J0):
         a.flags.writeable = False  # shared by every call on the skeleton
     return data
 
@@ -272,8 +272,14 @@ def _linear_newton(A, sk: _Skeleton, what: str):
 
     def eval_at(u):
         phi = (data.unknown @ u).reshape(n, n) if data.unknown.shape[1] else np.zeros((n, n))
-        E = scipy.linalg.expm(phi)
-        W = real_log(sk.base_inv @ E @ A @ np.linalg.inv(E))
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = expm(phi)
+            M = sk.base_inv @ E @ A @ expm(-phi)
+        if not np.isfinite(M).all():
+            # e^phi past the float range: a NaN residual, which newton's
+            # line search rejects
+            return np.full(data.n_im + data.n_kerim, np.nan), (phi, E, None)
+        W = real_log(M)
         return data.unwanted((W - sk.N0 if nilpotent else W).reshape(-1)), (phi, E, W)
 
     def step(u, r, aux):

@@ -14,21 +14,20 @@ from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (CkSingular, DimensionMismatch, NonFinite,
                      NonInvertibleLinearPart, ProblemTooLarge)
-from .linalg import lu_solve, real_log, require_invertible
+from .linalg import InverseSolver, expm, real_log, require_invertible
 
 LOG_MAP_TOL = 1e-14
 # Bytes that one dense square float64 operator may take: the m x m operators
 # on degree-k layers (m = hk_dim(n, k)) and the transport and power matrices
 # on all coefficients of degrees 1..k.
 DENSE_BYTES_BUDGET = 64 * 2**20
-# A C_d whose estimated 1-norm condition number reaches CK_COND_LIMIT / m is
-# refused.  As kappa_1 >= kappa_2 / m, an exact kappa_1 would refuse every C_d
-# with kappa_2 >= CK_COND_LIMIT; dgecon's estimate is a lower bound, mostly
-# within a factor of 3.
+# A C_d whose 1-norm condition number reaches CK_COND_LIMIT / m is refused.
+# The dense path takes kappa_1 = ||C_d||_1 ||C_d^-1||_1 exactly, and as
+# kappa_1 >= kappa_2 / m, that refuses every C_d with kappa_2 >=
+# CK_COND_LIMIT; the series path takes a bound on kappa_1 (see _CkSolver).
 CK_COND_LIMIT = 1e12
 
 
@@ -518,7 +517,7 @@ def _bracket_times(N: np.ndarray, D: np.ndarray, P: np.ndarray) -> np.ndarray:
 PHI1_THETA = 0.5
 # Systems with C_d(X1) are solved by the series psi of its inverse when the
 # 1-norms of the two Kronecker factors of its bracket operator sum to at most
-# this, and by a dense LU otherwise (see _CkSolver).
+# this, and by the dense C_d and its inverse otherwise (see _CkSolver).
 PSI_THETA = 1.0
 
 
@@ -580,8 +579,8 @@ def _require_finite(what: str, *arrays) -> None:
 
 
 def _guard_ck(kappa: float, m: int) -> float:
-    """kappa, a kappa_1 estimate or bound of an m x m C_d; CkSingular when it
-    reaches CK_COND_LIMIT / m."""
+    """kappa, the exact kappa_1 of an m x m C_d or a bound on it; CkSingular
+    when it reaches CK_COND_LIMIT / m."""
     if not kappa < CK_COND_LIMIT / m:
         raise CkSingular(
             f"composition operator is numerically singular "
@@ -589,22 +588,21 @@ def _guard_ck(kappa: float, m: int) -> float:
     return kappa
 
 
-def _check_ck(C: np.ndarray):
-    """LU factors of C and its 1-norm condition number kappa_1, estimated by
-    LAPACK dgecon on those factors (Higham, ACM TOMS 14 (1988) 381-396).
+def _check_ck(C: np.ndarray) -> InverseSolver:
+    """C with its inverse, as an InverseSolver whose kappa is the exact
+    kappa_1 = ||C||_1 ||C^-1||_1.
 
-    Raises NonFinite when C holds inf or NaN, and CkSingular when the
-    estimate reaches CK_COND_LIMIT / m for m x m C.
+    Raises NonFinite when C holds inf or NaN, and CkSingular when C is
+    singular or kappa_1 reaches CK_COND_LIMIT / m for m x m C.
     """
     _require_finite("composition operator", C)
-    lu_piv = scipy.linalg.lu_factor(C)
-    rcond, _ = scipy.linalg.lapack.dgecon(lu_piv[0], np.linalg.norm(C, 1),
-                                          norm="1")
-    return lu_piv, _guard_ck(1.0 / rcond if rcond > 0 else math.inf, C.shape[0])
+    dense = InverseSolver(C, CkSingular, "composition operator")
+    _guard_ck(dense.kappa, C.shape[0])
+    return dense
 
 
 def ck_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return lu_solve(_check_ck(C)[0], rhs)
+    return _check_ck(C).solve(rhs)
 
 
 # B_j / j!, j = 0..20: the Taylor coefficients of psi(z) = z / (e^z - 1).
@@ -642,28 +640,29 @@ class _CkSolver:
       ||C_d - I||_1 <= e1 = (e^a - 1 - a) / a <= e - 2, so kappa_1(C_d) <=
       (1 + e1) / (1 - e1) <= 6.1, and kappa holds that bound.  At a = 0,
       C_d = I and W = V exactly.
-    - otherwise: C_d = ck_operator(X1, d), LU-factored by _check_ck, and
-      kappa holds dgecon's estimate.
+    - otherwise: C_d = ck_operator(X1, d), kept with its inverse by
+      _check_ck, and kappa holds its exact kappa_1.
     Either way CkSingular is raised when kappa reaches CK_COND_LIMIT / m.
     """
 
-    __slots__ = ("X1", "D", "q", "lu", "kappa")
+    __slots__ = ("X1", "D", "q", "dense", "kappa")
 
     def __init__(self, X1, d: int):
         self.X1 = np.asarray(X1, dtype=float)
         self.D = _transport_block(self.X1, d)
         a = float(np.linalg.norm(self.D, 1) + np.linalg.norm(self.X1, 1))
         if a <= PSI_THETA:  # False for a non-finite X1, which ck_operator refuses
-            self.q, self.lu = _psi_terms(a), None
+            self.q, self.dense = _psi_terms(a), None
             e1 = (math.expm1(a) - a) / a if a else 0.0
             self.kappa = _guard_ck((1 + e1) / (1 - e1),
                                    self.X1.shape[0] * self.D.shape[0])
         else:
-            self.lu, self.kappa = _check_ck(ck_operator(self.X1, d))
+            self.dense = _check_ck(ck_operator(self.X1, d))
+            self.kappa = self.dense.kappa
 
     def solve(self, V) -> np.ndarray:
-        if self.lu is not None:
-            return lu_solve(self.lu, V)
+        if self.dense is not None:
+            return self.dense.solve(V)
         V = np.asarray(V, dtype=float)
         _require_finite("right-hand side", V)
         P = V.reshape(V.shape[0], -1)
@@ -766,8 +765,8 @@ def exp_vf(X: TruncatedMap, k: int | None = None) -> TruncatedMap:
     sum_{i <= q} L^i x / i! (Deprit, Celest. Mech. 1 (1969) 12-30), taken on
     the n coordinate columns, when a bound on its tail reaches 2^-53 within
     q terms and q n <= size(L), so that its q - 1 thin products cost at
-    most one dense product; expm(L) otherwise (Moler & Van Loan, SIAM Rev.
-    45 (2003) 3-49, methods 1 and 3).
+    most one dense product; the first n columns of expm(L) otherwise
+    (Moler & Van Loan, SIAM Rev. 45 (2003) 3-49, methods 1 and 3).
 
     The bound: split L = L1 + Ln, L1 the degree-preserving part, which
     comes from the linear part X1.  Column alpha of L1's degree-d block
@@ -789,7 +788,7 @@ def exp_vf(X: TruncatedMap, k: int | None = None) -> TruncatedMap:
     if not math.isfinite(b):
         raise NonFinite("vector field has non-finite coefficients")
     q = _lie_terms(a, b, X.order, len(L) // n)
-    E = scipy.linalg.expm(L)[:, :n] if q is None else _lie_series(L, n, q)
+    E = expm(L)[:, :n] if q is None else _lie_series(L, n, q)
     return TruncatedMap.from_flat(n, X.order, E.T)
 
 
@@ -815,8 +814,8 @@ class _LruMemo(OrderedDict):
 class _LinearPartData:
     """What log_map derives from a linear part A alone: real_log(A), inv(A)
     and, per degree d, the solver of C_d(real_log(A)) (a _CkSolver: the psi
-    series for a small real_log(A), a dense LU otherwise) with its kappa_1
-    bound or estimate."""
+    series for a small real_log(A), the dense C_d and its inverse otherwise)
+    with its kappa_1, a bound or exact."""
 
     __slots__ = ("X1", "Ainv", "ck", "ck_kappa")
 
@@ -870,8 +869,8 @@ def log_map(F: TruncatedMap) -> TruncatedMap:
     The linear part of F must admit a real logarithm.  real_log, the inverse
     and the C_d solvers depend on the linear part alone; they are kept for
     the most recent linear part and reused while it repeats.  A C_d solve
-    takes the psi series of its inverse when real_log is small, and a dense
-    LU otherwise (see _CkSolver).  Up to 8 sweeps refine X until
+    takes the psi series of its inverse when real_log is small, and the
+    dense C_d's inverse otherwise (see _CkSolver).  Up to 8 sweeps refine X until
     max|F - exp_vf(X)| <= LOG_MAP_TOL * max(1, max|F|).  Layer d of
     exp_vf(X) depends on X's layers up to d alone, so each degree's update
     takes its residual on the order-d space; where X's layers of degree 2

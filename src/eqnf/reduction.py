@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (InvariantViolation, InverseNewtonFailed, NoConvergence,
-                     NotInU, SlopeTestFailed)
+                     NotInU, SingularInput, SlopeTestFailed)
 from .groups import GroupData
-from .linalg import (image_basis, kernel_basis, lu_solve, newton,
+from .linalg import (InverseSolver, image_basis, kernel_basis, newton,
                      require_invertible)
 from .polymap import TruncatedMap, exp_vf
 
@@ -56,8 +55,8 @@ class LiftContext:
     complement_basis: np.ndarray
     xi_basis: np.ndarray
     sigma_complement: np.ndarray
-    blend_lu: tuple
-    J0_lu: tuple | None
+    blend: InverseSolver  # [xi_basis, complement_basis]
+    J0: InverseSolver | None
     radius: float
 
     @property
@@ -128,7 +127,7 @@ def build_lift(A0, S0, gd: GroupData, q: int,
     bs = np.linalg.svd(blend, compute_uv=False)
     if bs[-1] <= 1e-10 * bs[0]:
         raise InvariantViolation("xi(U) and Im(S0_hat - sigma) nearly overlap")
-    blend_lu = scipy.linalg.lu_factor(blend)
+    blend = InverseSolver(blend, SingularInput, "[xi(U), Im(S0_hat - sigma)] basis")
 
     for gi, g in enumerate(gd.elements):
         _check("g_hat xi = xi g on U", float(np.max(np.abs(
@@ -137,21 +136,21 @@ def build_lift(A0, S0, gd: GroupData, q: int,
         sigma @ Xi - xi_matrix @ (S0 @ U_basis)))) if m else 0.0)
 
     if rank:
-        coords = lu_solve(blend_lu, (A0_hat - sigma) @ complement_basis)
+        coords = blend.solve((A0_hat - sigma) @ complement_basis)
         J0 = coords[m:]
         js = np.linalg.svd(J0, compute_uv=False)
         if js[-1] <= 1e-10 * max(1.0, js[0]):
             raise InvariantViolation(
                 "A0_hat - sigma is singular on Im(S0_hat - sigma)")
-        J0_lu = scipy.linalg.lu_factor(J0)
+        J0 = InverseSolver(J0, SingularInput, "A0_hat - sigma on Im(S0_hat - sigma)")
     else:
-        J0_lu = None
+        J0 = None
 
     return LiftContext(q=q, n=n, A0=A0, S0=S0, gd=gd, sigma=sigma, g_hat=g_hat,
                        U_basis=U_basis, xi_matrix=xi_matrix,
                        complement_basis=complement_basis, xi_basis=Xi,
                        sigma_complement=sigma @ complement_basis,
-                       blend_lu=blend_lu, J0_lu=J0_lu, radius=radius)
+                       blend=blend, J0=J0, radius=radius)
 
 
 def xi(u, ctx: LiftContext) -> np.ndarray:
@@ -195,11 +194,11 @@ def _vstar_core(psi: TruncatedMap, ctx: LiftContext, U, radius: float):
     def split(C, rows):
         V = C @ Cb.T
         img = lifted_apply(psi, ctx, xi_u[rows] + V)
-        coords = lu_solve(ctx.blend_lu, (img - V @ ctx.sigma.T).T)
+        coords = ctx.blend.solve((img - V @ ctx.sigma.T).T)
         return coords[m:].T, (coords[:m].T, V), None
 
     def step(C, R, aux):
-        return lu_solve(ctx.J0_lu, R.T).T, None
+        return ctx.J0.solve(R.T).T, None
 
     _, _, (A, V), bad = newton(split, step, np.zeros((live.size, Cb.shape[1])),
                                VSTAR_TOL * np.maximum(1.0, unorm[live]),
@@ -247,7 +246,7 @@ def _reduced_jacobians(psi: TruncatedMap, ctx: LiftContext, U, V):
                           blockwise(ctx.complement_basis) - ctx.sigma_complement],
                          axis=2)
     cols = rhs.shape[2]
-    coords = lu_solve(ctx.blend_lu, rhs.transpose(1, 0, 2).reshape(q * n, b * cols))
+    coords = ctx.blend.solve(rhs.transpose(1, 0, 2).reshape(q * n, b * cols))
     coords = coords.reshape(q * n, b, cols).transpose(1, 0, 2)
     a_u, F_u = coords[:, :m, :m], coords[:, m:, :m]
     a_v, F_v = coords[:, :m, m:], coords[:, m:, m:]

@@ -35,7 +35,7 @@ def rand_map():
 @pytest.fixture
 def ck_builds(monkeypatch):
     """(degree, path) of every C_d solver built during the test, in order;
-    the path is "series" (the psi series) or "dense" (an LU of C_d)."""
+    the path is "series" (the psi series) or "dense" (C_d and its inverse)."""
     built = []
 
     class CountingSolver(polymap._CkSolver):
@@ -43,7 +43,7 @@ def ck_builds(monkeypatch):
 
         def __init__(self, X1, d):
             super().__init__(X1, d)
-            built.append((d, "series" if self.lu is None else "dense"))
+            built.append((d, "series" if self.dense is None else "dense"))
 
     for module in (polymap, normalform):
         monkeypatch.setattr(module, "_CkSolver", CountingSolver)

@@ -1,8 +1,8 @@
 """Package hygiene: every name a package module imports is used in it,
 every module-level private function or class is referenced somewhere in
 the package, every public one (and every public method) somewhere in the
-package or the benchmark, factored systems are solved only by
-linalg.lu_solve, no scipy logm or sqrtm stands beside linalg.real_log, the
+package or the benchmark, no module under src/eqnf imports scipy, under
+any name, no scipy logm or sqrtm stands beside linalg.real_log, the
 damped-Newton constants live only in linalg.newton, every defaulted
 parameter is set by some call, no iteration or size cap is a defaulted
 parameter, and every callable the benchmark traces exists."""
@@ -10,6 +10,9 @@ import ast
 import importlib
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import eqnf
@@ -252,23 +255,62 @@ def _scipy_linalg_uses(source: str, names) -> list[int]:
     return sorted(lines)
 
 
-def test_no_scipy_lu_solve():
+def _scipy_imports(source: str) -> list[int]:
+    """Lines of `source` that import scipy or one of its modules, under any
+    name: import statements, from-imports and calls of
+    importlib.import_module or __import__ on a literal module name."""
+    def is_scipy(name):
+        return isinstance(name, str) and (name == "scipy" or name.startswith("scipy."))
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(is_scipy(a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.level == 0 and is_scipy(node.module)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+            hit = (name in ("import_module", "__import__") and node.args
+                   and isinstance(node.args[0], ast.Constant)
+                   and is_scipy(node.args[0].value))
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_scipy_import():
+    # numpy is the package's only dependency; scipy is a test oracle
     package = Path(eqnf.__file__).parent
     uses = [f"{path.stem}:{line}" for path in sorted(package.glob("*.py"))
-            for line in _scipy_linalg_uses(path.read_text(encoding="utf-8"), ("lu_solve",))]
+            for line in _scipy_imports(path.read_text(encoding="utf-8"))]
     assert uses == []
 
 
-def test_scan_flags_scipy_lu_solve_under_any_name():
-    source = ("import scipy.linalg\nimport scipy.linalg as sla\n"
+def test_scan_flags_scipy_imports_under_any_name():
+    source = ("import scipy\nimport scipy.linalg as sla\n"
               "from scipy import linalg as spl\n"
               "from scipy.linalg import lu_solve as solve\n"
-              "from .linalg import lu_solve\nfrom . import linalg\n"
-              "a = scipy.linalg.lu_solve\nb = sla.lu_solve\nc = spl.lu_solve\n"
-              "d = lu_solve\ne = linalg.lu_solve\n"
-              "f = scipy.linalg.lu_factor\n"
-              '"""scipy.linalg.lu_solve in a docstring is not a use"""\n')
-    assert _scipy_linalg_uses(source, ("lu_solve",)) == [4, 7, 8, 9]
+              "from .linalg import expm\nfrom . import linalg\n"
+              "import numpy, scipy.sparse\n"
+              "a = importlib.import_module('scipy.linalg')\n"
+              "b = __import__('scipy')\n"
+              "c = importlib.import_module('numpy.linalg')\n"
+              "from .scipy import local\nimport scipyx\n"
+              '"""scipy.linalg.expm in a docstring is not an import"""\n')
+    assert _scipy_imports(source) == [1, 2, 3, 4, 7, 8, 9]
+
+
+def test_importing_eqnf_loads_no_scipy():
+    code = ("import sys, eqnf, eqnf.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(eqnf.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 # linalg.real_log is the one real logarithm; scipy's logm and sqrtm serve

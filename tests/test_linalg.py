@@ -1,4 +1,8 @@
-"""Dense linear-algebra layer: decompositions, bases, logs, inner products."""
+"""Dense linear-algebra layer: decompositions, bases, logs, exponentials,
+solves, inner products."""
+import math
+from fractions import Fraction
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
@@ -6,18 +10,20 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 
-from eqnf import linalg
-from eqnf.corpus import (binomial_shear_matrix, instance_nilpotent_kron,
-                         instance_swap2, rotation)
-from eqnf.errors import (DimensionMismatch, NoConvergence, NonFinite,
-                         NoRealLogarithm, NotSemisimple, NotUnipotent,
-                         SingularInput)
-from eqnf.linalg import (JC_CLUSTER_FACTORS, PADE_NODES, PADE_THETA,
-                         PADE_WEIGHTS, AdaptedInnerProduct, _cluster_means,
-                         _newton_squarefree, _validate_jc, image_basis, jordan_chevalley, kernel_basis, lu_solve,
-                         matrix_log_unipotent, newton, nullspace,
-                         rank_tolerance, real_log, require_invertible,
-                         su_decomposition)
+from eqnf import linalg, polymap
+from eqnf.corpus import (binomial_shear_matrix, equivariant_family,
+                         instance_nilpotent_kron, instance_swap2, rotation)
+from eqnf.errors import (CkSingular, DimensionMismatch, NoConvergence,
+                         NonFinite, NoRealLogarithm, NotSemisimple,
+                         NotUnipotent, SingularInput, SplitFailure)
+from eqnf.linalg import (EXPM_PADE, EXPM_THETA, JC_CLUSTER_FACTORS,
+                         PADE_NODES, PADE_THETA, PADE_WEIGHTS,
+                         AdaptedInnerProduct, InverseSolver, _cluster_means,
+                         _newton_squarefree, _validate_jc, expm, image_basis,
+                         jordan_chevalley, kernel_basis, matrix_log_unipotent,
+                         newton, nullspace, rank_tolerance, real_log,
+                         require_invertible, su_decomposition)
+from eqnf.normalform import nilpotent_nf
 from oracles import fd_jacobian
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
@@ -321,6 +327,167 @@ def test_pade_theta_is_theta_16():
         assert bound(mp.mpf(PADE_THETA - 5e-4)) <= 1 < bound(mp.mpf(PADE_THETA + 5e-4))
 
 
+# ---------------------------------------------------------------------------
+# expm: its constants, and agreement with scipy's and with mpmath's
+
+def test_expm_pade_coefficients_are_exact():
+    # b_j = (2m - j)! / (j! (m - j)!), and the leading backward-error
+    # coefficient (m!)^2 / ((2m)! (2m + 1)!) of r_m
+    f = math.factorial
+    for m, b in EXPM_PADE.items():
+        assert len(b) == m + 1
+        for j, bj in enumerate(b):
+            assert bj == float(Fraction(f(2 * m - j), f(j) * f(m - j)))
+        assert linalg._EXPM_LEAD[m] == float(Fraction(f(m) ** 2, f(2 * m) * f(2 * m + 1)))
+
+
+def _backward_error_theta(mp, m: int, terms: int = 150):
+    """The largest x with sum_{k > 2m} |c_k| x^(k-1) <= 2^-53, c_k the Taylor
+    coefficients of h(x) = log(e^-x r_m(x)), the backward error function of
+    the [m/m] Pade approximant (Higham 2005, section 2), by series
+    arithmetic on `terms` coefficients and bisection."""
+    b = [mp.mpf(float(c)) for c in EXPM_PADE[m]]  # integers, exact to 2^53
+    b[0] = mp.mpf(math.factorial(2 * m) // math.factorial(m))
+    ex = [mp.mpf(-1) ** k / math.factorial(k) for k in range(terms)]
+
+    def coef(c, k):
+        return c[k] if k < len(c) else mp.mpf(0)
+
+    num = [mp.fsum(ex[i] * coef(b, k - i) for i in range(k + 1)) for k in range(terms)]
+    q = [c * (-1) ** j for j, c in enumerate(b)]
+    g = []  # e^-x p(x) / p(-x)
+    for k in range(terms):
+        g.append((num[k] - mp.fsum(g[i] * coef(q, k - i) for i in range(k))) / q[0])
+    r = []  # h' = g' / g
+    for k in range(terms - 1):
+        r.append(((k + 1) * g[k + 1] - mp.fsum(r[i] * g[k - i] for i in range(k))) / g[0])
+    c = [mp.mpf(0)] + [r[k - 1] / k for k in range(1, terms)]
+    assert max(abs(x) for x in c[:2 * m + 1]) < mp.mpf(10) ** -30
+    u = mp.mpf(2) ** -53
+    lo, hi = mp.mpf(0), mp.mpf(6)
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        if mp.fsum(abs(c[k]) * mid ** (k - 1) for k in range(2 * m + 1, terms)) <= u:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_expm_theta_table_is_the_backward_error_bound():
+    # theta_3..theta_9 are the bound's; theta_13 is Al-Mohy and Higham's
+    # 4.25, below the bound's 5.37
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for m, theta in EXPM_THETA.items():
+            bound = float(_backward_error_theta(mp, m))
+            if m < 13:
+                assert abs(theta - bound) <= 1e-14 * bound
+            else:
+                assert abs(bound - 5.371920351148152) <= 1e-14 * bound
+                assert theta == 4.25
+
+
+def _rel1(E, ref):
+    return float(np.abs(E - ref).sum(axis=0).max() / np.abs(ref).sum(axis=0).max())
+
+
+def _mp_expm(mp, A):
+    with mp.workdps(40):
+        return np.array(mp.expm(mp.matrix(A.tolist())).tolist(), dtype=float)
+
+
+def _check_expm(A, mp=None):
+    """expm(A) within 1e-14 of scipy's, relative in the 1-norm; with mpmath,
+    within 1e-14 of its 40-digit exponential, and farther from scipy's only
+    by scipy's own distance to it."""
+    E, ref = expm(A), scipy.linalg.expm(A)
+    assert E.shape == A.shape
+    if mp is None:
+        assert _rel1(E, ref) <= 1e-14
+        return
+    exact = _mp_expm(mp, A)
+    assert _rel1(E, exact) <= 1e-14
+    assert _rel1(E, ref) <= 1e-14 + _rel1(ref, exact)
+
+
+@pytest.mark.parametrize("m", sorted(EXPM_THETA))
+@pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3])
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_expm_matches_scipy_just_below_and_above_each_theta(m, side, n):
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng([m, n, int(side > 1)])
+    # a signed permutation scaled by x has every d_p = ||A||_1 = x, so that
+    # the degree switches there; random matrices at the same 1-norm
+    P = np.eye(n)[rng.permutation(np.roll(np.arange(n), 1))] * rng.choice([-1.0, 1.0], n)
+    cases = [P] + [rng.standard_normal((n, n)) for _ in range(4)]
+    for B in cases:
+        _check_expm(side * EXPM_THETA[m] * B / np.linalg.norm(B, 1), mp)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4])
+def test_expm_of_zero_and_diagonal_matrices_is_exact(n):
+    assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+    d = np.random.default_rng(n).uniform(-3.0, 3.0, n)
+    assert np.array_equal(expm(np.diag(d)), np.diag(np.exp(d)))
+
+
+@pytest.mark.parametrize("kind", ["upper", "lower", "strictly upper"])
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_expm_of_triangular_matrices_matches_scipy(kind, n):
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng([n, len(kind)])
+    for scale in (0.01, 0.5, 2.0, 4.0):
+        B = rng.standard_normal((n, n))
+        B = {"upper": np.triu(B), "lower": np.tril(B),
+             "strictly upper": np.triu(B, 1)}[kind]
+        if B.any():
+            _check_expm(scale * B / np.linalg.norm(B, 1), mp)
+
+
+def test_expm_matches_scipy_on_swap2_transport_operators(monkeypatch):
+    # the transport operators whose flows exp_vf takes by expm in swap2's
+    # nilpotent normal form at k = 6: near-nilpotent, 1-norms up to 2500.
+    # On the 27 x 27 ones (m = 13, s = 2) expm and scipy's are each 2e-15
+    # to 1.1e-14 from a 30-digit exponential, as their round-off differs,
+    # and 1.6e-14 apart at most; the one farthest from scipy's is checked
+    # against mpmath too.
+    mp = pytest.importorskip("mpmath")
+    recorded = []
+
+    def recording_expm(A):
+        recorded.append(np.array(A))
+        return expm(A)
+
+    monkeypatch.setattr(polymap, "expm", recording_expm)
+    inst = instance_swap2()
+    fam = equivariant_family(inst, 6, np.random.default_rng(0))
+    nilpotent_nf(fam, inst.A0, inst.gd, inst.ip, 6, lambdas=[[0.02]])
+    assert len(recorded) >= 10 and max(np.linalg.norm(A, 1) for A in recorded) > 1e3
+    gaps = [_rel1(expm(A), scipy.linalg.expm(A)) for A in recorded]
+    assert max(gaps) <= 2e-14
+    worst = recorded[int(np.argmax(gaps))]
+    with mp.workdps(30):
+        exact = np.array(mp.expm(mp.matrix(worst.tolist())).tolist(), dtype=float)
+    assert _rel1(expm(worst), exact) <= 2e-14
+
+
+def test_expm_checks_its_input():
+    A = np.random.default_rng(5).standard_normal((6, 6))
+    for bad in (np.nan, np.inf, -np.inf):
+        B = A.copy()
+        B[1, 2] = bad
+        with pytest.raises(NonFinite):
+            expm(B)
+    with pytest.raises(ValueError):
+        expm(np.ones((2, 3)))
+    # an exponential, or powers, past the float range come back non-finite,
+    # with no error
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(expm(800.0 * np.eye(2) + np.diag([1.0], 1))).all()
+        assert not np.isfinite(expm(1e60 * np.array([[0.0, 1.0], [-1.0, 0.0]]))).all()
+
+
 @st.composite
 def _log_inputs(draw):
     n = draw(st.integers(1, 6))
@@ -507,43 +674,82 @@ def test_fd_jacobian_matches_polynomial_jacobian(rand_map):
 
 
 # ---------------------------------------------------------------------------
-# LU solve against scipy's wrapper around the same LAPACK routine
+# InverseSolver: backward error, condition number, checks
 
-def _lu_case(seed, n, cols):
-    """Factors of a random n x n matrix and a right-hand side: 1-D when
-    cols is None, else n x cols."""
+def _solve_case(seed, n, cols, kappa=10.0):
+    """An n x n matrix with 2-norm condition number kappa and a right-hand
+    side: 1-D when cols is None, else n x cols."""
     rng = np.random.default_rng(seed)
-    lu_piv = scipy.linalg.lu_factor(rng.standard_normal((n, n)) + n * np.eye(n))
-    return lu_piv, rng.standard_normal(n if cols is None else (n, cols))
+    U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    A = (U * np.logspace(0.0, -np.log10(kappa), n)) @ V.T
+    return A, rng.standard_normal(n if cols is None else (n, cols))
 
 
-@PROPERTY_SETTINGS
-@example(0, 1, None)
-@example(0, 12, 0)
-@example(0, 12, 4)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 12),
-       st.one_of(st.none(), st.integers(0, 4)))
-def test_property_lu_solve_matches_scipy_bitwise(seed, n, cols):
-    lu_piv, b = _lu_case(seed, n, cols)
-    x = lu_solve(lu_piv, b)
-    ref = scipy.linalg.lu_solve(lu_piv, b)
-    assert x.shape == ref.shape and x.dtype == ref.dtype
-    assert np.array_equal(x, ref)
-    # the memory order of b does not change the answer
-    assert np.array_equal(lu_solve(lu_piv, np.asfortranarray(b)), ref)
+def _backward_error(A, x, b):
+    """Normwise backward error of x for A x = b, the largest over columns:
+    |b - A x|_1 / (|A|_1 |x|_1 + |b|_1)."""
+    x, b = x.reshape(len(b), -1), b.reshape(len(b), -1)
+    r = np.abs(b - A @ x).sum(axis=0)
+    return float(np.max(r / (np.linalg.norm(A, 1) * np.abs(x).sum(axis=0)
+                             + np.abs(b).sum(axis=0))))
+
+
+@pytest.mark.parametrize("kappa", [1.0, 10.0, 1e4, 1e8, 1e10])
+@pytest.mark.parametrize("n, cols", [(1, None), (3, None), (12, 4), (40, None), (40, 7)])
+def test_inverse_solver_backward_error_is_of_the_unit_roundoff(n, cols, kappa):
+    # one step of refinement makes the inverse-based solve backward stable,
+    # as LAPACK's LU solve is; below the first SOLVE_REFINE_KAPPA the
+    # inverse alone is, and past the second it takes two steps.  b is random, and then A x for a random x, the harder case for
+    # the inverse alone.
+    u = np.finfo(float).eps / 2
+    for seed in range(5):
+        A, b = _solve_case([seed, n], n, cols, kappa)
+        solver = InverseSolver(A, SingularInput, "A")
+        assert solver.refine_steps == sum(solver.kappa > k for k in linalg.SOLVE_REFINE_KAPPA)
+        for rhs in (b, A @ b):
+            x = solver.solve(rhs)
+            assert x.shape == rhs.shape
+            ours = _backward_error(A, x, rhs)
+            lapack = _backward_error(A, np.linalg.solve(A, rhs), rhs)
+            assert ours <= n * u, (ours, lapack)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e4, 1e10])
+@pytest.mark.parametrize("n", [1, 5, 30])
+def test_inverse_solver_kappa_is_the_exact_1_norm_condition_number(n, kappa):
+    A, _ = _solve_case([3, n], n, None, kappa)
+    solver = InverseSolver(A, SingularInput, "A")
+    oracle = np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
+    assert abs(solver.kappa - oracle) <= 1e-14 * oracle
+    assert solver.kappa >= np.linalg.cond(A, 2) / n
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("cols", [None, 3])
-def test_lu_solve_rejects_non_finite_right_hand_side(bad, cols):
-    lu_piv, b = _lu_case(1, 5, cols)
+def test_inverse_solver_rejects_non_finite_right_hand_side(bad, cols):
+    A, b = _solve_case(1, 5, cols)
     b[(2,) if cols is None else (2, 1)] = bad
     with pytest.raises(NonFinite):
-        lu_solve(lu_piv, b)
+        InverseSolver(A, SingularInput, "A").solve(b)
 
 
 @pytest.mark.parametrize("shape", [(4,), (6,), (4, 2), (0, 2)])
-def test_lu_solve_rejects_row_count_mismatch(shape):
-    lu_piv, _ = _lu_case(2, 5, None)
+def test_inverse_solver_rejects_row_count_mismatch(shape):
+    A, _ = _solve_case(2, 5, None)
     with pytest.raises(DimensionMismatch):
-        lu_solve(lu_piv, np.ones(shape))
+        InverseSolver(A, SingularInput, "A").solve(np.ones(shape))
+
+
+def test_inverse_solver_takes_an_empty_right_hand_side():
+    A, _ = _solve_case(4, 5, None)
+    x = InverseSolver(A, SingularInput, "A").solve(np.ones((5, 0)))
+    assert x.shape == (5, 0)
+
+
+@pytest.mark.parametrize("error", [SingularInput, SplitFailure, CkSingular])
+@pytest.mark.parametrize("A", [np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                               np.array([[1e-310, 0.0], [0.0, 1e-310]])])
+def test_inverse_solver_raises_the_typed_error_on_a_singular_matrix(A, error):
+    # an exact zero pivot, or an inverse that overflows
+    with pytest.raises(error, match="the blend is numerically singular"):
+        InverseSolver(A, error, "the blend")

@@ -10,15 +10,15 @@ from hypothesis import given, settings
 
 import tracemalloc
 
-from eqnf import corpus, groups, normalform, polymap
-from eqnf.corpus import (equivariant_family, instance_block_swap,
+from eqnf import corpus, groups, linalg, normalform, polymap
+from eqnf.corpus import (Instance, equivariant_family, instance_block_swap,
                          instance_nilpotent_kron, instance_rot_reflect,
                          instance_sign_z2, instance_swap2, nf_form_family,
                          planted_q1, planted_q2, planted_q4,
                          random_group_with_characters,
                          random_semisimple_instance, rotation)
-from eqnf.errors import (NoConvergence, NotEquivariant, ProblemTooLarge,
-                         SplitFailure)
+from eqnf.errors import (EqnfError, NoConvergence, NotEquivariant,
+                         ProblemTooLarge, SplitFailure)
 from eqnf.groups import (GroupData, extended_group, invariant_inner_product,
                          is_chi_equivariant_linear, project_map,
                          tilde_character)
@@ -28,8 +28,8 @@ from eqnf.normalform import (_degree_data, _jacobian, _linear_newton,
                              _Skeleton, admissible_exponent_basis, hk_projection,
                              nilpotent_nf, semisimple_nf)
 from eqnf.polymap import (MapFamily, TruncatedMap, _linear_part_data, adk_field,
-                          adk_operator, ck_operator, compose, exp_vf, hk_dim,
-                          log_map, num_monomials)
+                          adk_operator, ck_operator, compose, conjugate_linear,
+                          exp_vf, hk_dim, log_map, num_monomials)
 from oracles import (_restrict, ad_conjugate, conjugator, dense_degree_spaces,
                      frozen_operator, is_identity, tabulate_group)
 
@@ -348,6 +348,50 @@ def test_linear_nf_planted_recovery():
                          - S0 @ scipy.linalg.expm(B))) < 1e-11
     phi0, B0 = _linear_nf(S0, S0, gd, ip)
     assert np.max(np.abs(phi0)) < 1e-12 and np.max(np.abs(B0)) < 1e-12
+
+
+def test_linear_stage_rejects_a_trial_step_whose_exponential_overflows(monkeypatch):
+    # the planted case above, with the first trial's e^phi past the float
+    # range: its residual is NaN, newton's line search halves the step, and
+    # the stage still recovers phi*
+    gd = GroupData.from_generators([-np.eye(2)], [1.0])
+    S0 = rotation(2 * np.pi / 3)
+    phi_star = 0.15 * np.array([[1.0, 0.3], [0.3, -1.0]])
+    A = (linalg.expm(-phi_star) @ S0 @ linalg.expm(0.1 * np.eye(2) + 0.2 * J2)
+         @ linalg.expm(phi_star))
+    shapes = []
+
+    def overflowing_expm(X):
+        shapes.append(X.shape)
+        E = linalg.expm(X)
+        # calls 1 and 2 take e^0 and e^-0 at u = 0; call 3 the first trial's
+        return np.full_like(E, np.inf) if len(shapes) == 3 else E
+
+    monkeypatch.setattr(normalform, "expm", overflowing_expm)
+    phi, _ = _linear_nf(A, S0, gd, invariant_inner_product(S0, gd))
+    assert len(shapes) > 4
+    assert np.max(np.abs(phi - phi_star)) < 1e-9
+
+
+def test_semisimple_nf_of_a_badly_conjugated_family_raises_a_typed_error():
+    # The skeleton of random_semisimple_instance(24) in the coordinates of
+    # P = conjugator(n, 100, 24), and its equivariant family conjugated by
+    # P^-1.  A trial step of the linear stage takes an e^phi whose inverse
+    # np.linalg.inv once refused with a raw LinAlgError.
+    S0, gd = random_semisimple_instance(np.random.default_rng(24))
+    n = S0.shape[0]
+    P = conjugator(n, 100, 24)
+    Pinv = np.linalg.inv(P)
+    S0_c = P @ S0 @ Pinv
+    gd_c = GroupData.from_generators([P @ gd.elements[i] @ Pinv for i in gd.generators],
+                                     gd.char[gd.generators])
+    inst = Instance(name="rss24", A0=S0, S0=S0, N0=np.zeros((n, n)), gd=gd, q=1,
+                    ip=invariant_inner_product(S0, gd))
+    fam = equivariant_family(inst, 4, np.random.default_rng(24))
+    fam_c = MapFamily(lambda lam: conjugate_linear(Pinv, fam.at(lam)), n, 4)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EqnfError):
+        semisimple_nf(fam_c, S0_c, gd_c, invariant_inner_product(S0_c, gd_c), 4,
+                      lambdas=[[0.01]])
 
 
 def test_linear_nf_rejects_nonequivariant():
@@ -680,9 +724,11 @@ def test_nilpotent_nf_swap2_k6_needs_log_map_refinement():
 
 def test_nilpotent_nf_swap2_k6_census_of_stalls():
     # The degree-6 stage of swap2 works at its round-off floor, and some
-    # cases stall there: 2 of these 36, (rng 2, lambda -0.03) and (6, 0);
-    # earlier flows and logarithms stalled on 4 or 5, so the count moves
-    # with round-off.  A cheaper flow or logarithm must not raise that floor.
+    # cases stall there: 1 of these 36 with linalg.expm and InverseSolver,
+    # (rng 9, lambda -0.03), and 2 with scipy's expm and LU solves,
+    # (2, -0.03) and (6, 0); earlier flows and logarithms stalled on 4 or 5,
+    # so the count moves with round-off.  A cheaper flow or logarithm must
+    # not raise that floor.
     inst = instance_swap2()
     stalls = []
     for rng in range(12):
@@ -978,7 +1024,7 @@ def _wide_instance():
 
 def test_wide6_normal_form_takes_no_dense_ck(monkeypatch, ck_builds):
     # every C_j of nf-wide's skeleton has ||ad_j X1||_1 <= PSI_THETA: no
-    # m x m C_j is built and none is LU-factored
+    # m x m C_j is built and none is inverted
     inst = _wide_instance()
     fam, _ = nf_form_family(inst, 3, np.random.default_rng(7), with_tail=False)
     normalform._DEGREE_DATA_MEMO.clear()
@@ -992,7 +1038,7 @@ def test_wide6_normal_form_takes_no_dense_ck(monkeypatch, ck_builds):
 
 def test_swap2_nilpotent_normal_form_keeps_the_dense_ck(ck_builds):
     # swap2's N0 gives ||ad_j N0||_1 = 8 to 20 at j = 1..4, above PSI_THETA:
-    # its C_j, at the skeleton and in log_map, take the dense LU
+    # its C_j, at the skeleton and in log_map, take the dense inverse
     inst = instance_swap2()
     fam = equivariant_family(inst, 4, np.random.default_rng(3))
     normalform._DEGREE_DATA_MEMO.clear()
@@ -1003,15 +1049,16 @@ def test_swap2_nilpotent_normal_form_keeps_the_dense_ck(ck_builds):
 
 
 def _counting_expm(monkeypatch):
-    """The shapes of every scipy.linalg.expm call from here on."""
+    """The shapes of every linalg.expm call from polymap and normalform from
+    here on."""
     shapes = []
-    expm = scipy.linalg.expm
 
     def counting_expm(A):
         shapes.append(A.shape)
-        return expm(A)
+        return linalg.expm(A)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    for module in (polymap, normalform):
+        monkeypatch.setattr(module, "expm", counting_expm)
     return shapes
 
 

@@ -367,13 +367,13 @@ def test_exp_vf_without_linear_part_matches_expm_oracle(rand_map, n, order):
 def test_exp_vf_without_linear_part_takes_no_expm(monkeypatch, rand_map):
     rng = np.random.default_rng(91)
     calls = []
-    expm = scipy.linalg.expm
+    expm = polymap.expm
 
     def counting_expm(A):
         calls.append(A.shape)
         return expm(A)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(polymap, "expm", counting_expm)
     X = rand_map(rng, 3, 4, with_linear=False)
     exp_vf(X)
     exp_vf(-X, 3)
@@ -494,7 +494,7 @@ def test_exp_vf_sums_the_least_q_terms(monkeypatch, n, order, amp, x1):
         return series(L, n, q)
 
     monkeypatch.setattr(polymap, "_lie_series", recording_series)
-    monkeypatch.setattr(scipy.linalg, "expm", None)
+    monkeypatch.setattr(polymap, "expm", None)
     exp_vf(X)
     q = _series_q(X)
     assert terms == [q] and q is not None
@@ -510,13 +510,13 @@ def test_exp_vf_takes_expm_past_the_switch(monkeypatch):
     t = _switch_scale(X, direction)
     assert 0 < t < 1
     calls = []
-    expm = scipy.linalg.expm
+    expm = polymap.expm
 
     def counting_expm(A):
         calls.append(A.shape)
         return expm(A)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(polymap, "expm", counting_expm)
     below = X.with_layer(1, t * direction)
     above = X.with_layer(1, t * (1 + 1e-9) * direction)
     assert _series_q(below) == _series_inputs(below)[2]  # the largest q
@@ -757,7 +757,7 @@ def test_log_map_no_stale_reuse():
 
 
 def test_log_map_reuses_ck_factors(ck_builds, rand_map):
-    # one C_d solver per degree and linear part, on either path: a dense LU
+    # one C_d solver per degree and linear part, on either path: a dense inverse
     # for the larger real_log, the psi series for the smaller one
     rng = np.random.default_rng(60)
     for scale, path in ((0.3, "dense"), (0.02, "series")):
@@ -860,11 +860,18 @@ def test_ck_guard_refuses_what_the_svd_rule_refuses():
         oracle.append(_svd_refuses(C))
         assert refused or not oracle[-1], delta
         if not refused:
-            # the stored kappa_1 estimate is a lower bound, and a close one
+            # the stored kappa_1 is the exact one
             kappa = polymap._linear_part_data(F.linear()).ck_kappa[2]
             exact = np.linalg.cond(C, 1)
-            assert exact / 3 <= kappa <= exact * (1 + 1e-6)
+            assert abs(kappa - exact) <= 1e-6 * exact
     assert any(oracle) and not all(oracle)
+
+
+def test_ck_solve_of_an_exactly_singular_operator_raises_ck_singular():
+    # np.linalg.inv refuses it with a LinAlgError, which must not escape
+    C = np.diag([1.0, 0.0, 2.0])
+    with pytest.raises(CkSingular, match="kappa_1 = inf"):
+        ck_solve(C, np.ones(3))
 
 
 def test_ck_guard_refuses_what_the_svd_rule_refuses_on_random_spectra():
@@ -1007,7 +1014,7 @@ def test_property_jacobian_matches_fd(case):
 
 
 # ---------------------------------------------------------------------------
-# the C_d solver: the psi series of C_d^-1, or a dense LU
+# the C_d solver: the psi series of C_d^-1, or the dense C_d with its inverse
 
 def _bracket_norms(X1, d):
     """a = ||D||_1 + ||X1||_1, the bound on ||adk_field(X1, d)||_1 that
@@ -1056,7 +1063,7 @@ def test_psi_terms_is_the_least_degree_within_the_tail_bound(a, q):
 def test_ck_series_takes_q_bracket_products_and_no_dense_operator(monkeypatch):
     X1 = _with_bracket_norms(np.random.default_rng(90).standard_normal((3, 3)), 3, 0.5)
     solver = polymap._CkSolver(X1, 3)
-    assert solver.lu is None and solver.q == polymap._psi_terms(_bracket_norms(X1, 3))
+    assert solver.dense is None and solver.q == polymap._psi_terms(_bracket_norms(X1, 3))
     products = []
     bracket_times = polymap._bracket_times
 
@@ -1080,7 +1087,7 @@ def test_ck_solver_matches_the_dense_solve(n, d, path, a):
     rng = np.random.default_rng([91, n, d])
     X1 = _with_bracket_norms(rng.standard_normal((n, n)), d, a)
     solver = polymap._CkSolver(X1, d)
-    assert (solver.lu is None) == (path == "series")
+    assert (solver.dense is None) == (path == "series")
     C = ck_operator(X1, d)
     m = hk_dim(n, d)
     for V in (rng.standard_normal(m), rng.standard_normal((m, 3))):
@@ -1094,7 +1101,7 @@ def test_ck_series_at_zero_returns_the_right_hand_side():
     # C_d(0) = I: the series stops at q = 0 and returns V unchanged
     solver = polymap._CkSolver(np.zeros((3, 3)), 4)
     V = np.random.default_rng(92).standard_normal((hk_dim(3, 4), 5))
-    assert solver.lu is None and solver.q == 0 and solver.kappa == 1.0
+    assert solver.dense is None and solver.q == 0 and solver.kappa == 1.0
     assert np.array_equal(solver.solve(V), V)
 
 
@@ -1105,9 +1112,9 @@ def test_ck_solver_path_switches_at_psi_theta(monkeypatch):
     monkeypatch.setattr(polymap, "ck_operator",
                         lambda X1, d: built.append(d) or ck_operator(X1, d))
     below = polymap._CkSolver(_with_bracket_norms(X, 3, theta * (1 - 1e-9)), 3)
-    assert below.lu is None and built == []
+    assert below.dense is None and built == []
     above = polymap._CkSolver(_with_bracket_norms(X, 3, theta * (1 + 1e-9)), 3)
-    assert above.lu is not None and built == [3]
+    assert above.dense is not None and built == [3]
 
 
 @PROPERTY_SETTINGS
@@ -1117,7 +1124,7 @@ def test_property_ck_series_kappa_bounds_the_condition_number(n, d, frac, seed):
     X1 = _with_bracket_norms(np.random.default_rng(seed).standard_normal((n, n)),
                              d, frac * polymap.PSI_THETA)
     solver = polymap._CkSolver(X1, d)
-    assert solver.lu is None
+    assert solver.dense is None
     assert np.linalg.cond(ck_operator(X1, d), 1) <= solver.kappa <= 6.1
 
 
@@ -1137,7 +1144,7 @@ def test_ck_series_rejects_a_non_finite_right_hand_side():
     solver = polymap._CkSolver(0.01 * np.eye(2), 3)
     V = np.ones(hk_dim(2, 3))
     V[2] = np.nan
-    assert solver.lu is None
+    assert solver.dense is None
     with pytest.raises(NonFinite):
         solver.solve(V)
 
